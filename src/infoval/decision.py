@@ -12,25 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linprog
-from .errors import NonpositiveScale
+from .errors import InconsistentData, MalformedData, NonpositiveScale
 from .geometry import (
+    ONE,
+    ZERO,
     Belief,
+    Coords,
     Halfspace,
     Polytope,
-    dimension,
+    _frac,
     facet_between,
-    interior_point,
 )
-
-Coords = tuple[Fraction, ...]
-
-
-def _frac(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating point payoffs are not allowed")
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,7 @@ class AffineFn:
 
     @classmethod
     def zero(cls, n: int) -> "AffineFn":
-        return cls(tuple(Fraction(0) for _ in range(n)))
+        return cls((ZERO,) * n)
 
     @classmethod
     def from_halfspace(cls, h: Halfspace) -> "AffineFn":
@@ -154,45 +149,90 @@ class Subdivision:
     cells: tuple[Cell, ...]
     adjacency: tuple[AdjacentPair, ...]
 
+    @classmethod
+    def from_cells(cls, cells) -> "Subdivision":
+        """The subdivision of the given cells, with every shared facet found."""
+        cells = tuple(cells)
+        adjacency = []
+        for i in range(len(cells)):
+            for j in range(i + 1, len(cells)):
+                found = facet_between(cells[i].geometry, cells[j].geometry)
+                if found is not None:
+                    adjacency.append(AdjacentPair(i, j, *found))
+        return cls(cells, tuple(adjacency))
+
     @property
     def n(self) -> int:
         return self.cells[0].geometry.n
 
+    @cached_property
+    def _pairs(self) -> dict[tuple[int, int], AdjacentPair]:
+        pairs: dict[tuple[int, int], AdjacentPair] = {}
+        for pair in self.adjacency:
+            pairs.setdefault((pair.i, pair.j), pair)
+        return pairs
+
+    @cached_property
+    def _links(self) -> dict[int, list[int]]:
+        links: dict[int, list[int]] = {}
+        for pair in self.adjacency:
+            links.setdefault(pair.i, []).append(pair.j)
+            links.setdefault(pair.j, []).append(pair.i)
+        return {i: sorted(out) for i, out in links.items()}
+
     def oriented_facet(self, i: int, j: int) -> Halfspace | None:
         """The facet halfspace between cells i and j, positive on cell j."""
-        a, b = min(i, j), max(i, j)
-        for pair in self.adjacency:
-            if (pair.i, pair.j) == (a, b):
-                return pair.halfspace if j == b else pair.halfspace.flipped()
-        return None
+        pair = self._pairs.get((min(i, j), max(i, j)))
+        if pair is None:
+            return None
+        return pair.halfspace if j == pair.j else pair.halfspace.flipped()
 
     def shared_facet(self, i: int, j: int) -> Polytope | None:
-        a, b = min(i, j), max(i, j)
-        for pair in self.adjacency:
-            if (pair.i, pair.j) == (a, b):
-                return pair.shared
-        return None
+        pair = self._pairs.get((min(i, j), max(i, j)))
+        return None if pair is None else pair.shared
 
     def neighbors(self, i: int) -> list[int]:
-        out = []
-        for pair in self.adjacency:
-            if pair.i == i:
-                out.append(pair.j)
-            elif pair.j == i:
-                out.append(pair.i)
-        return sorted(out)
+        return list(self._links.get(i, ()))
+
+    def spanning_tree(self) -> list[tuple[int, int]]:
+        """Breadth-first tree edges (parent, child) from cell 0, lowest neighbor first.
+
+        Raises MalformedData when the adjacency graph is disconnected.
+        """
+        seen = {0}
+        queue = [0]
+        edges: list[tuple[int, int]] = []
+        for node in queue:
+            for neighbor in self._links.get(node, ()):
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    edges.append((node, neighbor))
+                    queue.append(neighbor)
+        if len(seen) != len(self.cells):
+            raise MalformedData("adjacency graph is disconnected")
+        return edges
 
     def cells_containing(self, x: Belief) -> list[int]:
         return [i for i, cell in enumerate(self.cells) if cell.geometry.contains(x)]
 
-    def geometry_key(self) -> frozenset:
-        """Order-free fingerprint of the cell geometry, for exact comparison."""
-        return frozenset(
-            tuple(v.coords for v in cell.geometry.vertices) for cell in self.cells
-        )
+    def match_cells(self, other: "Subdivision") -> list[tuple[int, int]] | None:
+        """Pairs (i, k) of cell i here and cell k of other with the same vertex set.
+
+        None unless the cells of both sides correspond one to one.
+        """
+        mine = [_vertex_key(cell) for cell in self.cells]
+        theirs = [_vertex_key(cell) for cell in other.cells]
+        if sorted(mine) != sorted(theirs):
+            return None
+        lookup = {key: k for k, key in enumerate(theirs)}
+        return [(i, lookup[key]) for i, key in enumerate(mine)]
 
     def same_geometry(self, other: "Subdivision") -> bool:
-        return self.geometry_key() == other.geometry_key()
+        return self.match_cells(other) is not None
+
+
+def _vertex_key(cell: Cell) -> tuple[Coords, ...]:
+    return tuple(v.coords for v in cell.geometry.vertices)
 
 
 @dataclass(frozen=True)
@@ -213,8 +253,6 @@ class PiecewiseAffineFn:
         cells = self.subdivision.cells
         if len(self.pieces) != len(cells):
             raise ValueError("need exactly one affine piece per cell")
-        from .errors import InconsistentData
-
         for pair in self.subdivision.adjacency:
             gi, gj = self.pieces[pair.i], self.pieces[pair.j]
             for v in pair.shared.vertices:
@@ -257,12 +295,12 @@ def _strict_margin(rows: list[Coords], index: int) -> Fraction | None:
         return None
     n = len(rows[index])
     # variables: x (n, >= 0), then margin split into positive and negative parts
-    objective = [Fraction(0)] * n + [Fraction(1), Fraction(-1)]
-    eq = [([Fraction(1)] * n + [Fraction(0), Fraction(0)], Fraction(1))]
+    objective = [ZERO] * n + [ONE, -ONE]
+    eq = [([ONE] * n + [ZERO, ZERO], ONE)]
     ge = []
     for rival in rivals:
         diff = [a - b for a, b in zip(rows[index], rival)]
-        ge.append((diff + [Fraction(-1), Fraction(1)], Fraction(0)))
+        ge.append((diff + [-ONE, ONE], ZERO))
     value, _ = linprog.maximize(objective, eq=eq, ge=ge)
     return value
 
@@ -297,53 +335,23 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
 
     Cell geometry is the exact halfspace intersection
     {x : u(a,.) . x >= u(b,.) . x for every rival undominated b}. Cells come
-    back ordered by action index. The adjacency graph is checked to be
-    connected, which upper-envelope subdivisions always satisfy.
+    back ordered by action index. Each undominated action is the only
+    maximizer on an open set, so its cell is full-dimensional and it is
+    uniquely optimal inside; the cells tile the simplex, so their adjacency
+    graph is connected, which the spanning tree confirms.
     """
-    n = dp.n
     winners = sorted(undominated_actions(dp))
-    cells: list[Cell] = []
+    cells = []
     for a in winners:
-        halfspaces = []
-        for b in winners:
-            if b == a:
-                continue
-            diff = tuple(u - v for u, v in zip(dp.utility[a], dp.utility[b]))
-            halfspaces.append(Halfspace(diff, Fraction(0)))
-        poly = Polytope.from_halfspaces(halfspaces, n)
-        if poly.is_empty() or dimension(poly.vertices) != n - 1:
-            raise RuntimeError(f"optimality region of action {a} is not full-dimensional")
-        center = interior_point(poly)
-        best = evaluate_value(dp, center)
-        optimal = [k for k in range(dp.num_actions) if dp.payoff(k, center) == best]
-        if optimal != [a]:
-            raise RuntimeError(f"action {a} is not uniquely optimal inside its cell")
-        cells.append(Cell(a, poly))
-
-    adjacency: list[AdjacentPair] = []
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            found = facet_between(cells[i].geometry, cells[j].geometry)
-            if found is not None:
-                shared, h = found
-                adjacency.append(AdjacentPair(i, j, shared, h))
-
-    if len(cells) > 1:
-        seen = {0}
-        frontier = [0]
-        links = {}
-        for pair in adjacency:
-            links.setdefault(pair.i, []).append(pair.j)
-            links.setdefault(pair.j, []).append(pair.i)
-        while frontier:
-            node = frontier.pop()
-            for nxt in links.get(node, []):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if len(seen) != len(cells):
-            raise RuntimeError("subdivision adjacency graph is disconnected")
-    return Subdivision(tuple(cells), tuple(adjacency))
+        halfspaces = [
+            Halfspace(tuple(u - v for u, v in zip(dp.utility[a], dp.utility[b])), ZERO)
+            for b in winners
+            if b != a
+        ]
+        cells.append(Cell(a, Polytope.from_halfspaces(halfspaces, dp.n)))
+    sub = Subdivision.from_cells(cells)
+    sub.spanning_tree()  # raises MalformedData if the graph is disconnected
+    return sub
 
 
 def scale_problem(dp: DecisionProblem, factor) -> DecisionProblem:
@@ -374,27 +382,14 @@ def equal_up_to_state_transfer(dp1: DecisionProblem, dp2: DecisionProblem):
         return None
     sub1 = compute_subdivision(dp1)
     sub2 = compute_subdivision(dp2)
-    if len(sub1.cells) != len(sub2.cells):
+    matching = sub1.match_cells(sub2)
+    if matching is None:
         return None
-    lookup = {
-        tuple(v.coords for v in cell.geometry.vertices): cell.action_index
-        for cell in sub2.cells
+    pairs = [(sub1.cells[i].action_index, sub2.cells[k].action_index) for i, k in matching]
+    transfers = {
+        tuple(u2 - u1 for u1, u2 in zip(dp1.utility[a1], dp2.utility[a2]))
+        for a1, a2 in pairs
     }
-    relabeling: dict[int, int] = {}
-    transfer: Coords | None = None
-    for cell in sub1.cells:
-        key = tuple(v.coords for v in cell.geometry.vertices)
-        if key not in lookup:
-            return None
-        a1 = cell.action_index
-        a2 = lookup[key]
-        delta = tuple(
-            u2 - u1 for u1, u2 in zip(dp1.utility[a1], dp2.utility[a2])
-        )
-        if transfer is None:
-            transfer = delta
-        elif delta != transfer:
-            return None
-        relabeling[a1] = a2
-    assert transfer is not None
-    return relabeling, AffineFn(transfer)
+    if len(transfers) != 1:
+        return None
+    return dict(pairs), AffineFn(transfers.pop())

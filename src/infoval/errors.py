@@ -24,10 +24,6 @@ class BoundaryPrior(ValueError):
         super().__init__(message)
 
 
-class NoFeasibleLambda(RuntimeError):
-    """Safety stop for the residual-weight search; unreachable for interior priors."""
-
-
 class MeanMismatch(ValueError):
     """A posterior distribution does not average back to the required prior."""
 

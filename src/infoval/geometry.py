@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DimensionTooLarge, EmptyInput, EmptyPolytope
+from .errors import BoundaryPrior, DimensionTooLarge, EmptyInput, EmptyPolytope
 
 MAX_STATES = 6
 
@@ -30,6 +30,16 @@ def _frac(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating point values are not allowed; pass Fraction, int or str")
     return Fraction(value)
+
+
+def _require_interior(prior: "Belief") -> None:
+    if not prior.is_interior():
+        raise BoundaryPrior()
+
+
+def _require_enumerable(n: int) -> None:
+    if n > MAX_STATES:
+        raise DimensionTooLarge(f"enumeration supports at most {MAX_STATES} states, got {n}")
 
 
 def _coords(values) -> Coords:
@@ -325,8 +335,7 @@ def vertices_of(halfspaces, n: int) -> list[Belief]:
     system is solved exactly, and feasible solutions are kept. Deduplicated
     and sorted lexicographically; the empty list means an empty intersection.
     """
-    if n > MAX_STATES:
-        raise DimensionTooLarge(f"vertex enumeration supports at most {MAX_STATES} states, got {n}")
+    _require_enumerable(n)
     hs = _dedupe_canonical(halfspaces)
     rows: list[tuple[tuple[int, ...], int]] = [_int_row(h.normal, h.offset) for h in hs]
     for theta in range(n):
@@ -390,6 +399,7 @@ def hull_halfspaces(points) -> list[Halfspace]:
     if not pts:
         raise EmptyInput("hull of an empty point set is undefined")
     n = pts[0].n
+    _require_enumerable(n)
     if dimension(pts) != n - 1:
         raise ValueError("hull_halfspaces expects a full-dimensional point set")
     facets: dict[tuple, Halfspace] = {}
@@ -470,16 +480,6 @@ def facet_between(p1: Polytope, p2: Polytope):
 # ---------------------------------------------------------------------------
 # small affine helpers used by the construction code
 # ---------------------------------------------------------------------------
-
-
-def convex_combination(weighted_points) -> Belief:
-    """Sum of prob * belief for (belief, prob) pairs with probs summing to 1."""
-    items = list(weighted_points)
-    n = items[0][0].n
-    coords = tuple(
-        sum(w * p.coords[i] for p, w in items) for i in range(n)
-    )
-    return Belief(coords)
 
 
 def point_on_line(origin: Belief, direction: Coords, t: Fraction) -> Coords:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decision import (
-    AdjacentPair,
     AffineFn,
     Cell,
     DecisionProblem,
@@ -31,19 +30,16 @@ from .decision import (
     Subdivision,
     compute_subdivision,
 )
-from .errors import (
-    BoundaryPrior,
-    InconsistentData,
-    MalformedData,
-    NoFeasibleLambda,
-    SingularSolve,
-)
+from .errors import InconsistentData, MalformedData, SingularSolve
 from .geometry import (
+    ONE,
+    ZERO,
     Belief,
     Polytope,
+    _require_interior,
     barycenter,
     dimension,
-    facet_between,
+    facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
     interior_interval_on_line,
     interior_point,
     point_on_line,
@@ -54,12 +50,6 @@ from .information import (
     expected_value,
     split_atom,
 )
-
-HALVING_LIMIT = 400
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -137,32 +127,41 @@ class IdentificationData:
         object.__setattr__(self, "cardinal", tuple(self.cardinal))
 
 
-def _require_interior(prior: Belief) -> None:
-    if not prior.is_interior():
-        raise BoundaryPrior()
-
-
 # ---------------------------------------------------------------------------
 # ordinal statements
 # ---------------------------------------------------------------------------
 
 
+def _halvings(d: Fraction, b: Fraction) -> int:
+    """The smallest k >= 0 with d / 2**k < b, for positive d and b.
+
+    d / 2**k < b exactly when floor(d / b) < 2**k, and the least such k is
+    the bit length of floor(d / b).
+    """
+    return (d // b).bit_length()
+
+
 def _residual_point(prior: Belief, anchor: Belief, forbidden: set) -> tuple[Belief, Fraction]:
-    """Find weight lam so that (prior - lam*anchor)/(1-lam) is a valid residual.
+    """The largest weight lam = 2**-k, k >= 1, making (prior - lam*anchor)/(1-lam) a residual.
 
     The residual must be interior to the simplex and distinct from every
-    forbidden point; halving lam converges to the interior prior, so the
-    search always terminates.
+    forbidden point. It is interior exactly when lam is below prior/anchor
+    in every state the anchor charges; that bound is at most 1, as both sum
+    to one. Unless the anchor is the prior, the residual moves with lam, so
+    each forbidden point costs at most one more halving. An anchor that is
+    the prior and forbidden comes only from a degenerate hand-built cell,
+    which raises MalformedData.
     """
-    lam = HALF
-    for _ in range(HALVING_LIMIT):
+    bound = min(m / a for m, a in zip(prior.coords, anchor.coords) if a > 0)
+    first = _halvings(ONE, bound)
+    for k in range(first, first + len(forbidden) + 1):
+        lam = Fraction(1, 2**k)
         coords = tuple(
             (m - lam * a) / (1 - lam) for m, a in zip(prior.coords, anchor.coords)
         )
-        if all(c > 0 for c in coords) and coords not in forbidden:
+        if coords not in forbidden:
             return Belief(coords), lam
-        lam = lam / 2
-    raise NoFeasibleLambda("no residual weight found; is the prior interior?")
+    raise MalformedData("every residual falls on a point of the cell; is the cell degenerate?")
 
 
 def gen_affineness_equalities(sub: Subdivision, prior: Belief) -> list[OrderedExpectation]:
@@ -195,16 +194,21 @@ def gen_affineness_equalities(sub: Subdivision, prior: Belief) -> list[OrderedEx
     return statements
 
 
-def _point_into_cell(start: Belief, through: Belief, target: Polytope) -> Belief:
-    """First point of the halved ray start -> through -> beyond inside target."""
+def _point_into_cell(start: Belief, through: Belief, target: Polytope) -> tuple[Belief, Fraction]:
+    """The point through + t*(through - start) inside target for the largest t = 2**-k.
+
+    Returns the point and t. Raises MalformedData when the ray beyond
+    `through` does not enter the interior of target at once, as it does
+    when `through` is inside a facet that target shares with the cell
+    holding `start`.
+    """
     direction = tuple(t - s for s, t in zip(start.coords, through.coords))
-    t = ONE
-    for _ in range(HALVING_LIMIT):
-        coords = point_on_line(through, direction, t)
-        if all(c > 0 for c in coords) and target.contains(coords, strict=True):
-            return Belief(coords)
-        t = t / 2
-    raise NoFeasibleLambda("could not step across the facet into the cell")
+    window = interior_interval_on_line(through, direction, target)
+    if window is not None and window[1] > 0:
+        t = Fraction(1, 2 ** _halvings(ONE, window[1]))
+        if window[0] < t:
+            return Belief(point_on_line(through, direction, t)), t
+    raise MalformedData("the line across a shared facet misses the neighboring cell")
 
 
 def gen_nonaffineness_inequalities(sub: Subdivision, prior: Belief) -> list[OrderedExpectation]:
@@ -220,15 +224,9 @@ def gen_nonaffineness_inequalities(sub: Subdivision, prior: Belief) -> list[Orde
     for pair in sub.adjacency:
         facet_center = interior_point(pair.shared)
         inner_i = interior_point(sub.cells[pair.i].geometry)
-        inner_j = _point_into_cell(inner_i, facet_center, sub.cells[pair.j].geometry)
-        # inner_j = facet_center + t * (facet_center - inner_i) for some t > 0,
+        inner_j, t = _point_into_cell(inner_i, facet_center, sub.cells[pair.j].geometry)
+        # inner_j = facet_center + t * (facet_center - inner_i) with t > 0,
         # so facet_center = w_i * inner_i + w_j * inner_j with positive weights
-        direction = tuple(f - s for s, f in zip(inner_i.coords, facet_center.coords))
-        t = next(
-            (far - center) / d
-            for far, center, d in zip(inner_j.coords, facet_center.coords, direction)
-            if d != 0
-        )
         w_i = t / (1 + t)
         w_j = 1 / (1 + t)
         if facet_center == prior:
@@ -293,47 +291,23 @@ def extract_subdivision(data: IdentificationData) -> Subdivision:
             raise MalformedData(f"cell {statement.tag.cell} is not full-dimensional")
         cells.append(Cell(statement.tag.cell, geometry))
 
-    adjacency = []
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            found = facet_between(cells[i].geometry, cells[j].geometry)
-            if found is not None:
-                shared, h = found
-                adjacency.append(AdjacentPair(i, j, shared, h))
-
+    sub = Subdivision.from_cells(cells)
     pair_tags = {
         (min(s.tag.i, s.tag.j), max(s.tag.i, s.tag.j))
         for s in data.ordinal
         if isinstance(s.tag, PairNonAffine)
     }
-    actual = {(p.i, p.j) for p in adjacency}
+    actual = {(p.i, p.j) for p in sub.adjacency}
     if pair_tags != actual:
         raise MalformedData(
             f"inequality tags {sorted(pair_tags)} do not match the adjacency {sorted(actual)}"
         )
-    return Subdivision(tuple(cells), tuple(adjacency))
+    return sub
 
 
 # ---------------------------------------------------------------------------
 # utility differences
 # ---------------------------------------------------------------------------
-
-
-def _spanning_tree_edges(sub: Subdivision, root: int) -> list[tuple[int, int]]:
-    """Breadth-first tree edges (parent, child), lowest neighbor index first."""
-    seen = {root}
-    queue = [root]
-    edges: list[tuple[int, int]] = []
-    while queue:
-        node = queue.pop(0)
-        for neighbor in sub.neighbors(node):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                edges.append((node, neighbor))
-                queue.append(neighbor)
-    if len(seen) != len(sub.cells):
-        raise RuntimeError("adjacency graph is disconnected")
-    return edges
 
 
 def _signed_intervals(interval, side):
@@ -382,16 +356,12 @@ def _binary_difference(sub: Subdivision, prior: Belief, parent: int, child: int)
     t_i = (window_i[0] + window_i[1]) / 2
     near_i = window_i[0] if side_i > 0 else window_i[1]
     far_i = window_i[1] if side_i > 0 else window_i[0]
-    t_hat = Fraction(2 * side_i)
-    if side_i * (t_hat - near_i) <= 0:
-        t_hat = far_i
-    for _ in range(HALVING_LIMIT):
-        inside = near_i < t_hat < far_i if side_i > 0 else far_i < t_hat < near_i
-        if inside and side_i * t_hat < side_i * t_i:
-            break
-        t_hat = (t_hat + near_i) / 2
-    else:
-        raise NoFeasibleLambda("no comparison point between the prior and the cell")
+    start = Fraction(2 * side_i)
+    if side_i * (start - near_i) <= 0:
+        start = far_i
+    # halve the distance from near_i until the point lies before t_i
+    k = _halvings(side_i * (start - near_i), side_i * (t_i - near_i))
+    t_hat = near_i + (start - near_i) / 2**k
 
     near_j = window_j[0] if side_i < 0 else window_j[1]
     far_j = window_j[1] if side_i < 0 else window_j[0]
@@ -417,42 +387,24 @@ def _residual_difference(sub: Subdivision, prior: Belief, parent: int, child: in
     their mean and the residual atom, the residual contribution cancels from
     the utility difference and the reconstruction formula is unchanged.
     """
-    facet = sub.shared_facet(parent, child)
-    facet_center = interior_point(facet)
+    facet_center = interior_point(sub.shared_facet(parent, child))
     x_i = interior_point(sub.cells[parent].geometry)
-    x_j = _point_into_cell(x_i, facet_center, sub.cells[child].geometry)
+    x_j, t = _point_into_cell(x_i, facet_center, sub.cells[child].geometry)
     x_hat = barycenter([x_i, facet_center])
-    # x_hat = beta * x_i + (1 - beta) * x_j along the common line
-    beta = next(
-        (h - j) / (i - j)
-        for h, i, j in zip(x_hat.coords, x_i.coords, x_j.coords)
-        if i != j
+    # facet_center = (x_j + t * x_i) / (1 + t), so x_hat = beta * x_i + (1 - beta) * x_j
+    beta = (1 + 2 * t) / (2 * (1 + t))
+    # with lam = 2 * eps, the lhs puts eps * (2 - beta) on x_j and eps * beta
+    # on x_i, that is lam on their mixture `mixed`; the residual takes the rest
+    mixed = Belief(
+        tuple(((2 - beta) * j + beta * i) / 2 for j, i in zip(x_j.coords, x_i.coords))
     )
-    assert all(
-        h == beta * i + (1 - beta) * j
-        for h, i, j in zip(x_hat.coords, x_i.coords, x_j.coords)
+    residual, lam = _residual_point(prior, mixed, {x_i.coords, x_hat.coords, x_j.coords})
+    eps = lam / 2
+    lhs = PosteriorDistribution(
+        [(x_j, eps * (2 - beta)), (x_i, eps * beta), (residual, 1 - lam)]
     )
-    eps = Fraction(1, 4)
-    for _ in range(HALVING_LIMIT):
-        q = b = eps
-        p = eps * (2 - beta)
-        a = eps * beta
-        s = 1 - 2 * eps
-        coords = tuple(
-            (m - p * xj - a * xi) / s
-            for m, xj, xi in zip(prior.coords, x_j.coords, x_i.coords)
-        )
-        if all(c > 0 for c in coords) and coords not in {
-            x_i.coords,
-            x_hat.coords,
-            x_j.coords,
-        }:
-            residual = Belief(coords)
-            lhs = PosteriorDistribution([(x_j, p), (x_i, a), (residual, s)])
-            rhs = PosteriorDistribution([(x_j, q), (x_hat, b), (residual, s)])
-            return lhs, rhs, x_j
-        eps = eps / 2
-    raise NoFeasibleLambda("no residual weight found; is the prior interior?")
+    rhs = PosteriorDistribution([(x_j, eps), (x_hat, eps), (residual, 1 - lam)])
+    return lhs, rhs, x_j
 
 
 def gen_utility_differences(
@@ -472,9 +424,7 @@ def gen_utility_differences(
     """
     _require_interior(prior)
     sub = subdivision if subdivision is not None else compute_subdivision(dp)
-    if len(sub.cells) == 1:
-        return []
-    edges = _spanning_tree_edges(sub, 0)
+    edges = sub.spanning_tree()
     if include_all_edges:
         tree = {(min(i, j), max(i, j)) for i, j in edges}
         for pair in sub.adjacency:
@@ -488,7 +438,10 @@ def gen_utility_differences(
         lhs, rhs, _ = built
         gap = expected_value(dp, lhs) - expected_value(dp, rhs)
         if gap <= 0:
-            raise RuntimeError("generated utility difference is not positive")
+            raise InconsistentData(
+                f"edge {(parent, child)}: the problem's utility difference is {gap}, "
+                "not positive; the subdivision is not the problem's"
+            )
         out.append(UtilityDifference(lhs, rhs, gap, (parent, child)))
     return out
 
@@ -607,22 +560,8 @@ def equal_up_to_affine(first: PiecewiseAffineFn, second: PiecewiseAffineFn) -> A
     and the same affine function (the coefficient representation on the
     simplex is unique, so this is plain tuple equality).
     """
-    cells1 = first.subdivision.cells
-    cells2 = second.subdivision.cells
-    if len(cells1) != len(cells2):
+    matching = first.subdivision.match_cells(second.subdivision)
+    if matching is None:
         return None
-    lookup = {
-        tuple(v.coords for v in cell.geometry.vertices): k
-        for k, cell in enumerate(cells2)
-    }
-    shift: AffineFn | None = None
-    for k, cell in enumerate(cells1):
-        key = tuple(v.coords for v in cell.geometry.vertices)
-        if key not in lookup:
-            return None
-        delta = second.pieces[lookup[key]] - first.pieces[k]
-        if shift is None:
-            shift = delta
-        elif delta != shift:
-            return None
-    return shift
+    shifts = {second.pieces[k] - first.pieces[i] for i, k in matching}
+    return shifts.pop() if len(shifts) == 1 else None

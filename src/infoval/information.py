@@ -14,16 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decision import DecisionProblem, evaluate_value
-from .errors import BoundaryPrior, MeanMismatch, ShapeMismatch, UnequalWeights
-from .geometry import Belief, barycenter
-
-Coords = tuple[Fraction, ...]
-
-
-def _frac(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating point probabilities are not allowed")
-    return Fraction(value)
+from .errors import MeanMismatch, ShapeMismatch, UnequalWeights
+from .geometry import ONE, ZERO, Belief, Coords, _frac, _require_interior, barycenter
 
 
 @dataclass(frozen=True)
@@ -59,14 +51,14 @@ class Experiment:
     @classmethod
     def fully_revealing(cls, n: int) -> "Experiment":
         rows = tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
+            tuple(ONE if i == j else ZERO for j in range(n))
             for i in range(n)
         )
         return cls(tuple(f"s{i+1}" for i in range(n)), rows)
 
     @classmethod
     def uninformative(cls, n: int) -> "Experiment":
-        return cls(("s1",), tuple((Fraction(1),) for _ in range(n)))
+        return cls(("s1",), tuple((ONE,) for _ in range(n)))
 
 
 @dataclass(frozen=True)
@@ -131,7 +123,7 @@ class PosteriorDistribution:
             if prob == 0:
                 continue
             key = belief_point.coords
-            merged[key] = merged.get(key, Fraction(0)) + prob
+            merged[key] = merged.get(key, ZERO) + prob
             order[key] = belief_point
         if not merged:
             raise ValueError("a posterior distribution needs positive mass")
@@ -152,15 +144,9 @@ class PosteriorDistribution:
     def support(self) -> tuple[Belief, ...]:
         return tuple(b for b, _ in self.atoms)
 
-    def prob_of(self, belief_point: Belief) -> Fraction:
-        for b, p in self.atoms:
-            if b == belief_point:
-                return p
-        return Fraction(0)
-
     @classmethod
     def point_mass(cls, belief_point: Belief) -> "PosteriorDistribution":
-        return cls(((belief_point, Fraction(1)),))
+        return cls(((belief_point, ONE),))
 
 
 class Order(enum.Enum):
@@ -172,11 +158,6 @@ class Order(enum.Enum):
 
     def __str__(self) -> str:
         return {"better": ">", "equal": "=", "worse": "<"}[self.value]
-
-
-def _require_interior(prior: Belief) -> None:
-    if not prior.is_interior():
-        raise BoundaryPrior()
 
 
 def bayes_split(prior: Belief, experiment: Experiment) -> PosteriorDistribution:

@@ -12,20 +12,11 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .decision import DecisionProblem, Subdivision
-from .errors import BoundaryPrior
-from .geometry import Belief
+from .geometry import Belief, Coords, _frac, _require_interior
 from .identification import CellAffine, IdentificationData, PairNonAffine
 from .information import Experiment, Order, experiment_of, rank
-
-Coords = tuple[Fraction, ...]
-
-
-def _require_interior(prior: Belief) -> None:
-    if not prior.is_interior():
-        raise BoundaryPrior()
 
 
 @dataclass(frozen=True)
@@ -41,7 +32,7 @@ class SpectralElement:
     rays: tuple[Coords, ...]
 
     def __post_init__(self):
-        rays = tuple(tuple(Fraction(v) for v in ray) for ray in self.rays)
+        rays = tuple(tuple(_frac(v) for v in ray) for ray in self.rays)
         object.__setattr__(self, "rays", tuple(sorted(rays)))
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("likelihood rays must be pairwise distinct")

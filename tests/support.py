@@ -23,6 +23,15 @@ def guess_the_state_problem() -> DecisionProblem:
     return make_problem([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
+def halvings_by_search(d: Fraction, b: Fraction) -> int:
+    """Reference for the closed-form halving count: halve d until it is below b."""
+    k = 0
+    while d >= b:
+        d = d / 2
+        k += 1
+    return k
+
+
 def grid_beliefs(n: int, steps: int) -> list[Belief]:
     """All rational grid points of the simplex with the given resolution."""
     out = []

@@ -15,7 +15,7 @@ from infoval.decision import (
     value_function,
 )
 from infoval.errors import NonpositiveScale
-from infoval.geometry import belief
+from infoval.geometry import belief, interior_point
 
 
 class TestProblemValidation:
@@ -161,6 +161,17 @@ class TestSubdivision:
             dp = support.random_problem(rng, max_actions=5, max_denominator=8)
             sub = compute_subdivision(dp)
             assert {c.action_index for c in sub.cells} == set(undominated_actions(dp))
+
+    def test_cells_full_dimensional_with_a_unique_optimum_inside(self):
+        rng = Random(5)
+        for _ in range(8):
+            dp = support.random_problem(rng, max_actions=6, max_denominator=8)
+            for cell in compute_subdivision(dp).cells:
+                assert cell.geometry.is_full_dimensional()
+                center = interior_point(cell.geometry)
+                best = evaluate_value(dp, center)
+                optimal = [a for a in range(dp.num_actions) if dp.payoff(a, center) == best]
+                assert optimal == [cell.action_index]
 
 
 class TestScaling:

@@ -230,6 +230,11 @@ class TestHull:
         poly = Polytope.from_halfspaces(hsides, 2)
         assert list(poly.vertices) == sorted(pts)
 
+    def test_dimension_guard(self):
+        corners = [Belief(tuple(Fraction(int(i == j)) for j in range(7))) for i in range(7)]
+        with pytest.raises(DimensionTooLarge):
+            hull_halfspaces(corners)
+
 
 class TestLineInterval:
     def test_interval_through_cell(self):

@@ -2,11 +2,17 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import support
 from infoval.decision import (
+    AdjacentPair,
     AffineFn,
+    Cell,
+    Subdivision,
     compute_subdivision,
+    make_problem,
     scale_problem,
     value_function,
 )
@@ -15,7 +21,7 @@ from infoval.errors import (
     InconsistentData,
     MalformedData,
 )
-from infoval.geometry import belief, uniform_belief
+from infoval.geometry import Belief, Polytope, belief, uniform_belief
 from infoval.identification import (
     CellAffine,
     IdentificationData,
@@ -29,6 +35,7 @@ from infoval.identification import (
     generate_identification,
     reconstruct_value,
     satisfies_ordinal,
+    _halvings,
 )
 from infoval.information import PosteriorDistribution, expected_value
 
@@ -399,3 +406,64 @@ class TestRandomRoundtrips:
         for d in data.cardinal:
             assert d.lhs.mean == prior and d.rhs.mean == prior
             assert d.gap > 0
+
+
+class TestClosedFormWitnesses:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 10**12),
+        st.integers(1, 10**12),
+        st.integers(1, 10**12),
+        st.integers(1, 10**12),
+    )
+    @example(1, 1, 1, 1)
+    @example(8, 1, 1, 1)
+    @example(1, 1, 1, 2**40)
+    @example(3, 4, 3, 8)
+    def test_halvings_match_the_search(self, dn, dd, bn, bd):
+        d, b = Fraction(dn, dd), Fraction(bn, bd)
+        assert _halvings(d, b) == support.halvings_by_search(d, b)
+
+    def test_residual_steps_past_a_cell_vertex(self):
+        # at this prior the first residual weight 1/2 lands the residual on
+        # the cell vertex (1/2, 1/2), so the weight is halved once more
+        sub = compute_subdivision(support.two_peak_problem())
+        first = gen_affineness_equalities(sub, belief("5/8", "3/8"))[0]
+        assert atoms_of(first.lhs) == {
+            ((Fraction(1, 2), Fraction(1, 2)), Fraction(1, 8)),
+            ((Fraction(7, 12), Fraction(5, 12)), Fraction(3, 4)),
+            ((Fraction(1), Fraction(0)), Fraction(1, 8)),
+        }
+
+    def test_round_trip_at_a_prior_410_halvings_from_the_boundary(self):
+        dp = support.two_peak_problem()
+        tiny = Fraction(1, 2**410)
+        data = generate_identification(dp, Belief((tiny, 1 - tiny)))
+        assert satisfies_ordinal(dp, data)
+        assert equal_up_to_affine(reconstruct_value(data), value_function(dp)) is not None
+
+
+class TestForeignSubdivision:
+    def test_disconnected_subdivision_is_malformed(self):
+        dp = support.safe_or_bet_problem()
+        cut = Subdivision(compute_subdivision(dp).cells, ())
+        with pytest.raises(MalformedData):
+            gen_utility_differences(dp, uniform_belief(2), subdivision=cut)
+
+    def test_subdivision_of_another_problem_is_inconsistent(self):
+        flat = make_problem([[0, 0], [-5, -5]])
+        other = compute_subdivision(support.safe_or_bet_problem())
+        with pytest.raises(InconsistentData):
+            gen_utility_differences(flat, uniform_belief(2), subdivision=other)
+
+    def test_point_cell_at_the_prior_is_malformed(self):
+        point = Polytope((), (uniform_belief(2),), 2)
+        with pytest.raises(MalformedData):
+            gen_affineness_equalities(Subdivision((Cell(0, point),), ()), uniform_belief(2))
+
+    def test_pair_not_across_its_facet_is_malformed(self):
+        sub = compute_subdivision(support.safe_or_bet_problem())
+        pair = sub.adjacency[0]
+        looped = Subdivision(sub.cells, (AdjacentPair(0, 0, pair.shared, pair.halfspace),))
+        with pytest.raises(MalformedData):
+            gen_nonaffineness_inequalities(looped, uniform_belief(2))
