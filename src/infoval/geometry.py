@@ -3,8 +3,9 @@
 Everything here runs on arbitrary-precision rationals; no floating point.
 Points live on the simplex {x >= 0, sum(x) = 1} and polytopes are stored as
 halfspace intersections (implicitly cut with the simplex) together with their
-exact vertex sets. Enumeration is brute force over small constraint subsets,
-which is all the intended problem sizes need.
+exact vertex sets. Vertices and hull facets both come from one incremental
+double-description routine on integer rows, which touches only adjacent
+pairs of extreme rays rather than every subset of constraints or points.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import BoundaryPrior, DimensionTooLarge, EmptyInput, EmptyPolytope
 
@@ -218,62 +218,37 @@ def _dedupe_canonical(halfspaces) -> tuple[Halfspace, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _int_row(normal: Coords, offset: Fraction) -> tuple[tuple[int, ...], int]:
-    scale = math.lcm(offset.denominator, *(a.denominator for a in normal))
-    return tuple(int(a * scale) for a in normal), int(offset * scale)
+def _integer_row(values) -> list[int]:
+    """A rational vector scaled by the lcm of its denominators: same direction, integer entries."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _solve_int_square(rows: list[list[int]]) -> list[Fraction] | None:
-    """Solve an n x (n+1) augmented integer system exactly; None if singular."""
-    n = len(rows)
-    a = [row[:] for row in rows]
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot is None:
-            return None
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (akk * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
-    xs: list[Fraction] = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(a[i][n])
-        for j in range(i + 1, n):
-            s -= a[i][j] * xs[j]
-        xs[i] = s / a[i][i]
-    return xs
+def _rank_of_rows(rows) -> int:
+    """Exact rank of a small rational matrix, by fraction-free (Bareiss) elimination.
 
-
-def _rank_of_rows(rows: list[Coords]) -> int:
-    """Exact rank of a small rational matrix."""
-    if not rows:
-        return 0
-    work: list[list[Fraction]] = [[_frac(v) for v in row] for row in rows]
-    m, n = len(work), len(work[0])
+    After step k every entry below the pivots is a (k+1)-minor of the integer
+    matrix (Sylvester's identity), so each division by the previous pivot is
+    exact and the numbers stay as small as the minors.
+    """
+    work = [_integer_row(row) for row in rows]
+    m = len(work)
     rank = 0
-    col = 0
-    while rank < m and col < n:
-        pivot = next((r for r in range(rank, m) if work[r][col] != 0), None)
+    prev = 1
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, m) if work[r][col]), None)
         if pivot is None:
-            col += 1
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         prow = work[rank]
         pval = prow[col]
         for r in range(rank + 1, m):
-            factor = work[r][col] / pval
-            if factor:
-                work[r] = [x - factor * y for x, y in zip(work[r], prow)]
+            f = work[r][col]
+            work[r] = [(pval * x - f * y) // prev for x, y in zip(work[r], prow)]
+        prev = pval
         rank += 1
-        col += 1
+        if rank == m:
+            break
     return rank
 
 
@@ -312,14 +287,62 @@ def _unique_kernel_vector(rows: list[Coords], n: int) -> Coords | None:
     vec[free] = ONE
     for r, col in enumerate(pivots):
         vec[col] = -work[r][free]
-    scale = math.lcm(*(v.denominator for v in vec))
-    ints = [int(v * scale) for v in vec]
+    ints = _integer_row(vec)
     g = math.gcd(*ints)
     ints = [v // g for v in ints]
     lead = next(v for v in ints if v != 0)
     if lead < 0:
         ints = [-v for v in ints]
     return tuple(Fraction(v) for v in ints)
+
+
+def _extreme_rays(rows: list[list[int]], n: int) -> list[list[int]]:
+    """Extreme rays of the pointed cone {r : row . r >= 0 for every row}.
+
+    Incremental double description (Motzkin et al. 1953; Fukuda & Prodon
+    1996). The first n rows must be linearly independent: they cut out a
+    simplicial cone whose n rays are kernel vectors of n-1 of them. Each
+    further row splits the current rays into positive, zero and negative
+    ones; the negative rays leave, and every adjacent positive/negative pair
+    is combined into a new ray on the row's hyperplane. Each ray carries its
+    zero set as a bitmask over the rows so far. Two rays are adjacent when
+    their common zero set has at least n-2 rows and no third ray's zero set
+    contains it. Rays are primitive integer vectors, all distinct.
+    """
+    rays: list[tuple[list[int], int]] = []
+    for i in range(n):
+        ray = [int(v) for v in _unique_kernel_vector(rows[:i] + rows[i + 1 : n], n)]
+        if sum(a * b for a, b in zip(rows[i], ray)) < 0:
+            ray = [-v for v in ray]
+        rays.append((ray, ((1 << n) - 1) & ~(1 << i)))
+    for k in range(n, len(rows)):
+        row = rows[k]
+        bit = 1 << k
+        kept: list[tuple[list[int], int]] = []
+        pos: list[tuple[list[int], int, int]] = []
+        neg: list[tuple[list[int], int, int]] = []
+        for ray, zeros in rays:
+            s = sum(a * b for a, b in zip(row, ray))
+            if s > 0:
+                kept.append((ray, zeros))
+                pos.append((ray, zeros, s))
+            elif s < 0:
+                neg.append((ray, zeros, s))
+            else:
+                kept.append((ray, zeros | bit))
+        masks = [zeros for _, zeros in rays]
+        for p, pz, ps in pos:
+            for m, mz, ms in neg:
+                common = pz & mz
+                if common.bit_count() < n - 2:
+                    continue
+                if any(z & common == common for z in masks if z != pz and z != mz):
+                    continue
+                ray = [ps * b - ms * a for a, b in zip(p, m)]
+                g = math.gcd(*ray)
+                kept.append(([v // g for v in ray], common | bit))
+        rays = kept
+    return [ray for ray, _ in rays]
 
 
 # ---------------------------------------------------------------------------
@@ -330,34 +353,19 @@ def _unique_kernel_vector(rows: list[Coords], n: int) -> Coords | None:
 def vertices_of(halfspaces, n: int) -> list[Belief]:
     """All extreme points of the halfspace intersection cut with the simplex.
 
-    Brute force: every (n-1)-subset of constraints (the given halfspaces plus
-    the n simplex facets) is made tight together with sum(x) = 1, the square
-    system is solved exactly, and feasible solutions are kept. Deduplicated
-    and sorted lexicographically; the empty list means an empty intersection.
+    On the simplex, normal . x >= offset is the linear inequality
+    (normal - offset) . x >= 0, so the intersection is a slice of the cone
+    {x >= 0, (normal - offset) . x >= 0}. Its extreme rays, found by double
+    description with the n coordinate rows first, are the vertices once each
+    is divided by its sum. Sorted lexicographically; the empty list means an
+    empty intersection.
     """
     _require_enumerable(n)
-    hs = _dedupe_canonical(halfspaces)
-    rows: list[tuple[tuple[int, ...], int]] = [_int_row(h.normal, h.offset) for h in hs]
-    for theta in range(n):
-        unit = tuple(1 if i == theta else 0 for i in range(n))
-        rows.append((unit, 0))
-    sum_row = [1] * n + [1]
-
-    found: dict[Coords, Belief] = {}
-    for subset in combinations(rows, n - 1):
-        system = [list(a) + [c] for a, c in subset]
-        system.append(sum_row[:])
-        xs = _solve_int_square(system)
-        if xs is None:
-            continue
-        if any(x < 0 for x in xs):
-            continue
-        coords = tuple(xs)
-        if coords in found:
-            continue
-        if all(h.value(coords) >= 0 for h in hs):
-            found[coords] = Belief(coords)
-    return sorted(found.values())
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows += [_integer_row(h.as_affine_coords()) for h in _dedupe_canonical(halfspaces)]
+    return sorted(
+        Belief(tuple(Fraction(v, sum(ray)) for v in ray)) for ray in _extreme_rays(rows, n)
+    )
 
 
 def dimension(points) -> int:
@@ -365,9 +373,8 @@ def dimension(points) -> int:
     pts = list(points)
     if not pts:
         raise EmptyInput("dimension of an empty point set is undefined")
-    base = pts[0].coords
-    diffs = [tuple(c - b for c, b in zip(p.coords, base)) for p in pts[1:]]
-    return _rank_of_rows(diffs)
+    # beliefs lie on the hyperplane sum(x) = 1, which misses the origin
+    return _rank_of_rows([p.coords for p in pts]) - 1
 
 
 def barycenter(points) -> Belief:
@@ -390,10 +397,12 @@ def interior_point(poly: Polytope) -> Belief:
 def hull_halfspaces(points) -> list[Halfspace]:
     """Facet halfspaces of the convex hull of a full-dimensional point set.
 
-    Brute force over (n-1)-subsets: each affinely independent subset spans a
-    candidate hyperplane (computed as the one-dimensional kernel of the
-    difference rows plus the sum-gauge row); it is a facet when every input
-    point sits weakly on one side. Assumes the hull is full-dimensional.
+    The facets of the hull are the extreme rays g of the dual cone
+    {g : g . p >= 0 for every point p}: on the simplex, g . x >= 0 is the
+    facet halfspace. Double description runs on the points scaled to
+    integers, with n affinely independent points first. Canonical and
+    sorted by (normal, offset). Raises ValueError when the points do not
+    span the simplex.
     """
     pts = sorted(set(points))
     if not pts:
@@ -402,26 +411,10 @@ def hull_halfspaces(points) -> list[Halfspace]:
     _require_enumerable(n)
     if dimension(pts) != n - 1:
         raise ValueError("hull_halfspaces expects a full-dimensional point set")
-    facets: dict[tuple, Halfspace] = {}
-    for subset in combinations(pts, n - 1):
-        base = subset[0].coords
-        rows: list[Coords] = [
-            tuple(c - b for c, b in zip(p.coords, base)) for p in subset[1:]
-        ]
-        rows.append(tuple(ONE for _ in range(n)))
-        w = _unique_kernel_vector(rows, n)
-        if w is None:
-            continue
-        cut = sum(a * b for a, b in zip(w, base))
-        signs = [sum(a * c for a, c in zip(w, p.coords)) - cut for p in pts]
-        if all(s >= 0 for s in signs):
-            h = Halfspace(w, cut).canonical()
-        elif all(s <= 0 for s in signs):
-            h = Halfspace(tuple(-a for a in w), -cut).canonical()
-        else:
-            continue
-        facets[(h.normal, h.offset)] = h
-    return sorted(facets.values(), key=lambda h: (h.normal, h.offset))
+    first = _affinely_independent_subset(pts, n)
+    rows = [_integer_row(p.coords) for p in first + [p for p in pts if p not in first]]
+    facets = [Halfspace(tuple(ray), ZERO).canonical() for ray in _extreme_rays(rows, n)]
+    return sorted(facets, key=lambda h: (h.normal, h.offset))
 
 
 def _affinely_independent_subset(points, size: int) -> list[Belief]:

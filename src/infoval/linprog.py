@@ -121,7 +121,6 @@ def maximize(objective, eq=(), ge=(), le=()):
     if value != 0:
         raise LPInfeasible("no feasible point")
     for r in range(m):
-        art = nvars + nslack + r
         if basis[r] >= nvars + nslack:
             col = next(
                 (j for j in range(nvars + nslack) if tableau[r][j] != 0),

@@ -1,10 +1,24 @@
 """Shared fixtures and random-instance generators for the test suite."""
 
+import math
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 from infoval.decision import DecisionProblem, make_problem
-from infoval.geometry import Belief
+from infoval.errors import EmptyInput
+from infoval.geometry import (
+    ONE,
+    ZERO,
+    Belief,
+    Coords,
+    Halfspace,
+    _dedupe_canonical,
+    _frac,
+    _require_enumerable,
+    _unique_kernel_vector,
+    dimension,
+)
 from infoval.information import Experiment, Garbling
 
 
@@ -96,3 +110,138 @@ def random_garbling(rng: Random, rows: int, cols: int | None = None) -> Garbling
         total = sum(weights)
         out.append(tuple(Fraction(w, total) for w in weights))
     return Garbling(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# brute-force polyhedra: the enumeration the double-description core replaced,
+# kept as a differential oracle for vertices_of, hull_halfspaces and the rank
+# ---------------------------------------------------------------------------
+
+
+def _int_row(normal: Coords, offset: Fraction) -> tuple[tuple[int, ...], int]:
+    scale = math.lcm(offset.denominator, *(a.denominator for a in normal))
+    return tuple(int(a * scale) for a in normal), int(offset * scale)
+
+
+def _solve_int_square(rows: list[list[int]]) -> list[Fraction] | None:
+    """Solve an n x (n+1) augmented integer system exactly; None if singular."""
+    n = len(rows)
+    a = [row[:] for row in rows]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if pivot is None:
+            return None
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+        akk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i = a[i]
+            row_k = a[k]
+            for j in range(k + 1, n + 1):
+                row_i[j] = (akk * row_i[j] - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = akk
+    xs: list[Fraction] = [ZERO] * n
+    for i in range(n - 1, -1, -1):
+        s = Fraction(a[i][n])
+        for j in range(i + 1, n):
+            s -= a[i][j] * xs[j]
+        xs[i] = s / a[i][i]
+    return xs
+
+
+def rank_by_fractions(rows: list[Coords]) -> int:
+    """Exact rank of a small rational matrix."""
+    if not rows:
+        return 0
+    work: list[list[Fraction]] = [[_frac(v) for v in row] for row in rows]
+    m, n = len(work), len(work[0])
+    rank = 0
+    col = 0
+    while rank < m and col < n:
+        pivot = next((r for r in range(rank, m) if work[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        pval = prow[col]
+        for r in range(rank + 1, m):
+            factor = work[r][col] / pval
+            if factor:
+                work[r] = [x - factor * y for x, y in zip(work[r], prow)]
+        rank += 1
+        col += 1
+    return rank
+
+
+def vertices_by_brute_force(halfspaces, n: int) -> list[Belief]:
+    """All extreme points of the halfspace intersection cut with the simplex.
+
+    Brute force: every (n-1)-subset of constraints (the given halfspaces plus
+    the n simplex facets) is made tight together with sum(x) = 1, the square
+    system is solved exactly, and feasible solutions are kept. Deduplicated
+    and sorted lexicographically; the empty list means an empty intersection.
+    """
+    _require_enumerable(n)
+    hs = _dedupe_canonical(halfspaces)
+    rows: list[tuple[tuple[int, ...], int]] = [_int_row(h.normal, h.offset) for h in hs]
+    for theta in range(n):
+        unit = tuple(1 if i == theta else 0 for i in range(n))
+        rows.append((unit, 0))
+    sum_row = [1] * n + [1]
+
+    found: dict[Coords, Belief] = {}
+    for subset in combinations(rows, n - 1):
+        system = [list(a) + [c] for a, c in subset]
+        system.append(sum_row[:])
+        xs = _solve_int_square(system)
+        if xs is None:
+            continue
+        if any(x < 0 for x in xs):
+            continue
+        coords = tuple(xs)
+        if coords in found:
+            continue
+        if all(h.value(coords) >= 0 for h in hs):
+            found[coords] = Belief(coords)
+    return sorted(found.values())
+
+
+def hull_by_brute_force(points) -> list[Halfspace]:
+    """Facet halfspaces of the convex hull of a full-dimensional point set.
+
+    Brute force over (n-1)-subsets: each affinely independent subset spans a
+    candidate hyperplane (computed as the one-dimensional kernel of the
+    difference rows plus the sum-gauge row); it is a facet when every input
+    point sits weakly on one side. Assumes the hull is full-dimensional.
+    """
+    pts = sorted(set(points))
+    if not pts:
+        raise EmptyInput("hull of an empty point set is undefined")
+    n = pts[0].n
+    _require_enumerable(n)
+    if dimension(pts) != n - 1:
+        raise ValueError("hull_halfspaces expects a full-dimensional point set")
+    facets: dict[tuple, Halfspace] = {}
+    for subset in combinations(pts, n - 1):
+        base = subset[0].coords
+        rows: list[Coords] = [
+            tuple(c - b for c, b in zip(p.coords, base)) for p in subset[1:]
+        ]
+        rows.append(tuple(ONE for _ in range(n)))
+        w = _unique_kernel_vector(rows, n)
+        if w is None:
+            continue
+        cut = sum(a * b for a, b in zip(w, base))
+        signs = [sum(a * c for a, c in zip(w, p.coords)) - cut for p in pts]
+        if all(s >= 0 for s in signs):
+            h = Halfspace(w, cut).canonical()
+        elif all(s <= 0 for s in signs):
+            h = Halfspace(tuple(-a for a in w), -cut).canonical()
+        else:
+            continue
+        facets[(h.normal, h.offset)] = h
+    return sorted(facets.values(), key=lambda h: (h.normal, h.offset))

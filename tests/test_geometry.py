@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
+import support
 from infoval.errors import DimensionTooLarge, EmptyInput, EmptyPolytope
 from infoval.geometry import (
     Belief,
     Halfspace,
     Polytope,
+    _rank_of_rows,
     barycenter,
     belief,
     dimension,
@@ -234,6 +238,112 @@ class TestHull:
         corners = [Belief(tuple(Fraction(int(i == j)) for j in range(7))) for i in range(7)]
         with pytest.raises(DimensionTooLarge):
             hull_halfspaces(corners)
+
+
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def halfspace_systems(draw):
+    """Random halfspaces, some paired with a partner that makes them redundant,
+    repeated, tight as an equality (lower-dimensional) or contradicted (empty)."""
+    n = draw(st.integers(2, 5))
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        normal = tuple(draw(small_fractions) for _ in range(n))
+        assume(len(set(normal)) > 1)
+        h = Halfspace(normal, draw(small_fractions))
+        out.append(h)
+        partner = draw(st.sampled_from(["none", "redundant", "repeated", "equality", "empty"]))
+        if partner == "redundant":
+            out.append(Halfspace(normal, h.offset - 1))
+        elif partner == "repeated":
+            out.append(Halfspace(tuple(2 * a for a in normal), 2 * h.offset))
+        elif partner == "equality":
+            out.append(h.flipped())
+        elif partner == "empty":
+            out.append(Halfspace(tuple(-a for a in normal), 1 - h.offset))
+    return out, n
+
+
+def _belief_from_weights(weights) -> Belief:
+    return Belief(tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+@st.composite
+def point_clouds(draw):
+    """Full-dimensional point sets, with extra points inside the hull and in
+    the relative interior of some of its facets."""
+    n = draw(st.integers(2, 5))
+    weights = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
+    pts = [_belief_from_weights(w) for w in draw(st.lists(weights, min_size=n, max_size=n + 3))]
+    assume(dimension(pts) == n - 1)
+    extra = []
+    if draw(st.booleans()):
+        extra.append(barycenter(pts))
+    facets = hull_halfspaces(pts)
+    for i in draw(st.sets(st.integers(0, len(facets) - 1), max_size=3)):
+        extra.append(barycenter([p for p in pts if facets[i].value(p) == 0]))
+    return pts + extra
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices whose rows are often combinations of a few others."""
+    n = draw(st.integers(1, 6))
+    base = draw(st.lists(st.tuples(*[small_fractions] * n), min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.booleans()):
+            rows.append(draw(st.tuples(*[small_fractions] * n)))
+        else:
+            weights = [draw(small_fractions) for _ in base]
+            rows.append(tuple(sum(w * b[j] for w, b in zip(weights, base)) for j in range(n)))
+    return rows
+
+
+# small inputs on which combining a non-adjacent pair of rays gives a wrong answer
+NON_ADJACENT_RAYS_SYSTEM = (
+    [hs([2, 2, -2, 2, 2], 2), hs([1, 2, -2, 1, -1], "1/2"), hs([-3, -2, 3, 0, 2], 0)],
+    5,
+)
+NON_ADJACENT_RAYS_CLOUD = [
+    belief(*coords)
+    for coords in [
+        (0, 0, 0, 0, 1),
+        ("1/9", 0, "2/9", "1/3", "1/3"),
+        ("1/7", 0, "1/7", "2/7", "3/7"),
+        ("1/6", "1/4", "1/4", "1/4", "1/12"),
+        ("1/5", 0, "1/5", "2/5", "1/5"),
+        ("1/4", 0, "3/8", 0, "3/8"),
+        ("1/2", "1/2", 0, 0, 0),
+        ("3/4", "1/4", 0, 0, 0),
+    ]
+]
+
+
+class TestBruteForceOracle:
+    """Double description against the subset enumeration it replaced."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(halfspace_systems())
+    @example(NON_ADJACENT_RAYS_SYSTEM)
+    @example(([hs([1, -1, 0], 0), hs([-1, 1, 0], 0)], 3))  # a segment
+    @example(([hs([1, 0, 0], "1/2"), hs([-1, 0, 0], "-1/3")], 3))  # empty
+    def test_vertices_of(self, system):
+        halfspaces, n = system
+        assert vertices_of(halfspaces, n) == support.vertices_by_brute_force(halfspaces, n)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(point_clouds())
+    @example(NON_ADJACENT_RAYS_CLOUD)
+    def test_hull_halfspaces(self, points):
+        assert hull_halfspaces(points) == support.hull_by_brute_force(points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_matrices())
+    def test_rank(self, rows):
+        assert _rank_of_rows(rows) == support.rank_by_fractions(rows)
 
 
 class TestLineInterval:

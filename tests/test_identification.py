@@ -263,6 +263,23 @@ class TestReconstruction:
         shift = equal_up_to_affine(fn, value_function(dp))
         assert shift == AffineFn((0, 0))
 
+    def test_six_state_roundtrip(self):
+        # the six-state instance of the benchmark corpus: four cells of 20-28
+        # vertices and 8-9 facets each, out of reach for any hull method that
+        # tries every (n-1)-subset of vertices
+        dp = make_problem(
+            [
+                ["-21/11", "16/17", "-6/5", "-3/13", "-17/11", "20/7"],
+                ["-30/19", "23/16", "0", "13/9", "-10", "4"],
+                ["-3/4", "4", "-39/8", "-19/9", "12/11", "9/16"],
+                ["13/10", "-25/14", "-3", "-8/9", "3/7", "-8"],
+            ]
+        )
+        prior = belief("1/11", "5/33", "1/33", "8/33", "4/33", "4/11")
+        fn = reconstruct_value(generate_identification(dp, prior))
+        assert len(fn.pieces) == 4
+        assert equal_up_to_affine(fn, value_function(dp)) is not None
+
     def test_scaled_problem_reconstruction(self):
         dp = support.safe_or_bet_problem()
         scaled = scale_problem(dp, 3)
