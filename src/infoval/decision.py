@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linprog
-from .errors import InconsistentData, MalformedData, NonpositiveScale
+from .errors import InconsistentData, MalformedData, NonpositiveScale, ShapeMismatch
 from .geometry import (
     ONE,
     ZERO,
@@ -281,6 +281,8 @@ class PiecewiseAffineFn:
 
 def evaluate_value(dp: DecisionProblem, x: Belief) -> Fraction:
     """The best expected payoff available at belief x."""
+    if x.n != dp.n:
+        raise ShapeMismatch(f"belief over {x.n} states for a problem with {dp.n} states")
     return max(dp.payoff(a, x) for a in range(dp.num_actions))
 
 
@@ -305,20 +307,6 @@ def _strict_margin(rows: list[Coords], index: int) -> Fraction | None:
     return value
 
 
-def _undominated_rows(rows: list[Coords]) -> frozenset[int]:
-    """Indices of rows that are strictly optimal at some belief.
-
-    Duplicate rows eliminate each other here (their mutual margin is zero);
-    callers that want duplicates to survive must deduplicate first.
-    """
-    out = set()
-    for idx in range(len(rows)):
-        margin = _strict_margin(rows, idx)
-        if margin is None or margin > 0:
-            out.add(idx)
-    return frozenset(out)
-
-
 def undominated_actions(dp: DecisionProblem) -> frozenset[int]:
     """Actions that are strictly better than every rival at some belief.
 
@@ -327,7 +315,13 @@ def undominated_actions(dp: DecisionProblem) -> frozenset[int]:
     margin is positive. Actions that are optimal only on ties (margin zero)
     count as dominated.
     """
-    return _undominated_rows(list(dp.utility))
+    rows = list(dp.utility)
+    out = set()
+    for idx in range(len(rows)):
+        margin = _strict_margin(rows, idx)
+        if margin is None or margin > 0:
+            out.add(idx)
+    return frozenset(out)
 
 
 def compute_subdivision(dp: DecisionProblem) -> Subdivision:

@@ -6,6 +6,9 @@ halfspace intersections (implicitly cut with the simplex) together with their
 exact vertex sets. Vertices and hull facets both come from one incremental
 double-description routine on integer rows, which touches only adjacent
 pairs of extreme rays rather than every subset of constraints or points.
+All other exact linear algebra (affine dimension, the independent points
+that seed a hull, the kernel line that spans a facet) comes from one
+fraction-free row reduction on integer rows.
 """
 
 from __future__ import annotations
@@ -214,7 +217,7 @@ def _dedupe_canonical(halfspaces) -> tuple[Halfspace, ...]:
 
 
 # ---------------------------------------------------------------------------
-# integer linear algebra (Bareiss fraction-free elimination)
+# exact linear algebra: one fraction-free row reduction
 # ---------------------------------------------------------------------------
 
 
@@ -224,76 +227,69 @@ def _integer_row(values) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _rank_of_rows(rows) -> int:
-    """Exact rank of a small rational matrix, by fraction-free (Bareiss) elimination.
+def _primitive(row: list[int]) -> list[int]:
+    """A nonzero integer vector divided by its gcd, its first nonzero entry made positive."""
+    g = math.gcd(*row)
+    if next(v for v in row if v) < 0:
+        g = -g
+    return [v // g for v in row]
 
-    After step k every entry below the pivots is a (k+1)-minor of the integer
-    matrix (Sylvester's identity), so each division by the previous pivot is
-    exact and the numbers stay as small as the minors.
+
+def _row_reduce(rows) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """Fraction-free row reduction of rational rows, taken in input order.
+
+    Returns the indices of the rows that are independent of the rows before
+    them (so their count is the rank) and a reduced basis of the span: one
+    (pivot column, row) pair per independent row, where the row is a
+    primitive integer vector whose first nonzero entry is its positive pivot
+    and which is zero in every other pair's pivot column. Each elimination
+    step is an integer combination of two rows divided by its gcd, so no
+    fraction is formed. Rows after the rank reaches the column count are
+    dependent and are not looked at.
     """
-    work = [_integer_row(row) for row in rows]
-    m = len(work)
-    rank = 0
-    prev = 1
-    for col in range(len(work[0]) if work else 0):
-        pivot = next((r for r in range(rank, m) if work[r][col]), None)
+    independent: list[int] = []
+    basis: list[tuple[int, list[int]]] = []
+    for index, values in enumerate(rows):
+        row = _integer_row(values)
+        for col, b in basis:
+            if row[col]:
+                row = [b[col] * x - row[col] * y for x, y in zip(row, b)]
+        pivot = next((c for c, x in enumerate(row) if x), None)
         if pivot is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        pval = prow[col]
-        for r in range(rank + 1, m):
-            f = work[r][col]
-            work[r] = [(pval * x - f * y) // prev for x, y in zip(work[r], prow)]
-        prev = pval
-        rank += 1
-        if rank == m:
+        row = _primitive(row)
+        basis = [
+            (col, _primitive([row[pivot] * y - b[pivot] * x for x, y in zip(row, b)]))
+            if b[pivot]
+            else (col, b)
+            for col, b in basis
+        ]
+        basis.append((pivot, row))
+        independent.append(index)
+        if len(basis) == len(row):
             break
-    return rank
+    return independent, basis
 
 
-def _unique_kernel_vector(rows: list[Coords], n: int) -> Coords | None:
-    """The kernel vector of a rational row system whose nullity is exactly 1.
+def _kernel_ray(rows, n: int) -> list[int] | None:
+    """The kernel of a rational system of rows of length n, when it is a line.
 
-    Returns None when the nullity differs from 1 (rows rank-deficient or of
-    full column rank). The vector is scaled to primitive integers with its
-    first nonzero entry positive.
+    Read off the reduced basis: the one non-pivot column is free, and each
+    basis row fixes its pivot coordinate against it. Returns the primitive
+    integer vector with its first nonzero entry positive, or None when the
+    nullity is not exactly 1.
     """
-    work: list[list[Fraction]] = [[_frac(v) for v in row] for row in rows]
-    m = len(work)
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        pval = prow[col]
-        work[rank] = [x / pval for x in prow]
-        prow = work[rank]
-        for r in range(m):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], prow)]
-        pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    if n - rank != 1:
+    _, basis = _row_reduce(rows)
+    if len(basis) != n - 1:
         return None
+    pivots = {col for col, _ in basis}
     free = next(c for c in range(n) if c not in pivots)
-    vec = [ZERO] * n
-    vec[free] = ONE
-    for r, col in enumerate(pivots):
-        vec[col] = -work[r][free]
-    ints = _integer_row(vec)
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    scale = math.lcm(*(b[col] for col, b in basis))
+    ray = [0] * n
+    ray[free] = scale
+    for col, b in basis:
+        ray[col] = -b[free] * (scale // b[col])
+    return _primitive(ray)
 
 
 def _extreme_rays(rows: list[list[int]], n: int) -> list[list[int]]:
@@ -311,7 +307,7 @@ def _extreme_rays(rows: list[list[int]], n: int) -> list[list[int]]:
     """
     rays: list[tuple[list[int], int]] = []
     for i in range(n):
-        ray = [int(v) for v in _unique_kernel_vector(rows[:i] + rows[i + 1 : n], n)]
+        ray = _kernel_ray(rows[:i] + rows[i + 1 : n], n)
         if sum(a * b for a, b in zip(rows[i], ray)) < 0:
             ray = [-v for v in ray]
         rays.append((ray, ((1 << n) - 1) & ~(1 << i)))
@@ -374,7 +370,7 @@ def dimension(points) -> int:
     if not pts:
         raise EmptyInput("dimension of an empty point set is undefined")
     # beliefs lie on the hyperplane sum(x) = 1, which misses the origin
-    return _rank_of_rows([p.coords for p in pts]) - 1
+    return len(_row_reduce([p.coords for p in pts])[0]) - 1
 
 
 def barycenter(points) -> Belief:
@@ -409,24 +405,13 @@ def hull_halfspaces(points) -> list[Halfspace]:
         raise EmptyInput("hull of an empty point set is undefined")
     n = pts[0].n
     _require_enumerable(n)
-    if dimension(pts) != n - 1:
+    rows = [_integer_row(p.coords) for p in pts]
+    first, _ = _row_reduce(rows)
+    if len(first) != n:
         raise ValueError("hull_halfspaces expects a full-dimensional point set")
-    first = _affinely_independent_subset(pts, n)
-    rows = [_integer_row(p.coords) for p in first + [p for p in pts if p not in first]]
+    rows = [rows[i] for i in first] + [row for i, row in enumerate(rows) if i not in first]
     facets = [Halfspace(tuple(ray), ZERO).canonical() for ray in _extreme_rays(rows, n)]
     return sorted(facets, key=lambda h: (h.normal, h.offset))
-
-
-def _affinely_independent_subset(points, size: int) -> list[Belief]:
-    """Greedy selection of `size` affinely independent points."""
-    chosen: list[Belief] = []
-    for p in points:
-        trial = chosen + [p]
-        if len(trial) == 1 or dimension(trial) == len(trial) - 1:
-            chosen = trial
-        if len(chosen) == size:
-            return chosen
-    raise ValueError("point set has too low affine dimension")
 
 
 def facet_between(p1: Polytope, p2: Polytope):
@@ -438,30 +423,23 @@ def facet_between(p1: Polytope, p2: Polytope):
 
     Both inputs must be full-dimensional cells that meet face-to-face (as the
     cells of one subdivision always do): the shared face is then spanned by
-    the common vertices.
+    the common vertices. The facet's linear form g is the kernel line of the
+    common vertices' coordinate rows, which exists exactly when they span a
+    face of dimension n-2; on the simplex, g . x >= 0 is the halfspace.
     """
     if not p1.is_full_dimensional() or not p2.is_full_dimensional():
         raise ValueError("facet_between expects full-dimensional cells")
     n = p1.n
     common = sorted(set(p1.vertices) & set(p2.vertices))
-    if not common or dimension(common) != n - 2:
-        return None
-    span = _affinely_independent_subset(common, n - 1)
-    base = span[0].coords
-    rows: list[Coords] = [tuple(c - b for c, b in zip(p.coords, base)) for p in span[1:]]
-    rows.append(tuple(ONE for _ in range(n)))
-    w = _unique_kernel_vector(rows, n)
+    w = _kernel_ray([p.coords for p in common], n)
     if w is None:
         return None
-    cut = sum(a * b for a, b in zip(w, base))
-    inner = interior_point(p2)
-    side = sum(a * c for a, c in zip(w, inner.coords)) - cut
+    side = sum(a * c for a, c in zip(w, interior_point(p2).coords))
     if side == 0:
         raise ValueError("cells are not separated by the shared facet's hyperplane")
     if side < 0:
-        w = tuple(-a for a in w)
-        cut = -cut
-    h = Halfspace(w, cut).canonical()
+        w = [-a for a in w]
+    h = Halfspace(tuple(w), ZERO).canonical()
     if any(h.value(v) < 0 for v in p2.vertices):
         raise ValueError("shared hyperplane does not support the second cell")
     shared = Polytope(

@@ -30,7 +30,7 @@ from .decision import (
     Subdivision,
     compute_subdivision,
 )
-from .errors import InconsistentData, MalformedData, SingularSolve
+from .errors import InconsistentData, MalformedData, ShapeMismatch, SingularSolve
 from .geometry import (
     ONE,
     ZERO,
@@ -38,7 +38,6 @@ from .geometry import (
     Polytope,
     _require_interior,
     barycenter,
-    dimension,
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
     interior_interval_on_line,
     interior_point,
@@ -278,17 +277,10 @@ def extract_subdivision(data: IdentificationData) -> Subdivision:
             raise MalformedData("cell-tagged statements must be equalities")
         right_support = {b.coords for b in statement.rhs.support}
         removed = [b for b in statement.lhs.support if b.coords not in right_support]
-        if len(removed) < statement.lhs.mean.n:
-            raise MalformedData(
-                f"cell {statement.tag.cell}: too few collapsed atoms to span a cell"
-            )
         try:
             geometry = Polytope.from_vertices(removed)
         except ValueError as exc:
             raise MalformedData(f"cell {statement.tag.cell}: {exc}") from exc
-        n = statement.lhs.mean.n
-        if dimension(geometry.vertices) != n - 1:
-            raise MalformedData(f"cell {statement.tag.cell} is not full-dimensional")
         cells.append(Cell(statement.tag.cell, geometry))
 
     sub = Subdivision.from_cells(cells)
@@ -450,6 +442,8 @@ def generate_identification(
     dp: DecisionProblem, prior: Belief, include_all_edges: bool = False
 ) -> IdentificationData:
     """The full identifying collection for a problem at an interior prior."""
+    if prior.n != dp.n:
+        raise ShapeMismatch(f"prior over {prior.n} states for a problem with {dp.n} states")
     _require_interior(prior)
     sub = compute_subdivision(dp)
     ordinal = gen_affineness_equalities(sub, prior)

@@ -114,6 +114,9 @@ class PosteriorDistribution:
     mean: Belief
 
     def __init__(self, atoms):
+        atoms = list(atoms)
+        if len({b.n for b, _ in atoms}) > 1:
+            raise ShapeMismatch("every atom's belief must be over the same states")
         merged: dict[Coords, Fraction] = {}
         order: dict[Coords, Belief] = {}
         for belief_point, prob in atoms:

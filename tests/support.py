@@ -15,8 +15,8 @@ from infoval.geometry import (
     Halfspace,
     _dedupe_canonical,
     _frac,
+    _integer_row,
     _require_enumerable,
-    _unique_kernel_vector,
     dimension,
 )
 from infoval.information import Experiment, Garbling
@@ -114,7 +114,8 @@ def random_garbling(rng: Random, rows: int, cols: int | None = None) -> Garbling
 
 # ---------------------------------------------------------------------------
 # brute-force polyhedra: the enumeration the double-description core replaced,
-# kept as a differential oracle for vertices_of, hull_halfspaces and the rank
+# kept as a differential oracle for vertices_of, hull_halfspaces, the rank and
+# the kernel line, with the Fraction Gauss-Jordan elimination it used
 # ---------------------------------------------------------------------------
 
 
@@ -175,6 +176,50 @@ def rank_by_fractions(rows: list[Coords]) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def _unique_kernel_vector(rows: list[Coords], n: int) -> Coords | None:
+    """The kernel vector of a rational row system whose nullity is exactly 1.
+
+    Returns None when the nullity differs from 1 (rows rank-deficient or of
+    full column rank). The vector is scaled to primitive integers with its
+    first nonzero entry positive.
+    """
+    work: list[list[Fraction]] = [[_frac(v) for v in row] for row in rows]
+    m = len(work)
+    pivots: list[int] = []
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, m) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        pval = prow[col]
+        work[rank] = [x / pval for x in prow]
+        prow = work[rank]
+        for r in range(m):
+            if r != rank and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], prow)]
+        pivots.append(col)
+        rank += 1
+        if rank == m:
+            break
+    if n - rank != 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    vec = [ZERO] * n
+    vec[free] = ONE
+    for r, col in enumerate(pivots):
+        vec[col] = -work[r][free]
+    ints = _integer_row(vec)
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    lead = next(v for v in ints if v != 0)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return tuple(Fraction(v) for v in ints)
 
 
 def vertices_by_brute_force(halfspaces, n: int) -> list[Belief]:

@@ -14,8 +14,8 @@ from infoval.decision import (
     undominated_actions,
     value_function,
 )
-from infoval.errors import NonpositiveScale
-from infoval.geometry import belief, interior_point
+from infoval.errors import NonpositiveScale, ShapeMismatch
+from infoval.geometry import belief, interior_point, uniform_belief
 
 
 class TestProblemValidation:
@@ -44,6 +44,10 @@ class TestEvaluateValue:
     def test_bet_problem(self):
         dp = support.safe_or_bet_problem()
         assert evaluate_value(dp, belief("2/5", "3/5")) == Fraction(1, 5)
+
+    def test_belief_over_other_states_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            evaluate_value(support.two_peak_problem(), uniform_belief(3))
 
     def test_grid_matches_brute_force(self):
         rng = Random(7)

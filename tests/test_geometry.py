@@ -10,7 +10,8 @@ from infoval.geometry import (
     Belief,
     Halfspace,
     Polytope,
-    _rank_of_rows,
+    _kernel_ray,
+    _row_reduce,
     barycenter,
     belief,
     dimension,
@@ -321,6 +322,16 @@ NON_ADJACENT_RAYS_CLOUD = [
     ]
 ]
 
+# the first three sorted points lie on one edge, so the hull's simplicial seed
+# must skip the third point and take the fourth, which is inside the hull
+HULL_SEED_SKIPS_A_POINT = [
+    belief(0, 0, 1),
+    belief(0, "1/2", "1/2"),
+    belief(0, 1, 0),
+    belief("1/2", "1/4", "1/4"),
+    belief(1, 0, 0),
+]
+
 
 class TestBruteForceOracle:
     """Double description against the subset enumeration it replaced."""
@@ -337,13 +348,18 @@ class TestBruteForceOracle:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(point_clouds())
     @example(NON_ADJACENT_RAYS_CLOUD)
+    @example(HULL_SEED_SKIPS_A_POINT)
     def test_hull_halfspaces(self, points):
         assert hull_halfspaces(points) == support.hull_by_brute_force(points)
 
     @settings(max_examples=200, deadline=None)
     @given(rational_matrices())
     def test_rank(self, rows):
-        assert _rank_of_rows(rows) == support.rank_by_fractions(rows)
+        """Rank and kernel line of the row reduction against Fraction elimination."""
+        n = len(rows[0])
+        assert len(_row_reduce(rows)[0]) == support.rank_by_fractions(rows)
+        ray = _kernel_ray(rows, n)
+        assert (None if ray is None else tuple(ray)) == support._unique_kernel_vector(rows, n)
 
 
 class TestLineInterval:

@@ -20,6 +20,7 @@ from infoval.errors import (
     BoundaryPrior,
     InconsistentData,
     MalformedData,
+    ShapeMismatch,
 )
 from infoval.geometry import Belief, Polytope, belief, uniform_belief
 from infoval.identification import (
@@ -88,6 +89,10 @@ class TestAffinenessEqualities:
         sub = compute_subdivision(support.two_peak_problem())
         with pytest.raises(BoundaryPrior):
             gen_affineness_equalities(sub, belief(1, 0))
+
+    def test_prior_over_other_states_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            generate_identification(support.two_peak_problem(), uniform_belief(3))
 
 
 class TestNonaffinenessInequalities:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from infoval.decision import make_problem
 from infoval.errors import BoundaryPrior, MeanMismatch, ShapeMismatch, UnequalWeights
 from infoval.geometry import Belief, belief, uniform_belief
 from infoval.information import (
@@ -108,6 +109,12 @@ class TestGarble:
             garble(Experiment.uninformative(2), Garbling(((1, 0), (0, 1))))
 
 
+class TestPosteriorDistribution:
+    def test_atoms_over_different_states_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            PosteriorDistribution([(belief(1, 0, 0), "1/2"), (belief(0, 1), "1/2")])
+
+
 class TestValues:
     def test_full_information_value(self):
         dp = support.two_peak_problem()
@@ -145,12 +152,23 @@ class TestValues:
         noisy = garble(Experiment.fully_revealing(2), g)
         assert value_of_experiment(dp, uniform_belief(2), noisy) == Fraction(1, 4)
 
+    def test_prior_over_other_states_rejected(self):
+        dp = make_problem([[1, 0], [0, 1]])
+        with pytest.raises(ShapeMismatch):
+            value_of_experiment(dp, uniform_belief(3), Experiment.fully_revealing(3))
+
 
 class TestRank:
     def test_identity_beats_noise(self):
         dp = support.two_peak_problem()
         got = rank(dp, uniform_belief(2), Experiment.fully_revealing(2), Experiment.uninformative(2))
         assert got is Order.BETTER
+
+    def test_prior_over_other_states_rejected(self):
+        dp = make_problem([[1, 0], [0, 1]])
+        full, none = Experiment.fully_revealing(3), Experiment.uninformative(3)
+        with pytest.raises(ShapeMismatch):
+            rank(dp, uniform_belief(3), full, none)
 
     def test_self_comparison(self):
         dp = support.two_peak_problem()
