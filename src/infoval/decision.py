@@ -3,9 +3,10 @@
 A decision problem is a finite utility matrix over states and actions. Its
 value function is the upper envelope of the actions' affine payoff lines,
 and projecting that envelope onto the simplex subdivides it into cells, one
-per action that is strictly optimal somewhere. This module computes those
-objects exactly and decides when two problems differ only by an
-action-independent, state-dependent payoff.
+per action that is strictly optimal somewhere; one lift of the payoff rows
+gives all of them. This module computes those objects exactly and decides
+when two problems differ only by an action-independent, state-dependent
+payoff.
 """
 
 from __future__ import annotations
@@ -14,16 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import linprog
 from .errors import InconsistentData, MalformedData, NonpositiveScale, ShapeMismatch
 from .geometry import (
-    ONE,
     ZERO,
     Belief,
     Coords,
     Halfspace,
     Polytope,
+    _dedupe_canonical,
     _frac,
+    _rank,
+    _require_enumerable,
+    envelope_rays,
     facet_between,
 )
 
@@ -69,6 +72,8 @@ class DecisionProblem:
         return len(self.utility)
 
     def payoff(self, action: int, x: Belief) -> Fraction:
+        if x.n != self.n:
+            raise ShapeMismatch(f"belief over {x.n} states for a problem with {self.n} states")
         return sum(u * c for u, c in zip(self.utility[action], x.coords))
 
 
@@ -100,6 +105,8 @@ class AffineFn:
 
     def __call__(self, x) -> Fraction:
         coords = x.coords if isinstance(x, Belief) else x
+        if len(coords) != len(self.coeffs):
+            raise ShapeMismatch(f"{len(coords)} coordinates for a function of {len(self.coeffs)}")
         return sum(a * c for a, c in zip(self.coeffs, coords))
 
     def __add__(self, other: "AffineFn") -> "AffineFn":
@@ -281,69 +288,65 @@ class PiecewiseAffineFn:
 
 def evaluate_value(dp: DecisionProblem, x: Belief) -> Fraction:
     """The best expected payoff available at belief x."""
-    if x.n != dp.n:
-        raise ShapeMismatch(f"belief over {x.n} states for a problem with {dp.n} states")
     return max(dp.payoff(a, x) for a in range(dp.num_actions))
 
 
-def _strict_margin(rows: list[Coords], index: int) -> Fraction | None:
-    """Best worst-case advantage of rows[index] over its rivals on the simplex.
-
-    Solves max_x min_b (rows[index] - rows[b]) . x over beliefs x by exact LP.
-    None means the row has no rivals (vacuously undominated).
-    """
-    rivals = [row for k, row in enumerate(rows) if k != index]
-    if not rivals:
-        return None
-    n = len(rows[index])
-    # variables: x (n, >= 0), then margin split into positive and negative parts
-    objective = [ZERO] * n + [ONE, -ONE]
-    eq = [([ONE] * n + [ZERO, ZERO], ONE)]
-    ge = []
-    for rival in rivals:
-        diff = [a - b for a, b in zip(rows[index], rival)]
-        ge.append((diff + [-ONE, ONE], ZERO))
-    value, _ = linprog.maximize(objective, eq=eq, ge=ge)
-    return value
+def _lift(dp: DecisionProblem) -> tuple[list[tuple[int, ...]], list[frozenset[int]], list[int]]:
+    """dp's envelope rays, each action's tight rays, and the undominated actions."""
+    rays, tight = envelope_rays(dp.utility)
+    winners = [a for a, on in enumerate(tight) if _rank([rays[r] for r in on]) == dp.n]
+    return rays, tight, winners
 
 
 def undominated_actions(dp: DecisionProblem) -> frozenset[int]:
     """Actions that are strictly better than every rival at some belief.
 
-    Decided by exact LP feasibility: maximize the minimum payoff margin over
-    all rival actions; the action is undominated exactly when the optimal
-    margin is positive. Actions that are optimal only on ties (margin zero)
-    count as dominated.
+    Read off one lift of the payoff rows: an action is undominated exactly
+    when the envelope vertices where it is optimal span R^n, so that it is
+    optimal on a full-dimensional region, where distinct rows tie only on
+    hyperplanes. Actions optimal only on ties count as dominated.
     """
-    rows = list(dp.utility)
-    out = set()
-    for idx in range(len(rows)):
-        margin = _strict_margin(rows, idx)
-        if margin is None or margin > 0:
-            out.add(idx)
-    return frozenset(out)
+    return frozenset(_lift(dp)[2])
 
 
 def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     """One full-dimensional cell per undominated action, plus facet adjacency.
 
     Cell geometry is the exact halfspace intersection
-    {x : u(a,.) . x >= u(b,.) . x for every rival undominated b}. Cells come
-    back ordered by action index. Each undominated action is the only
-    maximizer on an open set, so its cell is full-dimensional and it is
-    uniquely optimal inside; the cells tile the simplex, so their adjacency
-    graph is connected, which the spanning tree confirms.
+    {x : u(a,.) . x >= u(b,.) . x for every rival undominated b}, and its
+    vertices are the envelope vertices of one lift where a is optimal. Cells
+    come back ordered by action index. Two cells are adjacent exactly when
+    their common vertices span a face of dimension n-2, on which their
+    payoffs tie, so (u(j,.) - u(i,.)) . x >= 0 is the facet halfspace. Each
+    undominated action is the only maximizer on an open set, so its cell is
+    full-dimensional and it is uniquely optimal inside; the cells tile the
+    simplex, so their adjacency graph is connected, which the spanning tree
+    confirms.
     """
-    winners = sorted(undominated_actions(dp))
+    n = dp.n
+    _require_enumerable(n)
+    rays, tight, winners = _lift(dp)
+    vertices = [Belief(tuple(Fraction(v, sum(ray)) for v in ray)) for ray in rays]
     cells = []
     for a in winners:
-        halfspaces = [
+        halfspaces = _dedupe_canonical(
             Halfspace(tuple(u - v for u, v in zip(dp.utility[a], dp.utility[b])), ZERO)
             for b in winners
             if b != a
-        ]
-        cells.append(Cell(a, Polytope.from_halfspaces(halfspaces, dp.n)))
-    sub = Subdivision.from_cells(cells)
+        )
+        corners = tuple(sorted(vertices[r] for r in tight[a]))
+        cells.append(Cell(a, Polytope(halfspaces, corners, n)))
+    adjacency = []
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            common = tight[winners[i]] & tight[winners[j]]
+            if len(common) < n - 1 or _rank([rays[r] for r in common]) != n - 1:
+                continue
+            both = dict.fromkeys(cells[i].geometry.halfspaces + cells[j].geometry.halfspaces)
+            shared = Polytope(tuple(both), tuple(sorted(vertices[r] for r in common)), n)
+            rise = tuple(v - u for u, v in zip(dp.utility[winners[i]], dp.utility[winners[j]]))
+            adjacency.append(AdjacentPair(i, j, shared, Halfspace(rise, ZERO).canonical()))
+    sub = Subdivision(tuple(cells), tuple(adjacency))
     sub.spanning_tree()  # raises MalformedData if the graph is disconnected
     return sub
 

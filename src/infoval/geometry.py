@@ -3,12 +3,13 @@
 Everything here runs on arbitrary-precision rationals; no floating point.
 Points live on the simplex {x >= 0, sum(x) = 1} and polytopes are stored as
 halfspace intersections (implicitly cut with the simplex) together with their
-exact vertex sets. Vertices and hull facets both come from one incremental
-double-description routine on integer rows, which touches only adjacent
-pairs of extreme rays rather than every subset of constraints or points.
-All other exact linear algebra (affine dimension, the independent points
-that seed a hull, the kernel line that spans a facet) comes from one
-fraction-free row reduction on integer rows.
+exact vertex sets. Vertices, hull facets and the vertices of an upper
+envelope all come from one incremental double-description routine on
+integer rows, which touches only adjacent pairs of extreme rays rather than
+every subset of constraints or points. All other exact linear algebra
+(rank and affine dimension, the independent points that seed a hull, the
+kernel line that spans a facet) comes from one fraction-free row reduction
+on integer rows.
 """
 
 from __future__ import annotations
@@ -209,11 +210,7 @@ class Polytope:
 
 
 def _dedupe_canonical(halfspaces) -> tuple[Halfspace, ...]:
-    seen: dict[tuple, Halfspace] = {}
-    for h in halfspaces:
-        c = h.canonical()
-        seen.setdefault((c.normal, c.offset), c)
-    return tuple(seen.values())
+    return tuple(dict.fromkeys(h.canonical() for h in halfspaces))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +266,11 @@ def _row_reduce(rows) -> tuple[list[int], list[tuple[int, list[int]]]]:
         if len(basis) == len(row):
             break
     return independent, basis
+
+
+def _rank(rows) -> int:
+    """The rank of a list of rational rows."""
+    return len(_row_reduce(rows)[0])
 
 
 def _kernel_ray(rows, n: int) -> list[int] | None:
@@ -353,15 +355,37 @@ def vertices_of(halfspaces, n: int) -> list[Belief]:
     (normal - offset) . x >= 0, so the intersection is a slice of the cone
     {x >= 0, (normal - offset) . x >= 0}. Its extreme rays, found by double
     description with the n coordinate rows first, are the vertices once each
-    is divided by its sum. Sorted lexicographically; the empty list means an
-    empty intersection.
+    is divided by its sum; a repeated or rescaled halfspace only repeats a
+    row, which changes no ray. Sorted lexicographically; the empty list
+    means an empty intersection.
     """
     _require_enumerable(n)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows += [_integer_row(h.as_affine_coords()) for h in _dedupe_canonical(halfspaces)]
+    rows += [_integer_row(h.as_affine_coords()) for h in halfspaces]
     return sorted(
         Belief(tuple(Fraction(v, sum(ray)) for v in ray)) for ray in _extreme_rays(rows, n)
     )
+
+
+def envelope_rays(rows) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
+    """The vertices of the upper envelope x -> max_a rows[a] . x over the simplex.
+
+    One lift: double description on the cone {(x, z) : x >= 0, z >= rows[a] . x}
+    with rows (e_i, 0), then (-L*rows[a], L) with L the lcm of the row's
+    denominators. Every extreme ray but the dropped vertical one lies on the
+    envelope above a vertex of the regular subdivision the rows induce.
+    Returns the rays' x-parts, vertices once divided by their sums, and per
+    row the indices of the rays on which it attains the envelope.
+    """
+    n = len(rows[0])
+    lifted = [[int(i == j) for j in range(n + 1)] for i in range(n)]
+    lifted += [_integer_row([-v for v in row] + [ONE]) for row in rows]
+    rays = [ray for ray in _extreme_rays(lifted, n + 1) if any(ray[:n])]
+    tight = [
+        frozenset(r for r, ray in enumerate(rays) if sum(a * b for a, b in zip(row, ray)) == 0)
+        for row in lifted[n:]
+    ]
+    return [tuple(ray[:n]) for ray in rays], tight
 
 
 def dimension(points) -> int:
@@ -370,7 +394,7 @@ def dimension(points) -> int:
     if not pts:
         raise EmptyInput("dimension of an empty point set is undefined")
     # beliefs lie on the hyperplane sum(x) = 1, which misses the origin
-    return len(_row_reduce([p.coords for p in pts])[0]) - 1
+    return _rank([p.coords for p in pts]) - 1
 
 
 def barycenter(points) -> Belief:
@@ -442,9 +466,7 @@ def facet_between(p1: Polytope, p2: Polytope):
     h = Halfspace(tuple(w), ZERO).canonical()
     if any(h.value(v) < 0 for v in p2.vertices):
         raise ValueError("shared hyperplane does not support the second cell")
-    shared = Polytope(
-        _dedupe_canonical(p1.halfspaces + p2.halfspaces), tuple(common), n
-    )
+    shared = Polytope(tuple(dict.fromkeys(p1.halfspaces + p2.halfspaces)), tuple(common), n)
     return shared, h
 
 

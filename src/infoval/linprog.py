@@ -5,6 +5,9 @@ index rule is used for both the entering and the leaving variable, so the
 method terminates on every input, including degenerate ones. Problem sizes
 in this library are tiny (a handful of variables and constraints), which
 makes the dense tableau perfectly adequate.
+
+No library code calls it. It stays only for bench/run.py, which imports it
+by name, and as the LP oracle in tests/support.py, until ROADMAP item 1.
 """
 
 from __future__ import annotations

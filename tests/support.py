@@ -5,7 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
-from infoval.decision import DecisionProblem, make_problem
+from infoval import linprog
+from infoval.decision import Cell, DecisionProblem, Subdivision, make_problem
 from infoval.errors import EmptyInput
 from infoval.geometry import (
     ONE,
@@ -13,6 +14,7 @@ from infoval.geometry import (
     Belief,
     Coords,
     Halfspace,
+    Polytope,
     _dedupe_canonical,
     _frac,
     _integer_row,
@@ -290,3 +292,55 @@ def hull_by_brute_force(points) -> list[Halfspace]:
             continue
         facets[(h.normal, h.offset)] = h
     return sorted(facets.values(), key=lambda h: (h.normal, h.offset))
+
+
+# ---------------------------------------------------------------------------
+# LP dominance: the forward path the lifted double description replaced, kept
+# as a differential oracle for undominated_actions and compute_subdivision
+# ---------------------------------------------------------------------------
+
+
+def _strict_margin(rows: list[Coords], index: int) -> Fraction | None:
+    """Best worst-case advantage of rows[index] over its rivals on the simplex.
+
+    Solves max_x min_b (rows[index] - rows[b]) . x over beliefs x by exact LP.
+    None means the row has no rivals (vacuously undominated).
+    """
+    rivals = [row for k, row in enumerate(rows) if k != index]
+    if not rivals:
+        return None
+    n = len(rows[index])
+    # variables: x (n, >= 0), then margin split into positive and negative parts
+    objective = [ZERO] * n + [ONE, -ONE]
+    eq = [([ONE] * n + [ZERO, ZERO], ONE)]
+    ge = []
+    for rival in rivals:
+        diff = [a - b for a, b in zip(rows[index], rival)]
+        ge.append((diff + [-ONE, ONE], ZERO))
+    value, _ = linprog.maximize(objective, eq=eq, ge=ge)
+    return value
+
+
+def undominated_by_lp(dp: DecisionProblem) -> frozenset[int]:
+    """Actions whose best worst-case margin over every rival is positive, by exact LP."""
+    rows = list(dp.utility)
+    out = set()
+    for idx in range(len(rows)):
+        margin = _strict_margin(rows, idx)
+        if margin is None or margin > 0:
+            out.add(idx)
+    return frozenset(out)
+
+
+def subdivision_by_lp(dp: DecisionProblem) -> Subdivision:
+    """LP winners, one halfspace-intersection cell each, adjacency by the facet scan."""
+    winners = sorted(undominated_by_lp(dp))
+    cells = []
+    for a in winners:
+        halfspaces = [
+            Halfspace(tuple(u - v for u, v in zip(dp.utility[a], dp.utility[b])), ZERO)
+            for b in winners
+            if b != a
+        ]
+        cells.append(Cell(a, Polytope.from_halfspaces(halfspaces, dp.n)))
+    return Subdivision.from_cells(cells)

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import support
 from infoval.decision import (
@@ -48,6 +50,11 @@ class TestEvaluateValue:
     def test_belief_over_other_states_rejected(self):
         with pytest.raises(ShapeMismatch):
             evaluate_value(support.two_peak_problem(), uniform_belief(3))
+
+    def test_payoff_at_belief_over_other_states_rejected(self):
+        dp = make_problem([[1, 0], [0, 1]])
+        with pytest.raises(ShapeMismatch):
+            dp.payoff(0, belief("1/3", "1/3", "1/3"))
 
     def test_grid_matches_brute_force(self):
         rng = Random(7)
@@ -108,6 +115,55 @@ class TestUndominated:
                     )
                     for x in support.grid_beliefs(2, 1201)
                 )
+
+
+@st.composite
+def payoff_problems(draw, entries, states, max_actions):
+    """Decision problems with distinct rows of the given entries."""
+    n = draw(states)
+    rows = draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=max_actions, unique=True))
+    return make_problem(rows)
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+class TestLiftAgainstLP:
+    """The lifted double description against the LP dominance and facet scan it replaced."""
+
+    @staticmethod
+    def check(dp):
+        oracle = support.subdivision_by_lp(dp)
+        assert undominated_actions(dp) == {cell.action_index for cell in oracle.cells}
+        assert compute_subdivision(dp) == oracle
+
+    @settings(max_examples=20, deadline=None)
+    @given(payoff_problems(small_fractions, st.integers(2, 6), max_actions=16))
+    def test_random_payoffs(self, dp):
+        self.check(dp)
+
+    @settings(max_examples=30, deadline=None)
+    @given(payoff_problems(st.sampled_from([0, 1, 2]), st.integers(2, 4), max_actions=12))
+    # flat actions that touch the envelope only at one vertex of the subdivision
+    @example(make_problem([[1, 0], [0, 1], ["1/2", "1/2"]]))
+    @example(make_problem([[1, 0, 0], [0, 1, 0], [0, 0, 1], ["1/3", "1/3", "1/3"]]))
+    def test_tie_heavy_payoffs(self, dp):
+        self.check(dp)
+
+    def test_cells_sharing_n_minus_1_vertices_of_a_lower_face(self):
+        # the cells of actions 4 and 5 share four vertices of a 2-face, which
+        # is not a facet in five states, so they are not adjacent
+        dp = make_problem(
+            [
+                [0, 0, 3, 2, 2], [0, 1, 3, 2, 2], [0, 2, 0, 0, 2], [2, 0, 3, 0, 2],
+                [3, 0, 0, 3, 0], [3, 1, 0, 1, 2], [3, 2, 0, 2, 1], [3, 3, 0, 0, 0],
+            ]
+        )
+        sub = compute_subdivision(dp)
+        i, j = (k for k, cell in enumerate(sub.cells) if cell.action_index in (4, 5))
+        common = set(sub.cells[i].geometry.vertices) & set(sub.cells[j].geometry.vertices)
+        assert len(common) == 4 and sub.oriented_facet(i, j) is None
+        self.check(dp)
 
 
 class TestSubdivision:
@@ -274,6 +330,13 @@ class TestValueFunction:
         assert fn.pieces[0] == AffineFn((0, 0))
         assert fn.pieces[1] == AffineFn((-1, 1))
         assert fn(belief("2/5", "3/5")) == Fraction(1, 5)
+
+    def test_point_over_other_states_rejected(self):
+        fn = value_function(make_problem([[1, 0], [0, 1]]))
+        with pytest.raises(ShapeMismatch):
+            fn(belief("1/3", "1/3", "1/3"))
+        with pytest.raises(ShapeMismatch):
+            fn.pieces[0]((Fraction(1),))
 
     def test_envelope_matches_evaluate_value(self):
         rng = Random(29)
