@@ -8,7 +8,6 @@ from finitely many ranked experiments and utility differences.
 
 from .errors import (
     BoundaryPrior,
-    DimensionTooLarge,
     EmptyInput,
     EmptyPolytope,
     InconsistentData,

@@ -22,10 +22,10 @@ from .geometry import (
     Coords,
     Halfspace,
     Polytope,
+    _coords_of,
     _dedupe_canonical,
     _frac,
     _rank,
-    _require_enumerable,
     envelope_rays,
     facet_between,
 )
@@ -103,17 +103,18 @@ class AffineFn:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(_frac(v) for v in self.coeffs))
 
+    def _zip(self, x):
+        """Pairs of this function's coefficients with x's, which must be as many."""
+        return zip(self.coeffs, _coords_of(x, len(self.coeffs)))
+
     def __call__(self, x) -> Fraction:
-        coords = x.coords if isinstance(x, Belief) else x
-        if len(coords) != len(self.coeffs):
-            raise ShapeMismatch(f"{len(coords)} coordinates for a function of {len(self.coeffs)}")
-        return sum(a * c for a, c in zip(self.coeffs, coords))
+        return sum(a * c for a, c in self._zip(x))
 
     def __add__(self, other: "AffineFn") -> "AffineFn":
-        return AffineFn(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return AffineFn(tuple(a + b for a, b in self._zip(other.coeffs)))
 
     def __sub__(self, other: "AffineFn") -> "AffineFn":
-        return AffineFn(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return AffineFn(tuple(a - b for a, b in self._zip(other.coeffs)))
 
     def scaled(self, factor: Fraction) -> "AffineFn":
         return AffineFn(tuple(a * _frac(factor) for a in self.coeffs))
@@ -324,7 +325,6 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     confirms.
     """
     n = dp.n
-    _require_enumerable(n)
     rays, tight, winners = _lift(dp)
     vertices = [Belief(tuple(Fraction(v, sum(ray)) for v in ray)) for ray in rays]
     cells = []

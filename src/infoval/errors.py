@@ -1,10 +1,6 @@
 """Exception types shared across the library."""
 
 
-class DimensionTooLarge(ValueError):
-    """Raised when the state space exceeds the supported enumeration size."""
-
-
 class EmptyInput(ValueError):
     """An operation that needs at least one point received none."""
 

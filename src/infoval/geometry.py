@@ -18,9 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoundaryPrior, DimensionTooLarge, EmptyInput, EmptyPolytope
-
-MAX_STATES = 6
+from .errors import BoundaryPrior, EmptyInput, EmptyPolytope, ShapeMismatch
 
 Coords = tuple[Fraction, ...]
 
@@ -41,13 +39,16 @@ def _require_interior(prior: "Belief") -> None:
         raise BoundaryPrior()
 
 
-def _require_enumerable(n: int) -> None:
-    if n > MAX_STATES:
-        raise DimensionTooLarge(f"enumeration supports at most {MAX_STATES} states, got {n}")
-
-
 def _coords(values) -> Coords:
     return tuple(_frac(v) for v in values)
+
+
+def _coords_of(point, n: int) -> Coords:
+    """The coordinates of a Belief or raw tuple, which must number n."""
+    coords = point.coords if isinstance(point, Belief) else point
+    if len(coords) != n:
+        raise ShapeMismatch(f"{len(coords)} coordinates where {n} are expected")
+    return coords
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,7 @@ class Halfspace:
 
     def value(self, point) -> Fraction:
         """Signed slack normal . x - offset at a Belief or raw coordinate tuple."""
-        coords = point.coords if isinstance(point, Belief) else point
-        return sum(a * x for a, x in zip(self.normal, coords)) - self.offset
+        return sum(a * x for a, x in zip(self.normal, _coords_of(point, self.n))) - self.offset
 
     def canonical(self) -> "Halfspace":
         low = min(self.normal)
@@ -199,7 +199,7 @@ class Polytope:
         set of points with every stored halfspace strict and every coordinate
         positive.
         """
-        coords = point.coords if isinstance(point, Belief) else point
+        coords = _coords_of(point, self.n)
         if strict:
             if any(c <= 0 for c in coords):
                 return False
@@ -294,7 +294,7 @@ def _kernel_ray(rows, n: int) -> list[int] | None:
     return _primitive(ray)
 
 
-def _extreme_rays(rows: list[list[int]], n: int) -> list[list[int]]:
+def _extreme_rays(rows: list[list[int]], n: int) -> list[tuple[list[int], int]]:
     """Extreme rays of the pointed cone {r : row . r >= 0 for every row}.
 
     Incremental double description (Motzkin et al. 1953; Fukuda & Prodon
@@ -303,7 +303,8 @@ def _extreme_rays(rows: list[list[int]], n: int) -> list[list[int]]:
     further row splits the current rays into positive, zero and negative
     ones; the negative rays leave, and every adjacent positive/negative pair
     is combined into a new ray on the row's hyperplane. Each ray carries its
-    zero set as a bitmask over the rows so far. Two rays are adjacent when
+    zero set as a bitmask over the rows so far (bit k set exactly when
+    row k . r = 0), and is returned with it. Two rays are adjacent when
     their common zero set has at least n-2 rows and no third ray's zero set
     contains it. Rays are primitive integer vectors, all distinct.
     """
@@ -340,7 +341,7 @@ def _extreme_rays(rows: list[list[int]], n: int) -> list[list[int]]:
                 g = math.gcd(*ray)
                 kept.append(([v // g for v in ray], common | bit))
         rays = kept
-    return [ray for ray, _ in rays]
+    return rays
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +360,10 @@ def vertices_of(halfspaces, n: int) -> list[Belief]:
     row, which changes no ray. Sorted lexicographically; the empty list
     means an empty intersection.
     """
-    _require_enumerable(n)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     rows += [_integer_row(h.as_affine_coords()) for h in halfspaces]
     return sorted(
-        Belief(tuple(Fraction(v, sum(ray)) for v in ray)) for ray in _extreme_rays(rows, n)
+        Belief(tuple(Fraction(v, sum(ray)) for v in ray)) for ray, _ in _extreme_rays(rows, n)
     )
 
 
@@ -375,17 +375,18 @@ def envelope_rays(rows) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
     denominators. Every extreme ray but the dropped vertical one lies on the
     envelope above a vertex of the regular subdivision the rows induce.
     Returns the rays' x-parts, vertices once divided by their sums, and per
-    row the indices of the rays on which it attains the envelope.
+    row the indices of the rays on which it attains the envelope: those whose
+    zero set holds the row's lifted index n + a.
     """
     n = len(rows[0])
     lifted = [[int(i == j) for j in range(n + 1)] for i in range(n)]
     lifted += [_integer_row([-v for v in row] + [ONE]) for row in rows]
-    rays = [ray for ray in _extreme_rays(lifted, n + 1) if any(ray[:n])]
+    rays = [(ray, zeros) for ray, zeros in _extreme_rays(lifted, n + 1) if any(ray[:n])]
     tight = [
-        frozenset(r for r, ray in enumerate(rays) if sum(a * b for a, b in zip(row, ray)) == 0)
-        for row in lifted[n:]
+        frozenset(r for r, (_, zeros) in enumerate(rays) if zeros >> (n + a) & 1)
+        for a in range(len(rows))
     ]
-    return [tuple(ray[:n]) for ray in rays], tight
+    return [tuple(ray[:n]) for ray, _ in rays], tight
 
 
 def dimension(points) -> int:
@@ -428,13 +429,12 @@ def hull_halfspaces(points) -> list[Halfspace]:
     if not pts:
         raise EmptyInput("hull of an empty point set is undefined")
     n = pts[0].n
-    _require_enumerable(n)
     rows = [_integer_row(p.coords) for p in pts]
     first, _ = _row_reduce(rows)
     if len(first) != n:
         raise ValueError("hull_halfspaces expects a full-dimensional point set")
     rows = [rows[i] for i in first] + [row for i, row in enumerate(rows) if i not in first]
-    facets = [Halfspace(tuple(ray), ZERO).canonical() for ray in _extreme_rays(rows, n)]
+    facets = [Halfspace(tuple(ray), ZERO).canonical() for ray, _ in _extreme_rays(rows, n)]
     return sorted(facets, key=lambda h: (h.normal, h.offset))
 
 
@@ -449,7 +449,9 @@ def facet_between(p1: Polytope, p2: Polytope):
     cells of one subdivision always do): the shared face is then spanned by
     the common vertices. The facet's linear form g is the kernel line of the
     common vertices' coordinate rows, which exists exactly when they span a
-    face of dimension n-2; on the simplex, g . x >= 0 is the halfspace.
+    face of dimension n-2; on the simplex, g . x >= 0 is the halfspace. Its
+    signs on p2's vertices orient g, and mixed signs, a hyperplane that does
+    not support p2, raise ValueError.
     """
     if not p1.is_full_dimensional() or not p2.is_full_dimensional():
         raise ValueError("facet_between expects full-dimensional cells")
@@ -458,14 +460,12 @@ def facet_between(p1: Polytope, p2: Polytope):
     w = _kernel_ray([p.coords for p in common], n)
     if w is None:
         return None
-    side = sum(a * c for a, c in zip(w, interior_point(p2).coords))
-    if side == 0:
-        raise ValueError("cells are not separated by the shared facet's hyperplane")
-    if side < 0:
+    sides = [sum(a * c for a, c in zip(w, v.coords)) for v in p2.vertices]
+    if min(sides) < 0 < max(sides):
+        raise ValueError("shared hyperplane does not support the second cell")
+    if max(sides) <= 0:
         w = [-a for a in w]
     h = Halfspace(tuple(w), ZERO).canonical()
-    if any(h.value(v) < 0 for v in p2.vertices):
-        raise ValueError("shared hyperplane does not support the second cell")
     shared = Polytope(tuple(dict.fromkeys(p1.halfspaces + p2.halfspaces)), tuple(common), n)
     return shared, h
 

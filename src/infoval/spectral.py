@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision import DecisionProblem, Subdivision
-from .geometry import Belief, Coords, _frac, _require_interior
+from .errors import ShapeMismatch
+from .geometry import Belief, Coords, _coords_of, _frac, _require_interior
 from .identification import CellAffine, IdentificationData, PairNonAffine
 from .information import Experiment, Order, experiment_of, rank
 
@@ -60,6 +61,8 @@ def _ray_of(point: Belief, prior: Belief) -> Coords:
 def spectral_of(sub: Subdivision, prior: Belief) -> SpectralSubdivision:
     """Encode every cell vertex as a max-normalized likelihood-ratio ray."""
     _require_interior(prior)
+    if prior.n != sub.n:
+        raise ShapeMismatch(f"prior over {prior.n} states for a subdivision of {sub.n}")
     elements = []
     for index, cell in enumerate(sub.cells):
         rays = tuple(_ray_of(v, prior) for v in cell.geometry.vertices)
@@ -79,7 +82,7 @@ def realize(spec: SpectralSubdivision, prior: Belief) -> list[tuple[Belief, ...]
     for element in spec.elements:
         vertices = []
         for ray in element.rays:
-            weighted = [m * r for m, r in zip(prior.coords, ray)]
+            weighted = [m * r for m, r in zip(prior.coords, _coords_of(ray, prior.n))]
             total = sum(weighted)
             vertices.append(Belief(tuple(w / total for w in weighted)))
         cells.append(tuple(sorted(vertices)))
@@ -97,7 +100,7 @@ def transport_problem(dp: DecisionProblem, prior: Belief, target: Belief) -> Dec
     _require_interior(prior)
     _require_interior(target)
     if prior.n != target.n or prior.n != dp.n:
-        raise ValueError("priors must live on the problem's state space")
+        raise ShapeMismatch("priors must live on the problem's state space")
     weights = tuple(m / t for m, t in zip(prior.coords, target.coords))
     utility = tuple(
         tuple(u * w for u, w in zip(row, weights)) for row in dp.utility

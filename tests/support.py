@@ -18,7 +18,6 @@ from infoval.geometry import (
     _dedupe_canonical,
     _frac,
     _integer_row,
-    _require_enumerable,
     dimension,
 )
 from infoval.information import Experiment, Garbling
@@ -232,7 +231,6 @@ def vertices_by_brute_force(halfspaces, n: int) -> list[Belief]:
     system is solved exactly, and feasible solutions are kept. Deduplicated
     and sorted lexicographically; the empty list means an empty intersection.
     """
-    _require_enumerable(n)
     hs = _dedupe_canonical(halfspaces)
     rows: list[tuple[tuple[int, ...], int]] = [_int_row(h.normal, h.offset) for h in hs]
     for theta in range(n):
@@ -269,7 +267,6 @@ def hull_by_brute_force(points) -> list[Halfspace]:
     if not pts:
         raise EmptyInput("hull of an empty point set is undefined")
     n = pts[0].n
-    _require_enumerable(n)
     if dimension(pts) != n - 1:
         raise ValueError("hull_halfspaces expects a full-dimensional point set")
     facets: dict[tuple, Halfspace] = {}

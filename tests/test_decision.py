@@ -165,6 +165,12 @@ class TestLiftAgainstLP:
         assert len(common) == 4 and sub.oriented_facet(i, j) is None
         self.check(dp)
 
+    def test_seven_states(self):
+        # seeded so that three of the eight actions are dominated
+        dp = support.random_problem(Random(2), n=7, max_actions=8)
+        assert dp.num_actions == 8 and len(undominated_actions(dp)) == 5
+        self.check(dp)
+
 
 class TestSubdivision:
     def test_two_peak_cells(self):
@@ -337,6 +343,13 @@ class TestValueFunction:
             fn(belief("1/3", "1/3", "1/3"))
         with pytest.raises(ShapeMismatch):
             fn.pieces[0]((Fraction(1),))
+
+    @pytest.mark.parametrize("combine", [AffineFn.__add__, AffineFn.__sub__])
+    def test_sum_with_other_state_count_rejected(self, combine):
+        with pytest.raises(ShapeMismatch):
+            combine(AffineFn((1, 2)), AffineFn((1, 2, 3)))
+        with pytest.raises(ShapeMismatch):
+            combine(AffineFn((1, 2, 3)), AffineFn((1, 2)))
 
     def test_envelope_matches_evaluate_value(self):
         rng = Random(29)

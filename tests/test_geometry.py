@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import support
-from infoval.errors import DimensionTooLarge, EmptyInput, EmptyPolytope
+from infoval.errors import EmptyInput, EmptyPolytope, ShapeMismatch
 from infoval.geometry import (
     Belief,
     Halfspace,
@@ -25,6 +25,10 @@ from infoval.geometry import (
 
 def hs(normal, offset):
     return Halfspace(tuple(Fraction(v) for v in normal), Fraction(offset))
+
+
+def corners(n):
+    return [Belief(tuple(Fraction(int(i == j)) for j in range(n))) for i in range(n)]
 
 
 class TestBelief:
@@ -69,6 +73,10 @@ class TestHalfspaceCanonical:
         with pytest.raises(ValueError):
             hs([2, 2], 1)
 
+    def test_value_at_point_over_other_states_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            hs([1, 0], 0).value(belief("1/3", "1/3", "1/3"))
+
 
 class TestVerticesOf:
     def test_interval_endpoints(self):
@@ -103,9 +111,10 @@ class TestVerticesOf:
         redundant = base + [hs([2, -1, -1], 0)]  # the sum of the two
         assert vertices_of(base, 3) == vertices_of(redundant, 3)
 
-    def test_dimension_guard(self):
-        with pytest.raises(DimensionTooLarge):
-            vertices_of([], 7)
+    def test_seven_states_give_the_seven_corners(self):
+        got = vertices_of([], 7)
+        assert got == sorted(corners(7))
+        assert got == support.vertices_by_brute_force([], 7)
 
 
 class TestDimension:
@@ -172,6 +181,17 @@ class TestInteriorPoint:
             interior_point(poly)
 
 
+class TestContains:
+    @pytest.mark.parametrize("halfspaces", [[], [hs([1, 0], 0)]])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_point_over_other_states_rejected(self, halfspaces, strict):
+        poly = Polytope.from_halfspaces(halfspaces, 2)
+        with pytest.raises(ShapeMismatch):
+            poly.contains(belief("1/3", "1/3", "1/3"), strict=strict)
+        with pytest.raises(ShapeMismatch):
+            poly.contains(belief(0, 0, 1), strict=strict)
+
+
 class TestFacetBetween:
     def cells_2(self):
         left = Polytope.from_halfspaces([hs([1, -1], 0)], 2)  # x1 >= x2
@@ -212,6 +232,15 @@ class TestFacetBetween:
         b = Polytope.from_halfspaces([hs([-1, 0], "-1/3")], 2)
         assert facet_between(a, b) is None
 
+    def test_cell_straddling_the_shared_hyperplane_rejected(self):
+        # both cells have the edge from (1, 0, 0) to (0, 1/2, 1/2) on the line
+        # x2 = x3, but the second cell has vertices on both sides of it
+        edge = [belief(1, 0, 0), belief(0, "1/2", "1/2")]
+        a = Polytope.from_vertices(edge + [belief(0, 0, 1)])
+        b = Polytope.from_vertices(edge + [belief(0, 1, 0), belief("1/2", 0, "1/2")])
+        with pytest.raises(ValueError, match="does not support"):
+            facet_between(a, b)
+
 
 class TestHull:
     def test_hull_roundtrip_triangle_cell(self):
@@ -235,10 +264,12 @@ class TestHull:
         poly = Polytope.from_halfspaces(hsides, 2)
         assert list(poly.vertices) == sorted(pts)
 
-    def test_dimension_guard(self):
-        corners = [Belief(tuple(Fraction(int(i == j)) for j in range(7))) for i in range(7)]
-        with pytest.raises(DimensionTooLarge):
-            hull_halfspaces(corners)
+    def test_seven_corners_give_the_seven_coordinate_facets(self):
+        got = hull_halfspaces(corners(7))
+        assert [(h.normal, h.offset) for h in got] == sorted(
+            (tuple(Fraction(int(i == j)) for j in range(7)), Fraction(0)) for i in range(7)
+        )
+        assert got == support.hull_by_brute_force(corners(7))
 
 
 small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))

@@ -418,6 +418,15 @@ class TestRandomRoundtrips:
             fn = reconstruct_value(data)
             assert equal_up_to_affine(fn, value_function(dp)) is not None
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_seven_and_eight_state_battery(self, n):
+        rng = Random(n)
+        for _ in range(3):
+            dp = support.random_problem(rng, n=n, max_actions=5)
+            prior = support.random_interior_prior(rng, n)
+            fn = reconstruct_value(generate_identification(dp, prior))
+            assert equal_up_to_affine(fn, value_function(dp)) is not None
+
     def test_ordinal_statements_have_prior_mean(self):
         rng = Random(77)
         dp = support.random_problem(rng, n=3, max_actions=4)

@@ -5,12 +5,13 @@ import pytest
 
 import support
 from infoval.decision import compute_subdivision, scale_problem
-from infoval.errors import BoundaryPrior
+from infoval.errors import BoundaryPrior, ShapeMismatch
 from infoval.geometry import belief, uniform_belief
 from infoval.identification import generate_identification
 from infoval.information import Experiment, value_of_experiment
 from infoval.spectral import (
     SpectralElement,
+    SpectralSubdivision,
     ranked_experiments_of,
     realize,
     satisfies_ranked,
@@ -58,6 +59,11 @@ class TestSpectralOf:
         with pytest.raises(ValueError):
             SpectralElement(0, ((1, 0), (1, 0)))
 
+    def test_prior_over_other_states_rejected(self):
+        sub = compute_subdivision(support.two_peak_problem())
+        with pytest.raises(ShapeMismatch):
+            spectral_of(sub, uniform_belief(3))
+
 
 class TestRealize:
     def test_roundtrip_at_same_prior(self):
@@ -84,6 +90,15 @@ class TestRealize:
         got = realize(spec, belief("1/5", "4/5"))
         assert got[0] == (belief("0", "1"), belief("1", "0"))
 
+    @pytest.mark.parametrize("rays, prior", [
+        (((1, 0), (1, 1)), uniform_belief(3)),
+        (((1, 0, 0), (0, 1, 1)), uniform_belief(2)),
+    ])
+    def test_prior_over_other_states_rejected(self, rays, prior):
+        spec = SpectralSubdivision((SpectralElement(0, rays),))
+        with pytest.raises(ShapeMismatch):
+            realize(spec, prior)
+
 
 class TestTransport:
     def test_identity_transport(self):
@@ -108,6 +123,14 @@ class TestTransport:
         assert value_of_experiment(moved, target, full) == value_of_experiment(
             dp, prior, full
         )
+
+    @pytest.mark.parametrize("prior, target", [
+        (uniform_belief(3), uniform_belief(3)),
+        (uniform_belief(2), uniform_belief(3)),
+    ])
+    def test_prior_over_other_states_rejected(self, prior, target):
+        with pytest.raises(ShapeMismatch):
+            transport_problem(support.two_peak_problem(), prior, target)
 
     def test_transported_subdivision_is_the_realization(self):
         rng = Random(53)
