@@ -26,8 +26,9 @@ from .geometry import (
     _dedupe_canonical,
     _frac,
     _rank,
+    adjacent_facets,
     envelope_rays,
-    facet_between,
+    facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
 )
 
 
@@ -158,16 +159,11 @@ class Subdivision:
     adjacency: tuple[AdjacentPair, ...]
 
     @classmethod
-    def from_cells(cls, cells) -> "Subdivision":
-        """The subdivision of the given cells, with every shared facet found."""
+    def from_cells(cls, cells, lift=None) -> "Subdivision":
+        """The subdivision of the cells, with facets from geometry.adjacent_facets(_, lift)."""
         cells = tuple(cells)
-        adjacency = []
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                found = facet_between(cells[i].geometry, cells[j].geometry)
-                if found is not None:
-                    adjacency.append(AdjacentPair(i, j, *found))
-        return cls(cells, tuple(adjacency))
+        found = adjacent_facets([cell.geometry for cell in cells], lift)
+        return cls(cells, tuple(AdjacentPair(*pair) for pair in found))
 
     @property
     def n(self) -> int:
@@ -198,9 +194,6 @@ class Subdivision:
     def shared_facet(self, i: int, j: int) -> Polytope | None:
         pair = self._pairs.get((min(i, j), max(i, j)))
         return None if pair is None else pair.shared
-
-    def neighbors(self, i: int) -> list[int]:
-        return list(self._links.get(i, ()))
 
     def spanning_tree(self) -> list[tuple[int, int]]:
         """Breadth-first tree edges (parent, child) from cell 0, lowest neighbor first.
@@ -316,9 +309,9 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     Cell geometry is the exact halfspace intersection
     {x : u(a,.) . x >= u(b,.) . x for every rival undominated b}, and its
     vertices are the envelope vertices of one lift where a is optimal. Cells
-    come back ordered by action index. Two cells are adjacent exactly when
-    their common vertices span a face of dimension n-2, on which their
-    payoffs tie, so (u(j,.) - u(i,.)) . x >= 0 is the facet halfspace. Each
+    come back ordered by action index. Adjacency comes from
+    Subdivision.from_cells on the lift's rays and tight sets: payoffs tie on
+    a shared face, so its kernel line is u(j,.) - u(i,.) up to scale. Each
     undominated action is the only maximizer on an open set, so its cell is
     full-dimensional and it is uniquely optimal inside; the cells tile the
     simplex, so their adjacency graph is connected, which the spanning tree
@@ -336,17 +329,7 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
         )
         corners = tuple(sorted(vertices[r] for r in tight[a]))
         cells.append(Cell(a, Polytope(halfspaces, corners, n)))
-    adjacency = []
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            common = tight[winners[i]] & tight[winners[j]]
-            if len(common) < n - 1 or _rank([rays[r] for r in common]) != n - 1:
-                continue
-            both = dict.fromkeys(cells[i].geometry.halfspaces + cells[j].geometry.halfspaces)
-            shared = Polytope(tuple(both), tuple(sorted(vertices[r] for r in common)), n)
-            rise = tuple(v - u for u, v in zip(dp.utility[winners[i]], dp.utility[winners[j]]))
-            adjacency.append(AdjacentPair(i, j, shared, Halfspace(rise, ZERO).canonical()))
-    sub = Subdivision(tuple(cells), tuple(adjacency))
+    sub = Subdivision.from_cells(cells, (vertices, rays, [tight[a] for a in winners]))
     sub.spanning_tree()  # raises MalformedData if the graph is disconnected
     return sub
 

@@ -9,7 +9,8 @@ integer rows, which touches only adjacent pairs of extreme rays rather than
 every subset of constraints or points. All other exact linear algebra
 (rank and affine dimension, the independent points that seed a hull, the
 kernel line that spans a facet) comes from one fraction-free row reduction
-on integer rows.
+on integer rows. Which cells share a facet, on the forward and the backward
+path alike, is read off vertex incidence by one scan, adjacent_facets.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import BoundaryPrior, EmptyInput, EmptyPolytope, ShapeMismatch
 
@@ -438,36 +440,49 @@ def hull_halfspaces(points) -> list[Halfspace]:
     return sorted(facets, key=lambda h: (h.normal, h.offset))
 
 
-def facet_between(p1: Polytope, p2: Polytope):
-    """Shared facet of two adjacent full-dimensional cells, with orientation.
+def adjacent_facets(cells, lift=None) -> list[tuple[int, int, Polytope, Halfspace]]:
+    """Every pair of cells that meets in a facet, read off vertex incidence.
 
-    Returns (shared, h) where `shared` is the common face and `h` the facet
-    halfspace holding on p2 with equality on the face, or None when the cells
-    do not meet in dimension n-2. Swapping the arguments flips h.
-
-    Both inputs must be full-dimensional cells that meet face-to-face (as the
-    cells of one subdivision always do): the shared face is then spanned by
-    the common vertices. The facet's linear form g is the kernel line of the
-    common vertices' coordinate rows, which exists exactly when they span a
-    face of dimension n-2; on the simplex, g . x >= 0 is the halfspace. Its
-    signs on p2's vertices orient g, and mixed signs, a hyperplane that does
-    not support p2, raise ValueError.
+    The cells are full-dimensional polytopes that meet face to face, as the
+    cells of one subdivision do. Their lift (vertices, rays, incidence) has
+    rays[r] a positive integer multiple of vertices[r] and incidence[i] the
+    indices of cell i's vertices; without one, each cell is checked to be
+    full-dimensional and their vertices are indexed here. Cells i < j are
+    adjacent exactly when the kernel of their common rays is a line g, that
+    is, when the common vertices span an (n-2)-face: g . x >= 0 is the facet
+    halfspace, oriented by g's signs on cell j's other rays, and mixed signs
+    (g does not support cell j) raise ValueError. Returns (i, j, shared face,
+    canonical halfspace) per adjacent pair.
     """
-    if not p1.is_full_dimensional() or not p2.is_full_dimensional():
-        raise ValueError("facet_between expects full-dimensional cells")
-    n = p1.n
-    common = sorted(set(p1.vertices) & set(p2.vertices))
-    w = _kernel_ray([p.coords for p in common], n)
-    if w is None:
-        return None
-    sides = [sum(a * c for a, c in zip(w, v.coords)) for v in p2.vertices]
-    if min(sides) < 0 < max(sides):
-        raise ValueError("shared hyperplane does not support the second cell")
-    if max(sides) <= 0:
-        w = [-a for a in w]
-    h = Halfspace(tuple(w), ZERO).canonical()
-    shared = Polytope(tuple(dict.fromkeys(p1.halfspaces + p2.halfspaces)), tuple(common), n)
-    return shared, h
+    if lift is None:
+        if not all(p.is_full_dimensional() for p in cells):
+            raise ValueError("facets are found only between full-dimensional cells")
+        index = {v: r for r, v in enumerate(dict.fromkeys(v for p in cells for v in p.vertices))}
+        incidence = [frozenset(index[v] for v in p.vertices) for p in cells]
+        lift = list(index), [_integer_row(v.coords) for v in index], incidence
+    vertices, rays, incidence = lift
+    out = []
+    for i, j in combinations(range(len(cells)), 2):
+        n = cells[i].n
+        common = incidence[i] & incidence[j]
+        g = _kernel_ray([rays[r] for r in common], n) if len(common) >= n - 1 else None
+        if g is None:
+            continue
+        sides = [sum(a * b for a, b in zip(g, rays[r])) for r in incidence[j] - common]
+        if min(sides) < 0 < max(sides):
+            raise ValueError(f"the hyperplane cells {i} and {j} share does not support cell {j}")
+        if max(sides) <= 0:
+            g = [-a for a in g]
+        halfspaces = tuple(dict.fromkeys(cells[i].halfspaces + cells[j].halfspaces))
+        shared = Polytope(halfspaces, tuple(sorted(vertices[r] for r in common)), n)
+        out.append((i, j, shared, Halfspace(tuple(g), ZERO).canonical()))
+    return out
+
+
+def facet_between(p1: Polytope, p2: Polytope):
+    """(shared face, facet halfspace holding on p2) of two cells by adjacent_facets, or None."""
+    found = adjacent_facets([p1, p2])
+    return found[0][2:] if found else None
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .geometry import (
     ZERO,
     Belief,
     Polytope,
+    _frac,
     _require_interior,
     barycenter,
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
@@ -106,7 +107,7 @@ class UtilityDifference:
     edge: tuple[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "gap", Fraction(self.gap))
+        object.__setattr__(self, "gap", _frac(self.gap))
         object.__setattr__(self, "edge", (int(self.edge[0]), int(self.edge[1])))
         if self.lhs.mean != self.rhs.mean:
             raise ValueError("both sides of a utility difference must share their mean")
@@ -265,7 +266,8 @@ def extract_subdivision(data: IdentificationData) -> Subdivision:
     Each cell's extreme points are the atoms that disappear between the two
     sides of its equality; the cell is their convex hull. Adjacency is then
     recomputed from the geometry, and the inequality tags are checked against
-    it.
+    it. Cells that overlap rather than meet face to face raise MalformedData
+    naming a pair of them.
     """
     cell_tags = [s for s in data.ordinal if isinstance(s.tag, CellAffine)]
     indices = sorted(s.tag.cell for s in cell_tags)
@@ -282,8 +284,10 @@ def extract_subdivision(data: IdentificationData) -> Subdivision:
         except ValueError as exc:
             raise MalformedData(f"cell {statement.tag.cell}: {exc}") from exc
         cells.append(Cell(statement.tag.cell, geometry))
-
-    sub = Subdivision.from_cells(cells)
+    try:
+        sub = Subdivision.from_cells(cells)
+    except ValueError as exc:
+        raise MalformedData(str(exc)) from exc
     pair_tags = {
         (min(s.tag.i, s.tag.j), max(s.tag.i, s.tag.j))
         for s in data.ordinal
@@ -491,7 +495,9 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
         raise MalformedData(f"root cell {root} is out of range")
     pieces: list[AffineFn | None] = [None] * t
     pieces[root] = AffineFn.zero(n)
-
+    for index, diff in enumerate(data.cardinal):
+        if not all(0 <= end < t for end in diff.edge):
+            raise MalformedData(f"difference {index}: edge {diff.edge} names a cell out of range")
     pending = list(data.cardinal)
     redundant: list[UtilityDifference] = []
     progress = True

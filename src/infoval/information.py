@@ -92,14 +92,13 @@ class Garbling:
     def compose(self, other: "Garbling") -> "Garbling":
         if self.num_outputs != other.num_inputs:
             raise ShapeMismatch("garbling shapes do not compose")
-        rows = tuple(
-            tuple(
-                sum(self.matrix[i][k] * other.matrix[k][j] for k in range(self.num_outputs))
-                for j in range(other.num_outputs)
-            )
-            for i in range(self.num_inputs)
-        )
-        return Garbling(rows)
+        return Garbling(_matmul(self.matrix, other.matrix))
+
+
+def _matmul(left, right) -> tuple[Coords, ...]:
+    """The exact product of two matrices held as tuples of rows of matching shapes."""
+    columns = list(zip(*right))
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in columns) for row in left)
 
 
 @dataclass(frozen=True)
@@ -218,18 +217,8 @@ def garble(experiment: Experiment, garbling: Garbling) -> Experiment:
             f"experiment emits {experiment.num_signals} signals but the garbling "
             f"expects {garbling.num_inputs}"
         )
-    rows = tuple(
-        tuple(
-            sum(
-                experiment.likelihood[t][s] * garbling.matrix[s][j]
-                for s in range(experiment.num_signals)
-            )
-            for j in range(garbling.num_outputs)
-        )
-        for t in range(experiment.n)
-    )
     labels = tuple(f"g{i+1}" for i in range(garbling.num_outputs))
-    return Experiment(labels, rows)
+    return Experiment(labels, _matmul(experiment.likelihood, garbling.matrix))
 
 
 def expected_value(dp: DecisionProblem, dist: PosteriorDistribution) -> Fraction:

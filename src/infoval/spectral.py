@@ -34,6 +34,8 @@ class SpectralElement:
 
     def __post_init__(self):
         rays = tuple(tuple(_frac(v) for v in ray) for ray in self.rays)
+        if len({len(ray) for ray in rays}) > 1:
+            raise ShapeMismatch("likelihood rays in one element must all have the same length")
         object.__setattr__(self, "rays", tuple(sorted(rays)))
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("likelihood rays must be pairwise distinct")

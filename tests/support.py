@@ -6,7 +6,7 @@ from itertools import combinations
 from random import Random
 
 from infoval import linprog
-from infoval.decision import Cell, DecisionProblem, Subdivision, make_problem
+from infoval.decision import AdjacentPair, Cell, DecisionProblem, Subdivision, make_problem
 from infoval.errors import EmptyInput
 from infoval.geometry import (
     ONE,
@@ -18,6 +18,7 @@ from infoval.geometry import (
     _dedupe_canonical,
     _frac,
     _integer_row,
+    _kernel_ray,
     dimension,
 )
 from infoval.information import Experiment, Garbling
@@ -329,8 +330,58 @@ def undominated_by_lp(dp: DecisionProblem) -> frozenset[int]:
     return frozenset(out)
 
 
+# ---------------------------------------------------------------------------
+# pairwise facet scan: the adjacency test Subdivision.from_cells ran before it
+# shared geometry.adjacent_facets with compute_subdivision, kept as an oracle
+# ---------------------------------------------------------------------------
+
+
+def facet_between_pair(p1: Polytope, p2: Polytope):
+    """Shared facet of two adjacent full-dimensional cells, with orientation.
+
+    Returns (shared, h) where `shared` is the common face and `h` the facet
+    halfspace holding on p2 with equality on the face, or None when the cells
+    do not meet in dimension n-2. Swapping the arguments flips h.
+
+    Both inputs must be full-dimensional cells that meet face-to-face (as the
+    cells of one subdivision always do): the shared face is then spanned by
+    the common vertices. The facet's linear form g is the kernel line of the
+    common vertices' coordinate rows, which exists exactly when they span a
+    face of dimension n-2; on the simplex, g . x >= 0 is the halfspace. Its
+    signs on p2's vertices orient g, and mixed signs, a hyperplane that does
+    not support p2, raise ValueError.
+    """
+    if not p1.is_full_dimensional() or not p2.is_full_dimensional():
+        raise ValueError("facet_between expects full-dimensional cells")
+    n = p1.n
+    common = sorted(set(p1.vertices) & set(p2.vertices))
+    w = _kernel_ray([p.coords for p in common], n)
+    if w is None:
+        return None
+    sides = [sum(a * c for a, c in zip(w, v.coords)) for v in p2.vertices]
+    if min(sides) < 0 < max(sides):
+        raise ValueError("shared hyperplane does not support the second cell")
+    if max(sides) <= 0:
+        w = [-a for a in w]
+    h = Halfspace(tuple(w), ZERO).canonical()
+    shared = Polytope(tuple(dict.fromkeys(p1.halfspaces + p2.halfspaces)), tuple(common), n)
+    return shared, h
+
+
+def subdivision_by_pairs(cells) -> Subdivision:
+    """The subdivision of the given cells, with facet_between_pair run on every pair."""
+    cells = tuple(cells)
+    adjacency = []
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            found = facet_between_pair(cells[i].geometry, cells[j].geometry)
+            if found is not None:
+                adjacency.append(AdjacentPair(i, j, *found))
+    return Subdivision(cells, tuple(adjacency))
+
+
 def subdivision_by_lp(dp: DecisionProblem) -> Subdivision:
-    """LP winners, one halfspace-intersection cell each, adjacency by the facet scan."""
+    """LP winners, one halfspace-intersection cell each, adjacency by the pairwise scan."""
     winners = sorted(undominated_by_lp(dp))
     cells = []
     for a in winners:
@@ -340,4 +391,4 @@ def subdivision_by_lp(dp: DecisionProblem) -> Subdivision:
             if b != a
         ]
         cells.append(Cell(a, Polytope.from_halfspaces(halfspaces, dp.n)))
-    return Subdivision.from_cells(cells)
+    return subdivision_by_pairs(cells)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import support
 from infoval.decision import (
     AffineFn,
+    Cell,
+    Subdivision,
     compute_subdivision,
     equal_up_to_state_transfer,
     evaluate_value,
@@ -17,7 +19,8 @@ from infoval.decision import (
     value_function,
 )
 from infoval.errors import NonpositiveScale, ShapeMismatch
-from infoval.geometry import belief, interior_point, uniform_belief
+from infoval.geometry import Polytope, belief, interior_point, uniform_belief
+from infoval.identification import extract_subdivision, generate_identification
 
 
 class TestProblemValidation:
@@ -170,6 +173,35 @@ class TestLiftAgainstLP:
         dp = support.random_problem(Random(2), n=7, max_actions=8)
         assert dp.num_actions == 8 and len(undominated_actions(dp)) == 5
         self.check(dp)
+
+
+class TestAdjacencyAgainstPairwiseScan:
+    """Subdivision.from_cells against the pairwise facet scan kept in support."""
+
+    @staticmethod
+    def check(cells):
+        assert Subdivision.from_cells(cells) == support.subdivision_by_pairs(cells)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        payoff_problems(small_fractions, st.integers(2, 5), max_actions=8)
+        | payoff_problems(st.sampled_from([0, 1, 2]), st.integers(2, 4), max_actions=8),
+        st.randoms(use_true_random=False),
+    )
+    def test_forward_and_extracted_cells(self, dp, rng):
+        sub = compute_subdivision(dp)
+        self.check(sub.cells)
+        data = generate_identification(dp, support.random_interior_prior(rng, dp.n))
+        self.check(extract_subdivision(data).cells)
+
+    def test_overlapping_cells_rejected_by_both(self):
+        edge = [belief(1, 0, 0), belief(0, "1/2", "1/2")]
+        a = Polytope.from_vertices(edge + [belief(0, 0, 1)])
+        b = Polytope.from_vertices(edge + [belief(0, 1, 0), belief("1/2", 0, "1/2")])
+        cells = (Cell(0, a), Cell(1, b))
+        for scan in (Subdivision.from_cells, support.subdivision_by_pairs):
+            with pytest.raises(ValueError, match="does not support"):
+                scan(cells)
 
 
 class TestSubdivision:

@@ -232,6 +232,12 @@ class TestFacetBetween:
         b = Polytope.from_halfspaces([hs([-1, 0], "-1/3")], 2)
         assert facet_between(a, b) is None
 
+    def test_lower_dimensional_cell_rejected(self):
+        full = Polytope.from_halfspaces([hs([1, -1, 0], 0)], 3)
+        edge = Polytope((), (belief(1, 0, 0), belief("1/2", "1/2", 0)), 3)
+        with pytest.raises(ValueError, match="full-dimensional"):
+            facet_between(full, edge)
+
     def test_cell_straddling_the_shared_hyperplane_rejected(self):
         # both cells have the edge from (1, 0, 0) to (0, 1/2, 1/2) on the line
         # x2 = x3, but the second cell has vertices on both sides of it

@@ -188,6 +188,18 @@ class TestExtractSubdivision:
         with pytest.raises(MalformedData):
             extract_subdivision(broken)
 
+    def test_overlapping_cells_are_malformed(self):
+        # both cells have the edge from (1, 0, 0) to (0, 1/2, 1/2) on the line
+        # x2 = x3, but the second cell has vertices on both sides of it
+        edge = [belief(1, 0, 0), belief(0, "1/2", "1/2")]
+        a = Polytope.from_vertices(edge + [belief(0, 0, 1)])
+        b = Polytope.from_vertices(edge + [belief(0, 1, 0), belief("1/2", 0, "1/2")])
+        overlapping = Subdivision((Cell(0, a), Cell(1, b)), ())
+        prior = uniform_belief(3)
+        data = IdentificationData(prior, gen_affineness_equalities(overlapping, prior), ())
+        with pytest.raises(MalformedData, match="cells 0 and 1"):
+            reconstruct_value(data)
+
     def test_missing_pair_statement_rejected(self):
         dp = support.two_peak_problem()
         data = generate_identification(dp, uniform_belief(2))
@@ -362,6 +374,16 @@ class TestReconstruction:
         with pytest.raises(InconsistentData):
             reconstruct_value(tampered)
 
+    @pytest.mark.parametrize("edge", [(0, 5), (5, 0), (0, -1)])
+    def test_edge_out_of_range_is_malformed(self, edge):
+        data = generate_identification(support.safe_or_bet_problem(), uniform_belief(2))
+        d = data.cardinal[0]
+        broken = IdentificationData(
+            data.prior, data.ordinal, (UtilityDifference(d.lhs, d.rhs, d.gap, edge),)
+        )
+        with pytest.raises(MalformedData, match="difference 0"):
+            reconstruct_value(broken)
+
     def test_non_spanning_data_rejected(self):
         from infoval.decision import make_problem
 
@@ -370,6 +392,14 @@ class TestReconstruction:
         broken = IdentificationData(data.prior, data.ordinal, data.cardinal[:1])
         with pytest.raises(MalformedData):
             reconstruct_value(broken)
+
+
+class TestUtilityDifferenceFields:
+    def test_float_gap_rejected(self):
+        d = PosteriorDistribution([(uniform_belief(2), 1)])
+        with pytest.raises(TypeError):
+            UtilityDifference(d, d, 0.1, (0, 1))
+        assert UtilityDifference(d, d, "1/10", (0, 1)).gap == Fraction(1, 10)
 
 
 class TestEqualUpToAffine:

@@ -64,6 +64,10 @@ class TestSpectralOf:
         with pytest.raises(ShapeMismatch):
             spectral_of(sub, uniform_belief(3))
 
+    def test_rays_of_different_lengths_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            SpectralElement(0, ((1, 0), (1, 0, 0)))
+
 
 class TestRealize:
     def test_roundtrip_at_same_prior(self):
