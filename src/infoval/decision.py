@@ -167,6 +167,8 @@ class Subdivision:
 
     @property
     def n(self) -> int:
+        if not self.cells:
+            raise MalformedData("a subdivision needs at least one cell")
         return self.cells[0].geometry.n
 
     @cached_property
@@ -175,14 +177,6 @@ class Subdivision:
         for pair in self.adjacency:
             pairs.setdefault((pair.i, pair.j), pair)
         return pairs
-
-    @cached_property
-    def _links(self) -> dict[int, list[int]]:
-        links: dict[int, list[int]] = {}
-        for pair in self.adjacency:
-            links.setdefault(pair.i, []).append(pair.j)
-            links.setdefault(pair.j, []).append(pair.i)
-        return {i: sorted(out) for i, out in links.items()}
 
     def oriented_facet(self, i: int, j: int) -> Halfspace | None:
         """The facet halfspace between cells i and j, positive on cell j."""
@@ -200,16 +194,8 @@ class Subdivision:
 
         Raises MalformedData when the adjacency graph is disconnected.
         """
-        seen = {0}
-        queue = [0]
-        edges: list[tuple[int, int]] = []
-        for node in queue:
-            for neighbor in self._links.get(node, ()):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    edges.append((node, neighbor))
-                    queue.append(neighbor)
-        if len(seen) != len(self.cells):
+        edges = _breadth_first(((pair.i, pair.j) for pair in self.adjacency), 0)
+        if len(edges) != len(self.cells) - 1:
             raise MalformedData("adjacency graph is disconnected")
         return edges
 
@@ -236,14 +222,36 @@ def _vertex_key(cell: Cell) -> tuple[Coords, ...]:
     return tuple(v.coords for v in cell.geometry.vertices)
 
 
+def _breadth_first(links, root: int) -> list[tuple[int, int]]:
+    """Breadth-first tree edges (parent, child) from root, lowest neighbor first.
+
+    links are the graph's edges as pairs (i, j), in either orientation.
+    """
+    neighbors: dict[int, set[int]] = {}
+    for i, j in links:
+        neighbors.setdefault(i, set()).add(j)
+        neighbors.setdefault(j, set()).add(i)
+    seen = {root}
+    edges: list[tuple[int, int]] = []
+    queue = [root]
+    for node in queue:
+        for child in sorted(neighbors.get(node, set()) - seen):
+            seen.add(child)
+            edges.append((node, child))
+            queue.append(child)
+    return edges
+
+
 @dataclass(frozen=True)
 class PiecewiseAffineFn:
     """A convex piecewise-affine function given by one affine piece per cell.
 
-    Construction verifies the defining invariants exactly: adjacent pieces
-    agree on their shared facet, and each cell's piece dominates every other
-    piece on that cell, so the function equals the pointwise maximum of its
-    pieces.
+    Construction verifies exactly that each cell's piece dominates every
+    other piece at each vertex of that cell, and so on the whole cell: the
+    function is the pointwise maximum of its pieces. Adjacent pieces then
+    agree on their shared facet, because every shared face this library
+    builds (geometry.adjacent_facets) is spanned by vertices common to both
+    cells, where each piece dominates the other.
     """
 
     subdivision: Subdivision
@@ -254,22 +262,14 @@ class PiecewiseAffineFn:
         cells = self.subdivision.cells
         if len(self.pieces) != len(cells):
             raise ValueError("need exactly one affine piece per cell")
-        for pair in self.subdivision.adjacency:
-            gi, gj = self.pieces[pair.i], self.pieces[pair.j]
-            for v in pair.shared.vertices:
-                if gi(v) != gj(v):
-                    raise InconsistentData(
-                        f"pieces {pair.i} and {pair.j} disagree on their shared facet"
-                    )
+        values: dict[Belief, list[Fraction]] = {}
         for i, cell in enumerate(cells):
-            mine = self.pieces[i]
             for v in cell.geometry.vertices:
-                val = mine(v)
-                for k, other in enumerate(self.pieces):
-                    if other(v) > val:
-                        raise InconsistentData(
-                            f"piece {k} rises above piece {i} on cell {i}"
-                        )
+                if v not in values:
+                    values[v] = [piece(v) for piece in self.pieces]
+                for k, value in enumerate(values[v]):
+                    if value > values[v][i]:
+                        raise InconsistentData(f"piece {k} rises above piece {i} on cell {i}")
 
     def __call__(self, x) -> Fraction:
         return max(piece(x) for piece in self.pieces)

@@ -363,7 +363,7 @@ def vertices_of(halfspaces, n: int) -> list[Belief]:
     means an empty intersection.
     """
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows += [_integer_row(h.as_affine_coords()) for h in halfspaces]
+    rows += [_integer_row(_coords_of(h.as_affine_coords(), n)) for h in halfspaces]
     return sorted(
         Belief(tuple(Fraction(v, sum(ray)) for v in ray)) for ray, _ in _extreme_rays(rows, n)
     )
@@ -397,7 +397,7 @@ def dimension(points) -> int:
     if not pts:
         raise EmptyInput("dimension of an empty point set is undefined")
     # beliefs lie on the hyperplane sum(x) = 1, which misses the origin
-    return _rank([p.coords for p in pts]) - 1
+    return _rank([_coords_of(p, pts[0].n) for p in pts]) - 1
 
 
 def barycenter(points) -> Belief:
@@ -405,9 +405,8 @@ def barycenter(points) -> Belief:
     pts = list(points)
     if not pts:
         raise EmptyInput("barycenter of an empty point set is undefined")
-    k = len(pts)
-    coords = tuple(sum(p.coords[i] for p in pts) / k for i in range(pts[0].n))
-    return Belief(coords)
+    columns = zip(*(_coords_of(p, pts[0].n) for p in pts))
+    return Belief(tuple(sum(column) / len(pts) for column in columns))
 
 
 def interior_point(poly: Polytope) -> Belief:
@@ -431,7 +430,7 @@ def hull_halfspaces(points) -> list[Halfspace]:
     if not pts:
         raise EmptyInput("hull of an empty point set is undefined")
     n = pts[0].n
-    rows = [_integer_row(p.coords) for p in pts]
+    rows = [_integer_row(_coords_of(p, n)) for p in pts]
     first, _ = _row_reduce(rows)
     if len(first) != n:
         raise ValueError("hull_halfspaces expects a full-dimensional point set")
@@ -502,14 +501,11 @@ def interior_interval_on_line(origin: Belief, direction: Coords, poly: Polytope)
     the relative interior. The direction must sum to zero so the line stays
     in the simplex's affine hull.
     """
-    n = poly.n
-    conditions: list[tuple[Fraction, Fraction]] = []
+    coords = _coords_of(origin, poly.n)
+    direction = _coords_of(direction, poly.n)
+    conditions = list(zip(coords, direction))
     for h in poly.halfspaces:
-        alpha = h.value(origin)
-        beta = sum(a * d for a, d in zip(h.normal, direction))
-        conditions.append((alpha, beta))
-    for theta in range(n):
-        conditions.append((origin.coords[theta], direction[theta]))
+        conditions.append((h.value(coords), sum(a * d for a, d in zip(h.normal, direction))))
     lo: Fraction | None = None
     hi: Fraction | None = None
     for alpha, beta in conditions:

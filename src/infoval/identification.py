@@ -28,6 +28,7 @@ from .decision import (
     DecisionProblem,
     PiecewiseAffineFn,
     Subdivision,
+    _breadth_first,
     compute_subdivision,
 )
 from .errors import InconsistentData, MalformedData, ShapeMismatch, SingularSolve
@@ -173,6 +174,8 @@ def gen_affineness_equalities(sub: Subdivision, prior: Belief) -> list[OrderedEx
     a convex candidate the two sides agree exactly when the candidate is
     affine on the cell.
     """
+    if prior.n != sub.n:
+        raise ShapeMismatch(f"prior over {prior.n} states for a subdivision of {sub.n}")
     _require_interior(prior)
     statements = []
     for index, cell in enumerate(sub.cells):
@@ -219,6 +222,8 @@ def gen_nonaffineness_inequalities(sub: Subdivision, prior: Belief) -> list[Orde
     facet mass onto interior points of the two cells. A convex candidate
     strictly prefers the split exactly when it is not affine across the pair.
     """
+    if prior.n != sub.n:
+        raise ShapeMismatch(f"prior over {prior.n} states for a subdivision of {sub.n}")
     _require_interior(prior)
     statements = []
     for pair in sub.adjacency:
@@ -418,6 +423,8 @@ def gen_utility_differences(
     include_all_edges=True every adjacent pair gets a difference, not just
     the tree, which makes the data redundant and cross-checkable.
     """
+    if prior.n != dp.n:
+        raise ShapeMismatch(f"prior over {prior.n} states for a problem with {dp.n} states")
     _require_interior(prior)
     sub = subdivision if subdivision is not None else compute_subdivision(dp)
     edges = sub.spanning_tree()
@@ -481,66 +488,53 @@ def _anchor_of(difference: UtilityDifference):
 def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
     """Rebuild the value function from identifying data, up to an affine part.
 
-    The subdivision comes from the equalities; the root cell's piece is
-    normalized to zero; each utility difference fixes the slope jump across
-    its facet via gap = (p - q) * jump(anchor). Differences beyond a spanning
-    tree are consistency checks and must agree exactly with the rebuilt
-    function.
+    The subdivision comes from the equalities and the root cell's piece is
+    normalized to zero. Each pair of distinct cells named by a difference is
+    linked by the first difference naming it, and a breadth-first walk over
+    those links from the root must reach every cell. Each tree edge's
+    difference fixes the slope jump across its facet via
+    gap = (p - q) * jump(anchor), which solves the child's piece. Every other
+    difference is a consistency check and must agree exactly with the
+    rebuilt function.
     """
     sub = extract_subdivision(data)
     t = len(sub.cells)
-    n = sub.n
     root = data.root_cell
     if not 0 <= root < t:
         raise MalformedData(f"root cell {root} is out of range")
-    pieces: list[AffineFn | None] = [None] * t
-    pieces[root] = AffineFn.zero(n)
+    first: dict[tuple[int, int], int] = {}
     for index, diff in enumerate(data.cardinal):
         if not all(0 <= end < t for end in diff.edge):
             raise MalformedData(f"difference {index}: edge {diff.edge} names a cell out of range")
-    pending = list(data.cardinal)
-    redundant: list[UtilityDifference] = []
-    progress = True
-    while pending and progress:
-        progress = False
-        still = []
-        for diff in pending:
-            i, j = diff.edge
-            known_i = pieces[i] is not None
-            known_j = pieces[j] is not None
-            if known_i and known_j:
-                redundant.append(diff)
-                progress = True
-                continue
-            if not known_i and not known_j:
-                still.append(diff)
-                continue
-            anchor, p, q = _anchor_of(diff)
-            if not sub.cells[j].geometry.contains(anchor):
-                raise MalformedData(
-                    f"difference for edge {diff.edge}: its anchor atom is not in cell {j}"
-                )
-            h = sub.oriented_facet(i, j)
-            if h is None:
-                raise MalformedData(f"edge {diff.edge} does not join adjacent cells")
-            denominator = (p - q) * h.value(anchor)
-            if denominator == 0:
-                raise SingularSolve(
-                    f"edge {diff.edge}: degenerate weights or anchor on the facet"
-                )
-            jump = AffineFn.from_halfspace(h).scaled(diff.gap / denominator)
-            if known_i:
-                pieces[j] = pieces[i] + jump
-            else:
-                pieces[i] = pieces[j] - jump
-            progress = True
-        pending = still
-
-    if pending or any(piece is None for piece in pieces):
+        i, j = diff.edge
+        if i != j:
+            first.setdefault((min(i, j), max(i, j)), index)
+    tree = _breadth_first(first, root)
+    if len(tree) != t - 1:
         raise MalformedData("utility differences do not span the cell adjacency graph")
+    pieces = {root: AffineFn.zero(sub.n)}
+    for parent, child in tree:
+        diff = data.cardinal[first[min(parent, child), max(parent, child)]]
+        i, j = diff.edge
+        anchor, p, q = _anchor_of(diff)
+        if not sub.cells[j].geometry.contains(anchor):
+            raise MalformedData(
+                f"difference for edge {diff.edge}: its anchor atom is not in cell {j}"
+            )
+        h = sub.oriented_facet(i, j)
+        if h is None:
+            raise MalformedData(f"edge {diff.edge} does not join adjacent cells")
+        denominator = (p - q) * h.value(anchor)
+        if denominator == 0:
+            raise SingularSolve(f"edge {diff.edge}: degenerate weights or anchor on the facet")
+        jump = AffineFn.from_halfspace(h).scaled(diff.gap / denominator)
+        pieces[child] = pieces[parent] + jump if parent == i else pieces[parent] - jump
 
-    fn = PiecewiseAffineFn(sub, tuple(pieces))
-    for diff in redundant:
+    fn = PiecewiseAffineFn(sub, tuple(pieces[cell] for cell in range(t)))
+    solved = {first[min(edge), max(edge)] for edge in tree}
+    for index, diff in enumerate(data.cardinal):
+        if index in solved:
+            continue
         predicted = sum(prob * fn(b) for b, prob in diff.lhs.atoms) - sum(
             prob * fn(b) for b, prob in diff.rhs.atoms
         )

@@ -9,7 +9,9 @@ import support
 from infoval.decision import (
     AffineFn,
     Cell,
+    PiecewiseAffineFn,
     Subdivision,
+    _breadth_first,
     compute_subdivision,
     equal_up_to_state_transfer,
     evaluate_value,
@@ -18,7 +20,7 @@ from infoval.decision import (
     undominated_actions,
     value_function,
 )
-from infoval.errors import NonpositiveScale, ShapeMismatch
+from infoval.errors import InconsistentData, NonpositiveScale, ShapeMismatch
 from infoval.geometry import Polytope, belief, interior_point, uniform_belief
 from infoval.identification import extract_subdivision, generate_identification
 
@@ -236,6 +238,14 @@ class TestSubdivision:
         for cell in sub.cells:
             assert center in cell.geometry.vertices
         assert {(p.i, p.j) for p in sub.adjacency} == {(0, 1), (0, 2), (1, 2)}
+        assert sub.spanning_tree() == [(0, 1), (0, 2)]
+
+    def test_breadth_first_takes_the_lowest_neighbor_first(self):
+        # a four-cycle 0-1-3-2-0 with links given in either orientation
+        links = [(2, 3), (0, 2), (1, 0), (3, 1)]
+        assert _breadth_first(links, 0) == [(0, 1), (0, 2), (1, 3)]
+        assert _breadth_first(links, 3) == [(3, 1), (3, 2), (1, 0)]
+        assert _breadth_first(links[:2], 1) == []
 
     def test_cells_cover_grid(self):
         rng = Random(3)
@@ -389,3 +399,20 @@ class TestValueFunction:
         fn = value_function(dp)
         for x in support.grid_beliefs(3, 6):
             assert fn(x) == evaluate_value(dp, x)
+
+    def test_pieces_disagreeing_on_a_shared_facet_rejected(self):
+        # the third piece is lifted by one util, so it leaves the facets it
+        # shares with the other two cells and rises above them at the corners
+        # those facets share with its own cell
+        sub = compute_subdivision(support.guess_the_state_problem())
+        pieces = (AffineFn((1, 0, 0)), AffineFn((0, 1, 0)), AffineFn((1, 1, 2)))
+        with pytest.raises(InconsistentData, match="piece 2 rises above piece 0 on cell 0"):
+            PiecewiseAffineFn(sub, pieces)
+
+    def test_continuous_pieces_that_are_not_convex_rejected(self):
+        # both pieces vanish at the shared point (1/2, 1/2), but the kink
+        # there bends down: a concave tent, not a convex function
+        sub = compute_subdivision(support.safe_or_bet_problem())
+        pieces = (AffineFn((0, 0)), AffineFn((1, -1)))
+        with pytest.raises(InconsistentData, match="piece 1 rises above piece 0 on cell 0"):
+            PiecewiseAffineFn(sub, pieces)

@@ -116,6 +116,10 @@ class TestVerticesOf:
         assert got == sorted(corners(7))
         assert got == support.vertices_by_brute_force([], 7)
 
+    def test_halfspace_over_other_states_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            vertices_of([hs([1, 0], 0)], 3)
+
 
 class TestDimension:
     def test_segment(self):
@@ -130,6 +134,10 @@ class TestDimension:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             dimension([])
+
+    def test_points_over_mixed_state_counts_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            dimension([belief(0, 1), belief(1, 0, 0)])
 
 
 class TestBarycenter:
@@ -151,6 +159,10 @@ class TestBarycenter:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             barycenter([])
+
+    def test_points_over_mixed_state_counts_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            barycenter([belief(0, 1), belief(1, 0, 0)])
 
 
 class TestInteriorPoint:
@@ -276,6 +288,14 @@ class TestHull:
             (tuple(Fraction(int(i == j)) for j in range(7)), Fraction(0)) for i in range(7)
         )
         assert got == support.hull_by_brute_force(corners(7))
+
+    def test_points_over_mixed_state_counts_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            hull_halfspaces([belief(0, 1), belief(1, 0), belief(1, 0, 0)])
+
+    def test_vertices_over_mixed_state_counts_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            Polytope.from_vertices([belief(0, 1), belief(1, 0), belief(1, 0, 0)])
 
 
 small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
@@ -413,3 +433,10 @@ class TestLineInterval:
         direction = (Fraction(-1, 4), Fraction(1, 4))
         got = interior_interval_on_line(origin, direction, poly)
         assert got == (Fraction(-3), Fraction(-1))
+
+    def test_line_over_other_states_rejected(self):
+        simplex = Polytope.from_halfspaces([], 3)
+        with pytest.raises(ShapeMismatch):
+            interior_interval_on_line(belief("1/3", "1/3", "1/3"), (1, -1), simplex)
+        with pytest.raises(ShapeMismatch):
+            interior_interval_on_line(belief("1/2", "1/2"), (1, -1, 0), simplex)

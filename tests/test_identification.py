@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -39,6 +39,7 @@ from infoval.identification import (
     _halvings,
 )
 from infoval.information import PosteriorDistribution, expected_value
+from infoval.spectral import spectral_of
 
 
 def atoms_of(dist):
@@ -93,6 +94,21 @@ class TestAffinenessEqualities:
     def test_prior_over_other_states_rejected(self):
         with pytest.raises(ShapeMismatch):
             generate_identification(support.two_peak_problem(), uniform_belief(3))
+
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda dp, prior: gen_affineness_equalities(compute_subdivision(dp), prior),
+            lambda dp, prior: gen_nonaffineness_inequalities(compute_subdivision(dp), prior),
+            gen_utility_differences,
+        ],
+        ids=["affineness", "nonaffineness", "differences"],
+    )
+    def test_generators_reject_a_prior_over_other_states(self, generate):
+        # the single cell has no facet, where a late check would never run
+        for dp in (support.two_peak_problem(), make_problem([[1, 2]])):
+            with pytest.raises(ShapeMismatch):
+                generate(dp, uniform_belief(3))
 
 
 class TestNonaffinenessInequalities:
@@ -394,6 +410,45 @@ class TestReconstruction:
             reconstruct_value(broken)
 
 
+class TestWalkOrder:
+    """The pieces do not depend on the order of the differences or the root."""
+
+    @staticmethod
+    def cyclic_data(seed):
+        # three states and up to eight actions: cells often meet around a
+        # vertex, so the differences close cycles and the walk decides which
+        # of them solve a piece and which are checked
+        rng = Random(seed)
+        dp = support.random_problem(rng, n=3, max_actions=8, max_denominator=10)
+        prior = support.random_interior_prior(rng, dp.n)
+        return generate_identification(dp, prior, include_all_edges=True)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32), st.data())
+    def test_permuted_differences_give_the_same_pieces(self, seed, choices):
+        data = self.cyclic_data(seed)
+        t = len(data.cardinal)
+        assume(t)
+        order = [data.cardinal[k] for k in choices.draw(st.permutations(range(t)))]
+        permuted = IdentificationData(data.prior, data.ordinal, order)
+        assert reconstruct_value(permuted).pieces == reconstruct_value(data).pieces
+        d = data.cardinal[choices.draw(st.integers(0, t - 1))]
+        duplicate = UtilityDifference(d.lhs, d.rhs, d.gap + 1, d.edge)
+        order.insert(choices.draw(st.integers(0, t)), duplicate)
+        with pytest.raises(InconsistentData):
+            reconstruct_value(IdentificationData(data.prior, data.ordinal, order))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32), st.data())
+    def test_moving_the_root_shifts_every_piece_alike(self, seed, choices):
+        # from another root the walk crosses differences against their edge
+        data = self.cyclic_data(seed)
+        pieces = reconstruct_value(data).pieces
+        root = choices.draw(st.integers(0, len(pieces) - 1))
+        moved = IdentificationData(data.prior, data.ordinal, data.cardinal, root)
+        assert reconstruct_value(moved).pieces == tuple(p - pieces[root] for p in pieces)
+
+
 class TestUtilityDifferenceFields:
     def test_float_gap_rejected(self):
         d = PosteriorDistribution([(uniform_belief(2), 1)])
@@ -516,6 +571,13 @@ class TestForeignSubdivision:
         other = compute_subdivision(support.safe_or_bet_problem())
         with pytest.raises(InconsistentData):
             gen_utility_differences(flat, uniform_belief(2), subdivision=other)
+
+    @pytest.mark.parametrize(
+        "generate", [gen_affineness_equalities, gen_nonaffineness_inequalities, spectral_of]
+    )
+    def test_subdivision_without_cells_is_malformed(self, generate):
+        with pytest.raises(MalformedData, match="at least one cell"):
+            generate(Subdivision((), ()), uniform_belief(2))
 
     def test_point_cell_at_the_prior_is_malformed(self):
         point = Polytope((), (uniform_belief(2),), 2)
