@@ -159,10 +159,10 @@ class Subdivision:
     adjacency: tuple[AdjacentPair, ...]
 
     @classmethod
-    def from_cells(cls, cells, lift=None) -> "Subdivision":
-        """The subdivision of the cells, with facets from geometry.adjacent_facets(_, lift)."""
+    def from_cells(cls, cells) -> "Subdivision":
+        """The subdivision of the cells, with facets from geometry.adjacent_facets."""
         cells = tuple(cells)
-        found = adjacent_facets([cell.geometry for cell in cells], lift)
+        found = adjacent_facets([cell.geometry for cell in cells])
         return cls(cells, tuple(AdjacentPair(*pair) for pair in found))
 
     @property
@@ -310,12 +310,12 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     {x : u(a,.) . x >= u(b,.) . x for every rival undominated b}, and its
     vertices are the envelope vertices of one lift where a is optimal. Cells
     come back ordered by action index. Adjacency comes from
-    Subdivision.from_cells on the lift's rays and tight sets: payoffs tie on
-    a shared face, so its kernel line is u(j,.) - u(i,.) up to scale. Each
-    undominated action is the only maximizer on an open set, so its cell is
-    full-dimensional and it is uniquely optimal inside; the cells tile the
-    simplex, so their adjacency graph is connected, which the spanning tree
-    confirms.
+    Subdivision.from_cells on those cells, as for cells read back from data:
+    payoffs tie on a shared face, so its kernel line is u(j,.) - u(i,.) up to
+    scale. Each undominated action is the only maximizer on an open set, so
+    its cell is full-dimensional and it is uniquely optimal inside; the cells
+    tile the simplex, so their adjacency graph is connected, which the
+    spanning tree confirms.
     """
     n = dp.n
     rays, tight, winners = _lift(dp)
@@ -329,7 +329,7 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
         )
         corners = tuple(sorted(vertices[r] for r in tight[a]))
         cells.append(Cell(a, Polytope(halfspaces, corners, n)))
-    sub = Subdivision.from_cells(cells, (vertices, rays, [tight[a] for a in winners]))
+    sub = Subdivision.from_cells(cells)
     sub.spanning_tree()  # raises MalformedData if the graph is disconnected
     return sub
 

@@ -9,8 +9,10 @@ integer rows, which touches only adjacent pairs of extreme rays rather than
 every subset of constraints or points. All other exact linear algebra
 (rank and affine dimension, the independent points that seed a hull, the
 kernel line that spans a facet) comes from one fraction-free row reduction
-on integer rows. Which cells share a facet, on the forward and the backward
-path alike, is read off vertex incidence by one scan, adjacent_facets.
+on integer rows. Each polytope costs one double description: a hull's run
+also tells which of its points are vertices. Which cells share a facet, on
+the forward and the backward path alike, is read off vertex incidence by
+one scan, adjacent_facets, which indexes the cells' vertices itself.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ def _frac(value) -> Fraction:
 def _require_interior(prior: "Belief") -> None:
     if not prior.is_interior():
         raise BoundaryPrior()
+
+
+def _require_prior(prior: "Belief", n: int) -> None:
+    """A prior over n states that is interior: ShapeMismatch first, then BoundaryPrior."""
+    _coords_of(prior, n)
+    _require_interior(prior)
 
 
 def _coords(values) -> Coords:
@@ -169,19 +177,21 @@ class Polytope:
     def from_vertices(cls, points) -> "Polytope":
         """Build a full-dimensional polytope from its claimed vertex set.
 
-        The convex-hull facets are recomputed exactly, then the vertex set is
-        re-enumerated from them; a mismatch means the input was not actually
-        the vertex set of its own hull, which is rejected.
+        One double description gives the hull's facets and, for each point,
+        the facets tight at it. A point is a vertex of the hull exactly when
+        the normals of its tight facets have rank n-1, so that they pin it
+        down; any other point lies inside the hull or inside one of its
+        faces, and the input is rejected.
         """
-        points = sorted(set(points))
+        points = list(points)
         if not points:
             raise EmptyInput("cannot build a polytope from no points")
-        n = points[0].n
-        hs = hull_halfspaces(points)
-        verts = vertices_of(hs, n)
-        if verts != points:
-            raise ValueError("points are not the vertex set of their convex hull")
-        return cls(tuple(hs), tuple(verts), n)
+        pts, rays, facets = _hull(points)
+        n = pts[0].n
+        for k in range(len(pts)):
+            if _rank([ray for ray, zeros in rays if zeros >> k & 1]) != n - 1:
+                raise ValueError("points are not the vertex set of their convex hull")
+        return cls(tuple(facets), tuple(sorted(pts)), n)
 
     def is_empty(self) -> bool:
         return not self.vertices
@@ -416,15 +426,17 @@ def interior_point(poly: Polytope) -> Belief:
     return barycenter(poly.vertices)
 
 
-def hull_halfspaces(points) -> list[Halfspace]:
-    """Facet halfspaces of the convex hull of a full-dimensional point set.
+def _hull(points) -> tuple[list[Belief], list[tuple[list[int], int]], list[Halfspace]]:
+    """One double description of the hull of a full-dimensional point set.
 
     The facets of the hull are the extreme rays g of the dual cone
     {g : g . p >= 0 for every point p}: on the simplex, g . x >= 0 is the
-    facet halfspace. Double description runs on the points scaled to
-    integers, with n affinely independent points first. Canonical and
-    sorted by (normal, offset). Raises ValueError when the points do not
-    span the simplex.
+    facet halfspace. Double description runs on the distinct points scaled
+    to integers, with n affinely independent points first. Returns the
+    points in that row order, the rays with their zero sets over those rows
+    (bit k set when g vanishes at point k), and the canonical facets sorted
+    by (normal, offset). Raises ValueError when the points do not span the
+    simplex.
     """
     pts = sorted(set(points))
     if not pts:
@@ -434,40 +446,49 @@ def hull_halfspaces(points) -> list[Halfspace]:
     first, _ = _row_reduce(rows)
     if len(first) != n:
         raise ValueError("hull_halfspaces expects a full-dimensional point set")
-    rows = [rows[i] for i in first] + [row for i, row in enumerate(rows) if i not in first]
-    facets = [Halfspace(tuple(ray), ZERO).canonical() for ray, _ in _extreme_rays(rows, n)]
-    return sorted(facets, key=lambda h: (h.normal, h.offset))
+    order = first + [i for i in range(len(pts)) if i not in first]
+    rays = _extreme_rays([rows[i] for i in order], n)
+    facets = [Halfspace(tuple(ray), ZERO).canonical() for ray, _ in rays]
+    return [pts[i] for i in order], rays, sorted(facets, key=lambda h: (h.normal, h.offset))
 
 
-def adjacent_facets(cells, lift=None) -> list[tuple[int, int, Polytope, Halfspace]]:
+def hull_halfspaces(points) -> list[Halfspace]:
+    """Facet halfspaces of the convex hull of a full-dimensional point set.
+
+    Canonical and sorted by (normal, offset), from one double description
+    (see _hull). Raises ValueError when the points do not span the simplex.
+    """
+    return _hull(points)[2]
+
+
+def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
     """Every pair of cells that meets in a facet, read off vertex incidence.
 
     The cells are full-dimensional polytopes that meet face to face, as the
-    cells of one subdivision do. Their lift (vertices, rays, incidence) has
-    rays[r] a positive integer multiple of vertices[r] and incidence[i] the
-    indices of cell i's vertices; without one, each cell is checked to be
-    full-dimensional and their vertices are indexed here. Cells i < j are
-    adjacent exactly when the kernel of their common rays is a line g, that
+    cells of one subdivision do. Their vertices are indexed in one pass, each
+    kept as its coordinate row scaled to integers, and each cell is checked
+    to be full-dimensional by the rank of its own rows. Cells i < j are
+    adjacent exactly when the kernel of their common rows is a line g, that
     is, when the common vertices span an (n-2)-face: g . x >= 0 is the facet
-    halfspace, oriented by g's signs on cell j's other rays, and mixed signs
-    (g does not support cell j) raise ValueError. Returns (i, j, shared face,
-    canonical halfspace) per adjacent pair.
+    halfspace, oriented by g's signs on cell j's other vertices, and mixed
+    signs (g does not support cell j) raise ValueError. Returns (i, j, shared
+    face, canonical halfspace) per adjacent pair.
     """
-    if lift is None:
-        if not all(p.is_full_dimensional() for p in cells):
+    index: dict[Belief, int] = {}
+    incidence = [frozenset(index.setdefault(v, len(index)) for v in p.vertices) for p in cells]
+    vertices = list(index)
+    rows = [_integer_row(v.coords) for v in vertices]
+    for p, own in zip(cells, incidence):
+        if not own or _rank([rows[r] for r in own]) != p.n:
             raise ValueError("facets are found only between full-dimensional cells")
-        index = {v: r for r, v in enumerate(dict.fromkeys(v for p in cells for v in p.vertices))}
-        incidence = [frozenset(index[v] for v in p.vertices) for p in cells]
-        lift = list(index), [_integer_row(v.coords) for v in index], incidence
-    vertices, rays, incidence = lift
     out = []
     for i, j in combinations(range(len(cells)), 2):
         n = cells[i].n
         common = incidence[i] & incidence[j]
-        g = _kernel_ray([rays[r] for r in common], n) if len(common) >= n - 1 else None
+        g = _kernel_ray([rows[r] for r in common], n) if len(common) >= n - 1 else None
         if g is None:
             continue
-        sides = [sum(a * b for a, b in zip(g, rays[r])) for r in incidence[j] - common]
+        sides = [sum(a * b for a, b in zip(g, rows[r])) for r in incidence[j] - common]
         if min(sides) < 0 < max(sides):
             raise ValueError(f"the hyperplane cells {i} and {j} share does not support cell {j}")
         if max(sides) <= 0:

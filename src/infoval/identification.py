@@ -31,14 +31,14 @@ from .decision import (
     _breadth_first,
     compute_subdivision,
 )
-from .errors import InconsistentData, MalformedData, ShapeMismatch, SingularSolve
+from .errors import InconsistentData, MalformedData, SingularSolve
 from .geometry import (
     ONE,
     ZERO,
     Belief,
     Polytope,
     _frac,
-    _require_interior,
+    _require_prior,
     barycenter,
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
     interior_interval_on_line,
@@ -109,7 +109,10 @@ class UtilityDifference:
 
     def __post_init__(self):
         object.__setattr__(self, "gap", _frac(self.gap))
-        object.__setattr__(self, "edge", (int(self.edge[0]), int(self.edge[1])))
+        edge = tuple(self.edge)
+        if len(edge) != 2:
+            raise MalformedData(f"a difference edge names two cells, got {edge}")
+        object.__setattr__(self, "edge", (int(edge[0]), int(edge[1])))
         if self.lhs.mean != self.rhs.mean:
             raise ValueError("both sides of a utility difference must share their mean")
 
@@ -174,9 +177,7 @@ def gen_affineness_equalities(sub: Subdivision, prior: Belief) -> list[OrderedEx
     a convex candidate the two sides agree exactly when the candidate is
     affine on the cell.
     """
-    if prior.n != sub.n:
-        raise ShapeMismatch(f"prior over {prior.n} states for a subdivision of {sub.n}")
-    _require_interior(prior)
+    _require_prior(prior, sub.n)
     statements = []
     for index, cell in enumerate(sub.cells):
         extremes = list(cell.geometry.vertices)
@@ -222,9 +223,7 @@ def gen_nonaffineness_inequalities(sub: Subdivision, prior: Belief) -> list[Orde
     facet mass onto interior points of the two cells. A convex candidate
     strictly prefers the split exactly when it is not affine across the pair.
     """
-    if prior.n != sub.n:
-        raise ShapeMismatch(f"prior over {prior.n} states for a subdivision of {sub.n}")
-    _require_interior(prior)
+    _require_prior(prior, sub.n)
     statements = []
     for pair in sub.adjacency:
         facet_center = interior_point(pair.shared)
@@ -311,28 +310,15 @@ def extract_subdivision(data: IdentificationData) -> Subdivision:
 # ---------------------------------------------------------------------------
 
 
-def _signed_intervals(interval, side):
-    """Clip an open interval to the strictly positive or negative axis."""
-    if interval is None:
-        return None
-    lo, hi = interval
-    if side > 0:
-        lo = max(lo, ZERO)
-    else:
-        hi = min(hi, ZERO)
-    if lo >= hi:
-        return None
-    return lo, hi
-
-
 def _binary_difference(sub: Subdivision, prior: Belief, parent: int, child: int):
     """Two binary mean-prior distributions separating the pair, if possible.
 
-    Works on a line through the prior: one support point in each cell's
-    interior on opposite sides of the prior, and a second comparison point
-    strictly between the prior and the parent-side point. Feasible exactly
-    when the prior can be written as a strict mixture of the two interiors.
-    Returns (lhs_atoms, rhs_atoms, anchor) or None when infeasible.
+    Works on a line prior + t*direction, oriented so that the parent cell's
+    side has t > 0: one support point in each cell's interior on opposite
+    sides of the prior, and a second comparison point strictly between the
+    prior and the parent-side point. Feasible exactly when the prior can be
+    written as a strict mixture of the two interiors. Returns
+    (lhs_atoms, rhs_atoms, anchor) or None when infeasible.
     """
     facet = sub.shared_facet(parent, child)
     h = sub.oriented_facet(parent, child)
@@ -342,33 +328,29 @@ def _binary_difference(sub: Subdivision, prior: Belief, parent: int, child: int)
     else:
         target = interior_point(sub.cells[child].geometry)
         direction = tuple(t - m for m, t in zip(prior.coords, target.coords))
-    cell_i = sub.cells[parent].geometry
-    cell_j = sub.cells[child].geometry
-    interval_i = interior_interval_on_line(prior, direction, cell_i)
-    interval_j = interior_interval_on_line(prior, direction, cell_j)
-    for side_i in (1, -1):
-        window_i = _signed_intervals(interval_i, side_i)
-        window_j = _signed_intervals(interval_j, -side_i)
-        if window_i is not None and window_j is not None:
-            break
-    else:
+    interval_i = interior_interval_on_line(prior, direction, sub.cells[parent].geometry)
+    interval_j = interior_interval_on_line(prior, direction, sub.cells[child].geometry)
+    if interval_i is None or interval_j is None:
         return None
+    (lo_i, hi_i), (lo_j, hi_j) = interval_i, interval_j
+    if not hi_i > 0 > lo_j:
+        # negating the direction and t reaches the same points
+        direction = tuple(-d for d in direction)
+        (lo_i, hi_i), (lo_j, hi_j) = (-hi_i, -lo_i), (-hi_j, -lo_j)
+        if not hi_i > 0 > lo_j:
+            return None
 
-    t_i = (window_i[0] + window_i[1]) / 2
-    near_i = window_i[0] if side_i > 0 else window_i[1]
-    far_i = window_i[1] if side_i > 0 else window_i[0]
-    start = Fraction(2 * side_i)
-    if side_i * (start - near_i) <= 0:
-        start = far_i
+    # the parent's window is (near_i, hi_i) and the child's is (lo_j, near_j)
+    near_i = max(lo_i, ZERO)
+    t_i = (near_i + hi_i) / 2
+    start = Fraction(2) if near_i < 2 else hi_i
     # halve the distance from near_i until the point lies before t_i
-    k = _halvings(side_i * (start - near_i), side_i * (t_i - near_i))
+    k = _halvings(start - near_i, t_i - near_i)
     t_hat = near_i + (start - near_i) / 2**k
 
-    near_j = window_j[0] if side_i < 0 else window_j[1]
-    far_j = window_j[1] if side_i < 0 else window_j[0]
-    mirrored = -t_hat
-    start_j = mirrored if (min(window_j) < mirrored < max(window_j)) else near_j
-    t_j = (start_j + far_j) / 2
+    near_j = min(hi_j, ZERO)
+    start_j = -t_hat if lo_j < -t_hat < near_j else near_j
+    t_j = (start_j + lo_j) / 2
 
     p = t_i / (t_i - t_j)
     q = t_hat / (t_hat - t_j)
@@ -423,9 +405,7 @@ def gen_utility_differences(
     include_all_edges=True every adjacent pair gets a difference, not just
     the tree, which makes the data redundant and cross-checkable.
     """
-    if prior.n != dp.n:
-        raise ShapeMismatch(f"prior over {prior.n} states for a problem with {dp.n} states")
-    _require_interior(prior)
+    _require_prior(prior, dp.n)
     sub = subdivision if subdivision is not None else compute_subdivision(dp)
     edges = sub.spanning_tree()
     if include_all_edges:
@@ -453,9 +433,7 @@ def generate_identification(
     dp: DecisionProblem, prior: Belief, include_all_edges: bool = False
 ) -> IdentificationData:
     """The full identifying collection for a problem at an interior prior."""
-    if prior.n != dp.n:
-        raise ShapeMismatch(f"prior over {prior.n} states for a problem with {dp.n} states")
-    _require_interior(prior)
+    _require_prior(prior, dp.n)
     sub = compute_subdivision(dp)
     ordinal = gen_affineness_equalities(sub, prior)
     ordinal += gen_nonaffineness_inequalities(sub, prior)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .decision import DecisionProblem, Subdivision
 from .errors import ShapeMismatch
-from .geometry import Belief, Coords, _coords_of, _frac, _require_interior
+from .geometry import Belief, Coords, _coords_of, _frac, _require_interior, _require_prior
 from .identification import CellAffine, IdentificationData, PairNonAffine
 from .information import Experiment, Order, experiment_of, rank
 
@@ -62,9 +62,7 @@ def _ray_of(point: Belief, prior: Belief) -> Coords:
 
 def spectral_of(sub: Subdivision, prior: Belief) -> SpectralSubdivision:
     """Encode every cell vertex as a max-normalized likelihood-ratio ray."""
-    _require_interior(prior)
-    if prior.n != sub.n:
-        raise ShapeMismatch(f"prior over {prior.n} states for a subdivision of {sub.n}")
+    _require_prior(prior, sub.n)
     elements = []
     for index, cell in enumerate(sub.cells):
         rays = tuple(_ray_of(v, prior) for v in cell.geometry.vertices)

@@ -20,6 +20,8 @@ from infoval.geometry import (
     _integer_row,
     _kernel_ray,
     dimension,
+    hull_halfspaces,
+    vertices_of,
 )
 from infoval.information import Experiment, Garbling
 
@@ -117,7 +119,9 @@ def random_garbling(rng: Random, rows: int, cols: int | None = None) -> Garbling
 # ---------------------------------------------------------------------------
 # brute-force polyhedra: the enumeration the double-description core replaced,
 # kept as a differential oracle for vertices_of, hull_halfspaces, the rank and
-# the kernel line, with the Fraction Gauss-Jordan elimination it used
+# the kernel line, with the Fraction Gauss-Jordan elimination it used; and the
+# hull-then-re-enumerate path Polytope.from_vertices took before one double
+# description also told which points are vertices
 # ---------------------------------------------------------------------------
 
 
@@ -290,6 +294,24 @@ def hull_by_brute_force(points) -> list[Halfspace]:
             continue
         facets[(h.normal, h.offset)] = h
     return sorted(facets.values(), key=lambda h: (h.normal, h.offset))
+
+
+def polytope_by_reenumeration(points) -> Polytope:
+    """Polytope.from_vertices by two double descriptions, as it was built before.
+
+    The convex-hull facets are recomputed exactly, then the vertex set is
+    re-enumerated from them; a mismatch means the input was not actually
+    the vertex set of its own hull, which is rejected.
+    """
+    points = sorted(set(points))
+    if not points:
+        raise EmptyInput("cannot build a polytope from no points")
+    n = points[0].n
+    hs = hull_halfspaces(points)
+    verts = vertices_of(hs, n)
+    if verts != points:
+        raise ValueError("points are not the vertex set of their convex hull")
+    return Polytope(tuple(hs), tuple(verts), n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import support
+from infoval import geometry
 from infoval.errors import EmptyInput, EmptyPolytope, ShapeMismatch
 from infoval.geometry import (
     Belief,
     Halfspace,
     Polytope,
+    _extreme_rays,
     _kernel_ray,
     _row_reduce,
     barycenter,
@@ -293,6 +295,24 @@ class TestHull:
         with pytest.raises(ShapeMismatch):
             hull_halfspaces([belief(0, 1), belief(1, 0), belief(1, 0, 0)])
 
+    def test_one_double_description_per_polytope(self, monkeypatch):
+        runs = []
+
+        def counted(rows, n):
+            runs.append(n)
+            return _extreme_rays(rows, n)
+
+        hull_vertices = vertices_of(hull_halfspaces(NON_ADJACENT_RAYS_CLOUD), 5)
+        monkeypatch.setattr(geometry, "_extreme_rays", counted)
+        for pts in (hull_vertices, corners(4)):
+            runs.clear()
+            Polytope.from_vertices(pts)
+            assert len(runs) == 1
+        runs.clear()
+        with pytest.raises(ValueError, match="not the vertex set"):
+            Polytope.from_vertices(HULL_SEED_SKIPS_A_POINT)
+        assert len(runs) == 1
+
     def test_vertices_over_mixed_state_counts_rejected(self):
         with pytest.raises(ShapeMismatch):
             Polytope.from_vertices([belief(0, 1), belief(1, 0), belief(1, 0, 0)])
@@ -343,6 +363,29 @@ def point_clouds(draw):
     for i in draw(st.sets(st.integers(0, len(facets) - 1), max_size=3)):
         extra.append(barycenter([p for p in pts if facets[i].value(p) == 0]))
     return pts + extra
+
+
+@st.composite
+def claimed_vertex_sets(draw):
+    """Point sets offered as a polytope's vertices: exact vertex sets, clouds
+    with points at the barycenter and inside facets, duplicated points,
+    lower-dimensional sets and a point over another state count."""
+    kind = draw(st.sampled_from(["vertices", "cloud", "duplicates", "lower", "mixed"]))
+    if kind == "lower":
+        # every point misses the last state, so the set lies in a face
+        n = draw(st.integers(2, 5))
+        weights = st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1).filter(any)
+        rows = draw(st.lists(weights, min_size=1, max_size=n + 2))
+        return [_belief_from_weights(w + [0]) for w in rows]
+    pts = draw(point_clouds())
+    n = pts[0].n
+    if kind == "vertices":
+        return vertices_of(hull_halfspaces(pts), n)
+    if kind == "duplicates":
+        return pts + draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3))
+    if kind == "mixed":
+        return pts + [corners(n + 1)[draw(st.integers(0, n))]]
+    return pts
 
 
 @st.composite
@@ -408,6 +451,22 @@ class TestBruteForceOracle:
     @example(HULL_SEED_SKIPS_A_POINT)
     def test_hull_halfspaces(self, points):
         assert hull_halfspaces(points) == support.hull_by_brute_force(points)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(claimed_vertex_sets())
+    @example(NON_ADJACENT_RAYS_CLOUD)
+    @example(HULL_SEED_SKIPS_A_POINT)
+    @example([])
+    def test_from_vertices(self, points):
+        """One double description against the hull-then-re-enumerate path it replaced."""
+
+        def outcome(build):
+            try:
+                return build(points)
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(Polytope.from_vertices) == outcome(support.polytope_by_reenumeration)
 
     @settings(max_examples=200, deadline=None)
     @given(rational_matrices())

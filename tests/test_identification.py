@@ -92,8 +92,9 @@ class TestAffinenessEqualities:
             gen_affineness_equalities(sub, belief(1, 0))
 
     def test_prior_over_other_states_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            generate_identification(support.two_peak_problem(), uniform_belief(3))
+        for prior in (uniform_belief(3), belief(1, 0, 0)):  # the shape is checked first
+            with pytest.raises(ShapeMismatch):
+                generate_identification(support.two_peak_problem(), prior)
 
     @pytest.mark.parametrize(
         "generate",
@@ -107,8 +108,9 @@ class TestAffinenessEqualities:
     def test_generators_reject_a_prior_over_other_states(self, generate):
         # the single cell has no facet, where a late check would never run
         for dp in (support.two_peak_problem(), make_problem([[1, 2]])):
-            with pytest.raises(ShapeMismatch):
-                generate(dp, uniform_belief(3))
+            for prior in (uniform_belief(3), belief(1, 0, 0)):  # the shape is checked first
+                with pytest.raises(ShapeMismatch):
+                    generate(dp, prior)
 
 
 class TestNonaffinenessInequalities:
@@ -455,6 +457,12 @@ class TestUtilityDifferenceFields:
         with pytest.raises(TypeError):
             UtilityDifference(d, d, 0.1, (0, 1))
         assert UtilityDifference(d, d, "1/10", (0, 1)).gap == Fraction(1, 10)
+
+    @pytest.mark.parametrize("edge", [(0, 1, 7), (0,), ()])
+    def test_edge_of_other_than_two_cells_rejected(self, edge):
+        d = PosteriorDistribution([(uniform_belief(2), 1)])
+        with pytest.raises(MalformedData, match="names two cells"):
+            UtilityDifference(d, d, 1, edge)
 
 
 class TestEqualUpToAffine:

@@ -61,8 +61,9 @@ class TestSpectralOf:
 
     def test_prior_over_other_states_rejected(self):
         sub = compute_subdivision(support.two_peak_problem())
-        with pytest.raises(ShapeMismatch):
-            spectral_of(sub, uniform_belief(3))
+        for prior in (uniform_belief(3), belief(1, 0, 0)):  # the shape is checked first
+            with pytest.raises(ShapeMismatch):
+                spectral_of(sub, prior)
 
     def test_rays_of_different_lengths_rejected(self):
         with pytest.raises(ShapeMismatch):
