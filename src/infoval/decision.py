@@ -72,9 +72,13 @@ class DecisionProblem:
     def num_actions(self) -> int:
         return len(self.utility)
 
+    def _require_states(self, k: int) -> None:
+        """ShapeMismatch unless beliefs over k states fit this problem."""
+        if k != self.n:
+            raise ShapeMismatch(f"belief over {k} states for a problem with {self.n} states")
+
     def payoff(self, action: int, x: Belief) -> Fraction:
-        if x.n != self.n:
-            raise ShapeMismatch(f"belief over {x.n} states for a problem with {self.n} states")
+        self._require_states(x.n)
         return sum(u * c for u, c in zip(self.utility[action], x.coords))
 
 

@@ -5,15 +5,27 @@ induces a finitely supported distribution over posterior beliefs whose mean
 is the prior; that distribution is the only thing the decision maker cares
 about, so distributions are kept in a canonical form (atoms with equal
 beliefs merged, atoms sorted) and equality is literal.
+
+Valuing an experiment needs no posteriors, though. Observing signal s and
+acting optimally earns max_a u_a . c_s, where c_s(theta) = pi(theta) P(s |
+theta) is the signal's joint column, the unnormalized posterior. So
+E[V] = sum_s max_a u_a . c_s. With the utility rows and the columns each
+scaled to integers over one common denominator, that is one integer matrix
+product and a single division at the end, exactly equal to the posterior
+route: a zero column adds max_a 0 = 0, as a dropped zero-marginal signal
+does, and proportional columns share a maximizer, so merging them adds
+their maxima.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .decision import DecisionProblem, evaluate_value
+from .decision import DecisionProblem
 from .errors import MeanMismatch, ShapeMismatch, UnequalWeights
 from .geometry import ONE, ZERO, Belief, Coords, _frac, _require_interior, barycenter
 
@@ -162,15 +174,20 @@ class Order(enum.Enum):
         return {"better": ">", "equal": "=", "worse": "<"}[self.value]
 
 
+def _require_split(prior: Belief, experiment: Experiment) -> None:
+    """BoundaryPrior unless the prior is interior, then ShapeMismatch unless the rows fit it."""
+    _require_interior(prior)
+    if experiment.n != prior.n:
+        raise ShapeMismatch("experiment rows must match the prior's states")
+
+
 def bayes_split(prior: Belief, experiment: Experiment) -> PosteriorDistribution:
     """The distribution of posterior beliefs the experiment induces at the prior.
 
     Signals with zero marginal probability are dropped; signals leading to the
     same posterior are merged. The result's mean is the prior, exactly.
     """
-    _require_interior(prior)
-    if experiment.n != prior.n:
-        raise ShapeMismatch("experiment rows must match the prior's states")
+    _require_split(prior, experiment)
     atoms = []
     for s in range(experiment.num_signals):
         marginal = sum(
@@ -221,24 +238,77 @@ def garble(experiment: Experiment, garbling: Garbling) -> Experiment:
     return Experiment(labels, _matmul(experiment.likelihood, garbling.matrix))
 
 
+def _maxima(utility: tuple[Coords, ...], columns: list[Coords]) -> tuple[list[int], int]:
+    """max_a u_a . c for each column c, as integers over one shared denominator.
+
+    The rows are scaled to integers by the lcm of their denominators and the
+    columns by the lcm of theirs, so every dot product is an integer one and
+    the product of the two lcms is the denominator of every maximum. The max
+    runs over all rows; a dominated row never exceeds it.
+    """
+    row_scale = math.lcm(*(u.denominator for row in utility for u in row))
+    rows = [[u.numerator * (row_scale // u.denominator) for u in row] for row in utility]
+    column_scale = math.lcm(*(c.denominator for column in columns for c in column))
+    maxima = []
+    for column in columns:
+        scaled = [c.numerator * (column_scale // c.denominator) for c in column]
+        maxima.append(max(sum(map(mul, row, scaled)) for row in rows))
+    return maxima, row_scale * column_scale
+
+
+def _joint_columns(dp: DecisionProblem, prior: Belief, experiment: Experiment) -> list[Coords]:
+    """One column pi(theta) P(s | theta) per signal: p_s x_s, the unnormalized posterior.
+
+    Checks the prior's interior, then the experiment's rows, then the
+    problem's states.
+    """
+    _require_split(prior, experiment)
+    dp._require_states(prior.n)
+    weighted = [tuple(p * v for v in row) for p, row in zip(prior.coords, experiment.likelihood)]
+    return list(zip(*weighted))
+
+
 def expected_value(dp: DecisionProblem, dist: PosteriorDistribution) -> Fraction:
-    """Expectation of the problem's value function under the distribution."""
-    return sum(prob * evaluate_value(dp, b) for b, prob in dist.atoms)
+    """Expectation of the problem's value function under the distribution.
+
+    sum_s p_s max_a u_a . x_s = sum_s max_a u_a . (p_s x_s), evaluated on the
+    unnormalized atoms p_s x_s as one integer product with a single exact
+    division at the end.
+    """
+    dp._require_states(dist.mean.n)
+    columns = [tuple(prob * c for c in b.coords) for b, prob in dist.atoms]
+    maxima, denominator = _maxima(dp.utility, columns)
+    return Fraction(sum(maxima), denominator)
 
 
 def value_of_experiment(dp: DecisionProblem, prior: Belief, experiment: Experiment) -> Fraction:
     """Expected gain from observing the experiment before acting.
 
-    Normalized so an uninformative experiment is worth exactly zero.
+    Normalized so an uninformative experiment is worth exactly zero:
+    sum_s max_a u_a . c_s - max_a u_a . pi over the joint columns
+    c_s(theta) = pi(theta) P(s | theta), which sum to the prior. No posterior
+    is formed; the value equals the posterior route's E[V] - V(pi) exactly
+    (see the module docstring). Raises BoundaryPrior for a prior on the
+    boundary, then ShapeMismatch for experiment rows that do not match the
+    prior, then ShapeMismatch for a prior over other states than the problem.
     """
-    _require_interior(prior)
-    return expected_value(dp, bayes_split(prior, experiment)) - evaluate_value(dp, prior)
+    columns = _joint_columns(dp, prior, experiment)
+    maxima, denominator = _maxima(dp.utility, columns + [prior.coords])
+    return Fraction(sum(maxima[:-1]) - maxima[-1], denominator)
 
 
 def rank(dp: DecisionProblem, prior: Belief, first: Experiment, second: Experiment) -> Order:
-    """Exact comparison of two experiments' value at the prior."""
-    w1 = value_of_experiment(dp, prior, first)
-    w2 = value_of_experiment(dp, prior, second)
+    """Exact comparison of two experiments' value at the prior.
+
+    The uninformed term V(pi) is the same on both sides, so the informed
+    sums sum_s max_a u_a . c_s are compared directly, over one shared
+    denominator. The first experiment is checked in full before the second.
+    """
+    columns = _joint_columns(dp, prior, first)
+    split = len(columns)
+    columns += _joint_columns(dp, prior, second)
+    maxima, _ = _maxima(dp.utility, columns)
+    w1, w2 = sum(maxima[:split]), sum(maxima[split:])
     if w1 > w2:
         return Order.BETTER
     if w1 < w2:
@@ -252,10 +322,10 @@ def collapse_to_barycenter(dist: PosteriorDistribution, indices) -> PosteriorDis
     This is a mean-preserving contraction. The equal-weights precondition
     makes the collapsed mass's conditional mean the plain barycenter.
     """
-    chosen = sorted(set(indices))
+    chosen = set(indices)
     if not chosen:
         return dist
-    picked = [dist.atoms[i] for i in chosen]
+    picked = [dist.atoms[i] for i in sorted(chosen)]
     weights = {p for _, p in picked}
     if len(weights) > 1:
         raise UnequalWeights(
@@ -263,7 +333,7 @@ def collapse_to_barycenter(dist: PosteriorDistribution, indices) -> PosteriorDis
         )
     center = barycenter([b for b, _ in picked])
     total = sum(p for _, p in picked)
-    rest = [atom for i, atom in enumerate(dist.atoms) if i not in set(chosen)]
+    rest = [atom for i, atom in enumerate(dist.atoms) if i not in chosen]
     return PosteriorDistribution(rest + [(center, total)])
 
 

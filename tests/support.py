@@ -6,7 +6,14 @@ from itertools import combinations
 from random import Random
 
 from infoval import linprog
-from infoval.decision import AdjacentPair, Cell, DecisionProblem, Subdivision, make_problem
+from infoval.decision import (
+    AdjacentPair,
+    Cell,
+    DecisionProblem,
+    Subdivision,
+    evaluate_value,
+    make_problem,
+)
 from infoval.errors import EmptyInput
 from infoval.geometry import (
     ONE,
@@ -19,11 +26,12 @@ from infoval.geometry import (
     _frac,
     _integer_row,
     _kernel_ray,
+    _require_interior,
     dimension,
     hull_halfspaces,
     vertices_of,
 )
-from infoval.information import Experiment, Garbling
+from infoval.information import Experiment, Garbling, Order, PosteriorDistribution, bayes_split
 
 
 def two_peak_problem() -> DecisionProblem:
@@ -65,14 +73,24 @@ def grid_beliefs(n: int, steps: int) -> list[Belief]:
     return out
 
 
+REPEATED_ROWS = 100
+
+
 def random_problem(rng: Random, n: int | None = None, max_actions: int = 8,
                    max_denominator: int = 20) -> DecisionProblem:
+    """k distinct random payoff rows; ValueError if the rng keeps repeating rows.
+
+    At most k + REPEATED_ROWS rows are drawn, so an rng that repeats itself
+    fails instead of looping forever.
+    """
     if n is None:
         n = rng.choice([2, 3, 4])
     k = rng.randint(2, max_actions)
     rows: list[tuple[Fraction, ...]] = []
     seen = set()
-    while len(rows) < k:
+    for _ in range(k + REPEATED_ROWS):
+        if len(rows) == k:
+            break
         row = tuple(
             Fraction(rng.randint(-40, 40), rng.randint(1, max_denominator))
             for _ in range(n)
@@ -81,6 +99,8 @@ def random_problem(rng: Random, n: int | None = None, max_actions: int = 8,
             continue
         seen.add(row)
         rows.append(row)
+    if len(rows) < k:
+        raise ValueError(f"the rng gave {len(rows)} distinct rows in {k + REPEATED_ROWS} draws, not {k}")
     return make_problem(rows)
 
 
@@ -114,6 +134,38 @@ def random_garbling(rng: Random, rows: int, cols: int | None = None) -> Garbling
         total = sum(weights)
         out.append(tuple(Fraction(w, total) for w in weights))
     return Garbling(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# valuation through posteriors: the path value_of_experiment, expected_value
+# and rank took before one integer product over the joint columns replaced
+# it, kept as a differential oracle
+# ---------------------------------------------------------------------------
+
+
+def expected_value_by_posteriors(dp: DecisionProblem, dist: PosteriorDistribution) -> Fraction:
+    """Expectation of the problem's value function under the distribution."""
+    return sum(prob * evaluate_value(dp, b) for b, prob in dist.atoms)
+
+
+def value_by_posteriors(dp: DecisionProblem, prior: Belief, experiment: Experiment) -> Fraction:
+    """Expected gain from observing the experiment before acting.
+
+    Normalized so an uninformative experiment is worth exactly zero.
+    """
+    _require_interior(prior)
+    return expected_value_by_posteriors(dp, bayes_split(prior, experiment)) - evaluate_value(dp, prior)
+
+
+def rank_by_posteriors(dp: DecisionProblem, prior: Belief, first: Experiment, second: Experiment) -> Order:
+    """Exact comparison of two experiments' value at the prior."""
+    w1 = value_by_posteriors(dp, prior, first)
+    w2 = value_by_posteriors(dp, prior, second)
+    if w1 > w2:
+        return Order.BETTER
+    if w1 < w2:
+        return Order.WORSE
+    return Order.EQUAL
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import support
 from infoval.decision import make_problem
 from infoval.errors import BoundaryPrior, MeanMismatch, ShapeMismatch, UnequalWeights
-from infoval.geometry import Belief, belief, uniform_belief
+from infoval.geometry import ZERO, Belief, belief, uniform_belief
 from infoval.information import (
     Experiment,
     Garbling,
@@ -157,6 +157,27 @@ class TestValues:
         with pytest.raises(ShapeMismatch):
             value_of_experiment(dp, uniform_belief(3), Experiment.fully_revealing(3))
 
+    def test_distribution_over_other_states_rejected(self):
+        dp = support.two_peak_problem()
+        dist = PosteriorDistribution.point_mass(uniform_belief(3))
+        with pytest.raises(ShapeMismatch, match="belief over 3 states for a problem with 2 states"):
+            expected_value(dp, dist)
+
+    def test_experiment_with_an_extra_row_rejected(self):
+        dp = support.two_peak_problem()
+        with pytest.raises(ShapeMismatch, match="experiment rows must match the prior's states"):
+            value_of_experiment(dp, uniform_belief(2), Experiment.fully_revealing(3))
+
+    def test_boundary_prior_reported_before_wrong_rows(self):
+        dp = support.two_peak_problem()
+        with pytest.raises(BoundaryPrior):
+            value_of_experiment(dp, belief(1, 0), Experiment.fully_revealing(3))
+
+    def test_wrong_rows_reported_before_the_problem_states(self):
+        dp = support.two_peak_problem()
+        with pytest.raises(ShapeMismatch, match="experiment rows must match the prior's states"):
+            value_of_experiment(dp, uniform_belief(3), Experiment.fully_revealing(2))
+
 
 class TestRank:
     def test_identity_beats_noise(self):
@@ -169,6 +190,18 @@ class TestRank:
         full, none = Experiment.fully_revealing(3), Experiment.uninformative(3)
         with pytest.raises(ShapeMismatch):
             rank(dp, uniform_belief(3), full, none)
+
+    def test_only_second_experiment_wrong_shaped(self):
+        dp = support.two_peak_problem()
+        prior = uniform_belief(2)
+        with pytest.raises(ShapeMismatch, match="experiment rows must match the prior's states"):
+            rank(dp, prior, SYMMETRIC_NOISY, Experiment.fully_revealing(3))
+
+    def test_first_experiment_checked_in_full_first(self):
+        dp = support.two_peak_problem()
+        prior = uniform_belief(3)
+        with pytest.raises(ShapeMismatch, match="belief over 3 states for a problem with 2 states"):
+            rank(dp, prior, Experiment.fully_revealing(3), SYMMETRIC_NOISY)
 
     def test_self_comparison(self):
         dp = support.two_peak_problem()
@@ -267,6 +300,85 @@ class TestCollapseAndSplit:
             split_atom(
                 dist, 0, (belief(1, 0), Fraction(1, 2)), (belief("1/4", "3/4"), Fraction(1, 2))
             )
+
+
+# ---------------------------------------------------------------------------
+# the integer product against the posterior route it replaced
+# ---------------------------------------------------------------------------
+
+
+def _outcome(call, *args):
+    """The repr of what call returns, or the type and message of what it raises."""
+    try:
+        return repr(call(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _awkward_experiment(rng, states, signals, zero_column, proportional):
+    """A random experiment, optionally with a zero column and a signal split in two proportional ones."""
+    rows = [list(row) for row in support.random_experiment(rng, states, signals).likelihood]
+    if proportional:
+        share = Fraction(rng.randint(1, 4), 5)
+        rows = [[row[0] * share, row[0] * (1 - share)] + row[1:] for row in rows]
+    if zero_column:
+        at = rng.randint(0, len(rows[0]))
+        rows = [row[:at] + [ZERO] + row[at:] for row in rows]
+    return Experiment(tuple(f"s{i+1}" for i in range(len(rows[0]))), tuple(map(tuple, rows)))
+
+
+experiment_shapes = st.tuples(
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+class TestValuationAgainstPosteriors:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=6),
+        st.booleans(),
+        st.booleans(),
+        experiment_shapes,
+        experiment_shapes,
+    )
+    def test_values_ranks_and_errors_match(self, seed, n, other_states, boundary, first, second):
+        rng = Random(seed)
+        dp = support.random_problem(rng, n=n, max_actions=16)
+        prior = support.random_interior_prior(rng, n + other_states)
+        if boundary:
+            coords = list(prior.coords)
+            coords[0], coords[-1] = ZERO, coords[0] + coords[-1]
+            prior = Belief(tuple(coords))
+        experiments = [
+            _awkward_experiment(rng, prior.n + extra_row, signals, zero_column, proportional)
+            for signals, zero_column, proportional, extra_row in (first, second)
+        ]
+        for e in experiments:
+            assert _outcome(value_of_experiment, dp, prior, e) == _outcome(
+                support.value_by_posteriors, dp, prior, e
+            )
+            if not boundary and e.n == prior.n:
+                dist = bayes_split(prior, e)
+                assert _outcome(expected_value, dp, dist) == _outcome(
+                    support.expected_value_by_posteriors, dp, dist
+                )
+        assert _outcome(rank, dp, prior, *experiments) == _outcome(
+            support.rank_by_posteriors, dp, prior, *experiments
+        )
+
+
+class RepeatingRandom(Random):
+    def randint(self, a, b):
+        return a
+
+
+def test_random_problem_gives_up_on_a_repeating_rng():
+    with pytest.raises(ValueError, match="distinct rows"):
+        support.random_problem(RepeatingRandom(0), n=2)
 
 
 # ---------------------------------------------------------------------------
