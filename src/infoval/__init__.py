@@ -16,7 +16,6 @@ from .errors import (
     NonpositiveScale,
     ShapeMismatch,
     SingularSolve,
-    UnequalWeights,
 )
 from .geometry import (
     Belief,

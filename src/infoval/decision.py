@@ -203,9 +203,6 @@ class Subdivision:
             raise MalformedData("adjacency graph is disconnected")
         return edges
 
-    def cells_containing(self, x: Belief) -> list[int]:
-        return [i for i, cell in enumerate(self.cells) if cell.geometry.contains(x)]
-
     def match_cells(self, other: "Subdivision") -> list[tuple[int, int]] | None:
         """Pairs (i, k) of cell i here and cell k of other with the same vertex set.
 

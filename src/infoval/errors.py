@@ -28,10 +28,6 @@ class ShapeMismatch(ValueError):
     """Matrix dimensions do not line up for the requested composition."""
 
 
-class UnequalWeights(ValueError):
-    """Collapsing atoms to their barycenter needs equal atom probabilities."""
-
-
 class MalformedData(ValueError):
     """Identification data violates its structural invariants."""
 

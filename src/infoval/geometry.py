@@ -196,14 +196,6 @@ class Polytope:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    def dim(self) -> int:
-        if self.is_empty():
-            return -1
-        return dimension(self.vertices)
-
-    def is_full_dimensional(self) -> bool:
-        return not self.is_empty() and self.dim() == self.n - 1
-
     def contains(self, point, strict: bool = False) -> bool:
         """Membership test; strict=True tests the relative interior.
 
@@ -445,7 +437,7 @@ def _hull(points) -> tuple[list[Belief], list[tuple[list[int], int]], list[Halfs
     rows = [_integer_row(_coords_of(p, n)) for p in pts]
     first, _ = _row_reduce(rows)
     if len(first) != n:
-        raise ValueError("hull_halfspaces expects a full-dimensional point set")
+        raise ValueError("the point set does not span the simplex, so its hull has no interior")
     order = first + [i for i in range(len(pts)) if i not in first]
     rays = _extreme_rays([rows[i] for i in order], n)
     facets = [Halfspace(tuple(ray), ZERO).canonical() for ray, _ in rays]

@@ -45,12 +45,7 @@ from .geometry import (
     interior_point,
     point_on_line,
 )
-from .information import (
-    PosteriorDistribution,
-    collapse_to_barycenter,
-    expected_value,
-    split_atom,
-)
+from .information import PosteriorDistribution, expected_value
 
 
 @dataclass(frozen=True)
@@ -173,74 +168,78 @@ def gen_affineness_equalities(sub: Subdivision, prior: Belief) -> list[OrderedEx
 
     The left side spreads weight lam evenly over the cell's extreme points
     and parks the rest on a residual point chosen so the mean is the prior;
-    the right side collapses the extreme-point mass to its barycenter. Under
-    a convex candidate the two sides agree exactly when the candidate is
+    the right side puts the same lam on the extreme points' barycenter, a
+    mean-preserving contraction of the left. Both sides are written down
+    directly; OrderedExpectation checks that their means agree. Under a
+    convex candidate the two sides agree exactly when the candidate is
     affine on the cell.
     """
     _require_prior(prior, sub.n)
     statements = []
     for index, cell in enumerate(sub.cells):
-        extremes = list(cell.geometry.vertices)
+        extremes = cell.geometry.vertices
         center = barycenter(extremes)
-        forbidden = {v.coords for v in extremes}
-        residual, lam = _residual_point(prior, center, forbidden)
+        residual, lam = _residual_point(prior, center, {v.coords for v in extremes})
         k = len(extremes)
-        atoms = [(v, lam / k) for v in extremes]
-        atoms.append((residual, 1 - lam))
-        spread = PosteriorDistribution(atoms)
-        extreme_indices = [
-            i for i, (b, _) in enumerate(spread.atoms) if b.coords in forbidden
-        ]
-        collapsed = collapse_to_barycenter(spread, extreme_indices)
+        spread = PosteriorDistribution([(v, lam / k) for v in extremes] + [(residual, 1 - lam)])
+        collapsed = PosteriorDistribution([(center, lam), (residual, 1 - lam)])
         statements.append(
             OrderedExpectation(spread, collapsed, "eq", CellAffine(index))
         )
     return statements
 
 
-def _point_into_cell(start: Belief, through: Belief, target: Polytope) -> tuple[Belief, Fraction]:
-    """The point through + t*(through - start) inside target for the largest t = 2**-k.
+def _point_into_cell(
+    shared: Polytope, start: Polytope, target: Polytope
+) -> tuple[Belief, Belief, Belief, Fraction]:
+    """Points on a line from cell `start` through the facet it shares with cell `target`.
 
-    Returns the point and t. Raises MalformedData when the ray beyond
-    `through` does not enter the interior of target at once, as it does
-    when `through` is inside a facet that target shares with the cell
-    holding `start`.
+    Returns (facet_center, x_i, x_j, t): the interior points of the shared
+    facet and of start, and x_j = facet_center + t*(facet_center - x_i)
+    inside target for the largest t = 2**-k. Raises MalformedData when the
+    ray beyond facet_center does not enter the interior of target at once,
+    as it does when `shared` is not a facet between the two cells.
     """
-    direction = tuple(t - s for s, t in zip(start.coords, through.coords))
-    window = interior_interval_on_line(through, direction, target)
+    facet_center = interior_point(shared)
+    x_i = interior_point(start)
+    direction = tuple(c - s for s, c in zip(x_i.coords, facet_center.coords))
+    window = interior_interval_on_line(facet_center, direction, target)
     if window is not None and window[1] > 0:
         t = Fraction(1, 2 ** _halvings(ONE, window[1]))
         if window[0] < t:
-            return Belief(point_on_line(through, direction, t)), t
+            return facet_center, x_i, Belief(point_on_line(facet_center, direction, t)), t
     raise MalformedData("the line across a shared facet misses the neighboring cell")
 
 
 def gen_nonaffineness_inequalities(sub: Subdivision, prior: Belief) -> list[OrderedExpectation]:
     """One strict inequality per adjacent cell pair.
 
-    A base distribution puts weight on an interior point of the shared facet
-    (plus a residual fixing the mean); the comparison distribution splits the
-    facet mass onto interior points of the two cells. A convex candidate
-    strictly prefers the split exactly when it is not affine across the pair.
+    A base distribution puts weight lam on an interior point of the shared
+    facet and the rest on a residual fixing the mean (no residual when the
+    facet point is the prior); the comparison distribution keeps the same
+    residual and splits the facet mass onto interior points of the two
+    cells, a mean-preserving spread of the base. Both sides are written down
+    directly; OrderedExpectation checks that their means agree. A convex
+    candidate strictly prefers the split exactly when it is not affine
+    across the pair.
     """
     _require_prior(prior, sub.n)
     statements = []
     for pair in sub.adjacency:
-        facet_center = interior_point(pair.shared)
-        inner_i = interior_point(sub.cells[pair.i].geometry)
-        inner_j, t = _point_into_cell(inner_i, facet_center, sub.cells[pair.j].geometry)
+        facet_center, inner_i, inner_j, t = _point_into_cell(
+            pair.shared, sub.cells[pair.i].geometry, sub.cells[pair.j].geometry
+        )
         # inner_j = facet_center + t * (facet_center - inner_i) with t > 0,
         # so facet_center = w_i * inner_i + w_j * inner_j with positive weights
         w_i = t / (1 + t)
         w_j = 1 / (1 + t)
         if facet_center == prior:
-            base = PosteriorDistribution([(facet_center, ONE)])
-            lam = ONE
+            rest, lam = [], ONE
         else:
             residual, lam = _residual_point(prior, facet_center, {facet_center.coords})
-            base = PosteriorDistribution([(facet_center, lam), (residual, 1 - lam)])
-        at = next(i for i, (b, _) in enumerate(base.atoms) if b == facet_center)
-        spread = split_atom(base, at, (inner_i, lam * w_i), (inner_j, lam * w_j))
+            rest = [(residual, 1 - lam)]
+        base = PosteriorDistribution([(facet_center, lam)] + rest)
+        spread = PosteriorDistribution(rest + [(inner_i, lam * w_i), (inner_j, lam * w_j)])
         statements.append(
             OrderedExpectation(spread, base, "gt", PairNonAffine(pair.i, pair.j))
         )
@@ -317,8 +316,9 @@ def _binary_difference(sub: Subdivision, prior: Belief, parent: int, child: int)
     side has t > 0: one support point in each cell's interior on opposite
     sides of the prior, and a second comparison point strictly between the
     prior and the parent-side point. Feasible exactly when the prior can be
-    written as a strict mixture of the two interiors. Returns
-    (lhs_atoms, rhs_atoms, anchor) or None when infeasible.
+    written as a strict mixture of the two interiors. Returns the two
+    distributions (lhs, rhs), or None when infeasible; the common point
+    x_j is the anchor that reconstruct_value reads back.
     """
     facet = sub.shared_facet(parent, child)
     h = sub.oriented_facet(parent, child)
@@ -359,7 +359,7 @@ def _binary_difference(sub: Subdivision, prior: Belief, parent: int, child: int)
     x_j = Belief(point_on_line(prior, direction, t_j))
     lhs = PosteriorDistribution([(x_j, p), (x_i, 1 - p)])
     rhs = PosteriorDistribution([(x_j, q), (x_hat, 1 - q)])
-    return lhs, rhs, x_j
+    return lhs, rhs
 
 
 def _residual_difference(sub: Subdivision, prior: Belief, parent: int, child: int):
@@ -369,10 +369,11 @@ def _residual_difference(sub: Subdivision, prior: Belief, parent: int, child: in
     remaining atoms live near the shared facet. Because the two sides share
     their mean and the residual atom, the residual contribution cancels from
     the utility difference and the reconstruction formula is unchanged.
+    Returns the two distributions (lhs, rhs); x_j is the anchor.
     """
-    facet_center = interior_point(sub.shared_facet(parent, child))
-    x_i = interior_point(sub.cells[parent].geometry)
-    x_j, t = _point_into_cell(x_i, facet_center, sub.cells[child].geometry)
+    facet_center, x_i, x_j, t = _point_into_cell(
+        sub.shared_facet(parent, child), sub.cells[parent].geometry, sub.cells[child].geometry
+    )
     x_hat = barycenter([x_i, facet_center])
     # facet_center = (x_j + t * x_i) / (1 + t), so x_hat = beta * x_i + (1 - beta) * x_j
     beta = (1 + 2 * t) / (2 * (1 + t))
@@ -387,7 +388,7 @@ def _residual_difference(sub: Subdivision, prior: Belief, parent: int, child: in
         [(x_j, eps * (2 - beta)), (x_i, eps * beta), (residual, 1 - lam)]
     )
     rhs = PosteriorDistribution([(x_j, eps), (x_hat, eps), (residual, 1 - lam)])
-    return lhs, rhs, x_j
+    return lhs, rhs
 
 
 def gen_utility_differences(
@@ -416,9 +417,7 @@ def gen_utility_differences(
     out = []
     for parent, child in edges:
         built = _binary_difference(sub, prior, parent, child)
-        if built is None:
-            built = _residual_difference(sub, prior, parent, child)
-        lhs, rhs, _ = built
+        lhs, rhs = built if built is not None else _residual_difference(sub, prior, parent, child)
         gap = expected_value(dp, lhs) - expected_value(dp, rhs)
         if gap <= 0:
             raise InconsistentData(

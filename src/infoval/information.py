@@ -26,8 +26,8 @@ from fractions import Fraction
 from operator import mul
 
 from .decision import DecisionProblem
-from .errors import MeanMismatch, ShapeMismatch, UnequalWeights
-from .geometry import ONE, ZERO, Belief, Coords, _frac, _require_interior, barycenter
+from .errors import MeanMismatch, ShapeMismatch
+from .geometry import ONE, ZERO, Belief, Coords, _frac, _require_interior
 
 
 @dataclass(frozen=True)
@@ -128,25 +128,20 @@ class PosteriorDistribution:
         atoms = list(atoms)
         if len({b.n for b, _ in atoms}) > 1:
             raise ShapeMismatch("every atom's belief must be over the same states")
-        merged: dict[Coords, Fraction] = {}
-        order: dict[Coords, Belief] = {}
+        merged: dict[Belief, Fraction] = {}
         for belief_point, prob in atoms:
             prob = _frac(prob)
             if prob < 0:
                 raise ValueError("atom probabilities must be nonnegative")
             if prob == 0:
                 continue
-            key = belief_point.coords
-            merged[key] = merged.get(key, ZERO) + prob
-            order[key] = belief_point
+            merged[belief_point] = merged.get(belief_point, ZERO) + prob
         if not merged:
             raise ValueError("a posterior distribution needs positive mass")
         total = sum(merged.values())
         if total != 1:
             raise ValueError(f"atom probabilities must sum to 1, got {total}")
-        canonical = tuple(
-            (order[key], merged[key]) for key in sorted(merged.keys())
-        )
+        canonical = tuple(sorted(merged.items()))
         n = canonical[0][0].n
         mean = tuple(
             sum(prob * b.coords[i] for b, prob in canonical) for i in range(n)
@@ -314,48 +309,3 @@ def rank(dp: DecisionProblem, prior: Belief, first: Experiment, second: Experime
     if w1 < w2:
         return Order.WORSE
     return Order.EQUAL
-
-
-def collapse_to_barycenter(dist: PosteriorDistribution, indices) -> PosteriorDistribution:
-    """Replace equally weighted atoms by a single atom at their barycenter.
-
-    This is a mean-preserving contraction. The equal-weights precondition
-    makes the collapsed mass's conditional mean the plain barycenter.
-    """
-    chosen = set(indices)
-    if not chosen:
-        return dist
-    picked = [dist.atoms[i] for i in sorted(chosen)]
-    weights = {p for _, p in picked}
-    if len(weights) > 1:
-        raise UnequalWeights(
-            "collapse needs equal probabilities on the selected atoms"
-        )
-    center = barycenter([b for b, _ in picked])
-    total = sum(p for _, p in picked)
-    rest = [atom for i, atom in enumerate(dist.atoms) if i not in chosen]
-    return PosteriorDistribution(rest + [(center, total)])
-
-
-def split_atom(dist: PosteriorDistribution, index: int, first, second) -> PosteriorDistribution:
-    """Replace one atom by two whose weighted average reproduces it.
-
-    first and second are (belief, weight) pairs; the weights must be positive,
-    sum to the split atom's probability, and average back to its belief. The
-    result is a mean-preserving spread of the input.
-    """
-    belief_point, prob = dist.atoms[index]
-    (x1, w1), (x2, w2) = first, second
-    w1, w2 = _frac(w1), _frac(w2)
-    if w1 <= 0 or w2 <= 0:
-        raise ValueError("split weights must be positive")
-    if w1 + w2 != prob:
-        raise MeanMismatch("split weights must sum to the atom's probability")
-    mixed = tuple(
-        w1 * a + w2 * b for a, b in zip(x1.coords, x2.coords)
-    )
-    target = tuple(prob * c for c in belief_point.coords)
-    if mixed != target:
-        raise MeanMismatch("split targets do not average back to the original atom")
-    rest = [atom for i, atom in enumerate(dist.atoms) if i != index]
-    return PosteriorDistribution(rest + [(x1, w1), (x2, w2)])

@@ -14,7 +14,7 @@ from infoval.decision import (
     evaluate_value,
     make_problem,
 )
-from infoval.errors import EmptyInput
+from infoval.errors import EmptyInput, MeanMismatch
 from infoval.geometry import (
     ONE,
     ZERO,
@@ -27,9 +27,18 @@ from infoval.geometry import (
     _integer_row,
     _kernel_ray,
     _require_interior,
+    _require_prior,
+    barycenter,
     dimension,
     hull_halfspaces,
     vertices_of,
+)
+from infoval.identification import (
+    CellAffine,
+    OrderedExpectation,
+    PairNonAffine,
+    _point_into_cell,
+    _residual_point,
 )
 from infoval.information import Experiment, Garbling, Order, PosteriorDistribution, bayes_split
 
@@ -166,6 +175,101 @@ def rank_by_posteriors(dp: DecisionProblem, prior: Belief, first: Experiment, se
     if w1 < w2:
         return Order.WORSE
     return Order.EQUAL
+
+
+# ---------------------------------------------------------------------------
+# collapse and split: the mean-preserving contraction and spread the ordinal
+# generators derived their second side with before they wrote both sides
+# directly, kept with the generators built on them as a differential oracle
+# ---------------------------------------------------------------------------
+
+
+class UnequalWeights(ValueError):
+    """Collapsing atoms to their barycenter needs equal atom probabilities."""
+
+
+def collapse_to_barycenter(dist: PosteriorDistribution, indices) -> PosteriorDistribution:
+    """Replace equally weighted atoms by a single atom at their barycenter.
+
+    This is a mean-preserving contraction. The equal-weights precondition
+    makes the collapsed mass's conditional mean the plain barycenter.
+    """
+    chosen = set(indices)
+    if not chosen:
+        return dist
+    picked = [dist.atoms[i] for i in sorted(chosen)]
+    weights = {p for _, p in picked}
+    if len(weights) > 1:
+        raise UnequalWeights(
+            "collapse needs equal probabilities on the selected atoms"
+        )
+    center = barycenter([b for b, _ in picked])
+    total = sum(p for _, p in picked)
+    rest = [atom for i, atom in enumerate(dist.atoms) if i not in chosen]
+    return PosteriorDistribution(rest + [(center, total)])
+
+
+def split_atom(dist: PosteriorDistribution, index: int, first, second) -> PosteriorDistribution:
+    """Replace one atom by two whose weighted average reproduces it.
+
+    first and second are (belief, weight) pairs; the weights must be positive,
+    sum to the split atom's probability, and average back to its belief. The
+    result is a mean-preserving spread of the input.
+    """
+    belief_point, prob = dist.atoms[index]
+    (x1, w1), (x2, w2) = first, second
+    w1, w2 = _frac(w1), _frac(w2)
+    if w1 <= 0 or w2 <= 0:
+        raise ValueError("split weights must be positive")
+    if w1 + w2 != prob:
+        raise MeanMismatch("split weights must sum to the atom's probability")
+    mixed = tuple(
+        w1 * a + w2 * b for a, b in zip(x1.coords, x2.coords)
+    )
+    target = tuple(prob * c for c in belief_point.coords)
+    if mixed != target:
+        raise MeanMismatch("split targets do not average back to the original atom")
+    rest = [atom for i, atom in enumerate(dist.atoms) if i != index]
+    return PosteriorDistribution(rest + [(x1, w1), (x2, w2)])
+
+
+def affineness_by_collapse(sub: Subdivision, prior: Belief) -> list[OrderedExpectation]:
+    """gen_affineness_equalities with the right side collapsed out of the left."""
+    _require_prior(prior, sub.n)
+    statements = []
+    for index, cell in enumerate(sub.cells):
+        extremes = list(cell.geometry.vertices)
+        center = barycenter(extremes)
+        forbidden = {v.coords for v in extremes}
+        residual, lam = _residual_point(prior, center, forbidden)
+        k = len(extremes)
+        spread = PosteriorDistribution([(v, lam / k) for v in extremes] + [(residual, 1 - lam)])
+        extreme_indices = [i for i, (b, _) in enumerate(spread.atoms) if b.coords in forbidden]
+        collapsed = collapse_to_barycenter(spread, extreme_indices)
+        statements.append(OrderedExpectation(spread, collapsed, "eq", CellAffine(index)))
+    return statements
+
+
+def nonaffineness_by_split(sub: Subdivision, prior: Belief) -> list[OrderedExpectation]:
+    """gen_nonaffineness_inequalities with the left side split out of the right."""
+    _require_prior(prior, sub.n)
+    statements = []
+    for pair in sub.adjacency:
+        facet_center, inner_i, inner_j, t = _point_into_cell(
+            pair.shared, sub.cells[pair.i].geometry, sub.cells[pair.j].geometry
+        )
+        w_i = t / (1 + t)
+        w_j = 1 / (1 + t)
+        if facet_center == prior:
+            base = PosteriorDistribution([(facet_center, ONE)])
+            lam = ONE
+        else:
+            residual, lam = _residual_point(prior, facet_center, {facet_center.coords})
+            base = PosteriorDistribution([(facet_center, lam), (residual, 1 - lam)])
+        at = next(i for i, (b, _) in enumerate(base.atoms) if b == facet_center)
+        spread = split_atom(base, at, (inner_i, lam * w_i), (inner_j, lam * w_j))
+        statements.append(OrderedExpectation(spread, base, "gt", PairNonAffine(pair.i, pair.j)))
+    return statements
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +529,7 @@ def facet_between_pair(p1: Polytope, p2: Polytope):
     signs on p2's vertices orient g, and mixed signs, a hyperplane that does
     not support p2, raise ValueError.
     """
-    if not p1.is_full_dimensional() or not p2.is_full_dimensional():
+    if any(p.is_empty() or dimension(p.vertices) != p.n - 1 for p in (p1, p2)):
         raise ValueError("facet_between expects full-dimensional cells")
     n = p1.n
     common = sorted(set(p1.vertices) & set(p2.vertices))

@@ -5,7 +5,8 @@ infoval.errors: no bare RuntimeError and no assert (which vanishes under
 python -O and raises AssertionError otherwise). Every number is exact, so
 no float literal appears in the source. The forward geometry comes from one
 lifted double description, so no library module imports the exact LP in
-linprog.py, which stays only as a test oracle.
+linprog.py, which stays only as a test oracle. No module imports a name it
+never reads, so code deleted from a module takes its imports with it.
 """
 
 import ast
@@ -46,6 +47,47 @@ def _linprog_imports(tree: ast.AST) -> list[int]:
     return found
 
 
+def _annotation_strings(tree: ast.AST):
+    """The string constants inside annotations, which name types without evaluating them."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield sub.value
+
+
+def _unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each imported name the module never reads.
+
+    A name is read where it appears as a Name node, in code or in an
+    annotation, or inside a string annotation. __future__ imports and names
+    on a line marked `# noqa: F401` are skipped.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported.append((alias.lineno, alias.asname or alias.name.split(".")[0]))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for text in _annotation_strings(tree):
+        expression = ast.parse(text, mode="eval")
+        read |= {node.id for node in ast.walk(expression) if isinstance(node, ast.Name)}
+    return sorted((line, name) for line, name in imported if name not in read)
+
+
 def test_sources_found():
     assert any(path.name == "identification.py" for path in SOURCES)
 
@@ -61,6 +103,29 @@ def test_no_bare_runtime_error_assert_or_float(path):
 )
 def test_library_does_not_import_linprog(path):
     assert _linprog_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name
+)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_unused_import_scanner_catches_each_kind():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from x import a, b as c, d, unused_alias as e\n"
+        "from y import (\n"
+        "    kept,  # noqa: F401\n"
+        "    dropped,\n"
+        ")\n"
+        "def g(p: 'c') -> list['d']:\n"
+        "    return os.getcwd() + a\n"
+    )
+    assert _unused_imports(source) == [(2, "math"), (4, "e"), (7, "dropped")]
 
 
 def test_scanner_catches_each_kind():

@@ -21,7 +21,7 @@ from infoval.decision import (
     value_function,
 )
 from infoval.errors import InconsistentData, NonpositiveScale, ShapeMismatch
-from infoval.geometry import Polytope, belief, interior_point, uniform_belief
+from infoval.geometry import Polytope, belief, dimension, interior_point, uniform_belief
 from infoval.identification import extract_subdivision, generate_identification
 
 
@@ -253,7 +253,7 @@ class TestSubdivision:
             dp = support.random_problem(rng, n=3, max_actions=4, max_denominator=6)
             sub = compute_subdivision(dp)
             for x in support.grid_beliefs(3, 7):
-                hits = sub.cells_containing(x)
+                hits = [i for i, cell in enumerate(sub.cells) if cell.geometry.contains(x)]
                 assert hits, f"{x} not covered"
                 strict = [
                     i
@@ -275,7 +275,7 @@ class TestSubdivision:
         for _ in range(8):
             dp = support.random_problem(rng, max_actions=6, max_denominator=8)
             for cell in compute_subdivision(dp).cells:
-                assert cell.geometry.is_full_dimensional()
+                assert dimension(cell.geometry.vertices) == dp.n - 1
                 center = interior_point(cell.geometry)
                 best = evaluate_value(dp, center)
                 optimal = [a for a in range(dp.num_actions) if dp.payoff(a, center) == best]

@@ -317,6 +317,11 @@ class TestHull:
         with pytest.raises(ShapeMismatch):
             Polytope.from_vertices([belief(0, 1), belief(1, 0), belief(1, 0, 0)])
 
+    def test_lower_dimensional_points_rejected_for_the_point_set(self):
+        with pytest.raises(ValueError, match="does not span the simplex") as caught:
+            Polytope.from_vertices([belief(1, 0, 0), belief(0, 1, 0)])
+        assert "hull_halfspaces" not in str(caught.value)
+
 
 small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 

@@ -22,7 +22,7 @@ from infoval.errors import (
     MalformedData,
     ShapeMismatch,
 )
-from infoval.geometry import Belief, Polytope, belief, uniform_belief
+from infoval.geometry import Belief, Polytope, barycenter, belief, interior_point, uniform_belief
 from infoval.identification import (
     CellAffine,
     IdentificationData,
@@ -141,6 +141,39 @@ class TestNonaffinenessInequalities:
         sub = compute_subdivision(support.guess_the_state_problem())
         statements = gen_nonaffineness_inequalities(sub, uniform_belief(3))
         assert {(s.tag.i, s.tag.j) for s in statements} == {(0, 1), (0, 2), (1, 2)}
+
+
+def _generated_and_oracle(sub, prior):
+    """The reprs of both ordinal generators' statements and of the collapse-and-split oracle's."""
+    generated = gen_affineness_equalities(sub, prior) + gen_nonaffineness_inequalities(sub, prior)
+    oracle = support.affineness_by_collapse(sub, prior) + support.nonaffineness_by_split(sub, prior)
+    return repr(generated), repr(oracle)
+
+
+class TestGeneratorsAgainstCollapseAndSplit:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=6))
+    def test_random_problems(self, seed, n):
+        rng = Random(seed)
+        dp = support.random_problem(rng, n=n, max_actions=8)
+        generated, oracle = _generated_and_oracle(
+            compute_subdivision(dp), support.random_interior_prior(rng, n)
+        )
+        assert generated == oracle
+
+    def test_prior_at_a_facet_center(self):
+        sub = compute_subdivision(support.guess_the_state_problem())
+        prior = interior_point(sub.adjacency[0].shared)
+        assert gen_nonaffineness_inequalities(sub, prior)[0].rhs.atoms == ((prior, 1),)
+        generated, oracle = _generated_and_oracle(sub, prior)
+        assert generated == oracle
+
+    def test_prior_at_a_cell_barycenter(self):
+        sub = compute_subdivision(support.guess_the_state_problem())
+        prior = barycenter(sub.cells[0].geometry.vertices)
+        assert gen_affineness_equalities(sub, prior)[0].rhs.atoms == ((prior, 1),)
+        generated, oracle = _generated_and_oracle(sub, prior)
+        assert generated == oracle
 
 
 class TestSatisfiesOrdinal:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import support
 from infoval.decision import make_problem
-from infoval.errors import BoundaryPrior, MeanMismatch, ShapeMismatch, UnequalWeights
+from infoval.errors import BoundaryPrior, MeanMismatch, ShapeMismatch
 from infoval.geometry import ZERO, Belief, belief, uniform_belief
 from infoval.information import (
     Experiment,
@@ -15,12 +15,10 @@ from infoval.information import (
     Order,
     PosteriorDistribution,
     bayes_split,
-    collapse_to_barycenter,
     expected_value,
     experiment_of,
     garble,
     rank,
-    split_atom,
     value_of_experiment,
 )
 
@@ -230,7 +228,7 @@ class TestCollapseAndSplit:
             ]
         )
         # atoms sort as (1/5,4/5) < (1/2,1/2) < (1,0); the last two carry 1/4 each
-        got = collapse_to_barycenter(dist, [1, 2])
+        got = support.collapse_to_barycenter(dist, [1, 2])
         assert got.mean == dist.mean
         assert got.atoms == (
             (z, Fraction(1, 2)),
@@ -246,7 +244,7 @@ class TestCollapseAndSplit:
             ]
         )
         indices = [i for i, (b, _) in enumerate(dist.atoms) if b[0] >= Fraction(1, 2)]
-        got = collapse_to_barycenter(dist, indices)
+        got = support.collapse_to_barycenter(dist, indices)
         assert got.atoms == (
             (belief("1/4", "3/4"), Fraction(1, 2)),
             (belief("3/4", "1/4"), Fraction(1, 2)),
@@ -256,18 +254,18 @@ class TestCollapseAndSplit:
         dist = PosteriorDistribution(
             [(belief(1, 0), Fraction(1, 2)), (belief(0, 1), Fraction(1, 2))]
         )
-        assert collapse_to_barycenter(dist, [0]) == dist
+        assert support.collapse_to_barycenter(dist, [0]) == dist
 
     def test_unequal_weights_rejected(self):
         dist = PosteriorDistribution(
             [(belief(1, 0), Fraction(1, 3)), (belief(0, 1), Fraction(2, 3))]
         )
-        with pytest.raises(UnequalWeights):
-            collapse_to_barycenter(dist, [0, 1])
+        with pytest.raises(support.UnequalWeights):
+            support.collapse_to_barycenter(dist, [0, 1])
 
     def test_split_to_full_information(self):
         dist = PosteriorDistribution.point_mass(uniform_belief(2))
-        got = split_atom(
+        got = support.split_atom(
             dist, 0, (belief(1, 0), Fraction(1, 2)), (belief(0, 1), Fraction(1, 2))
         )
         assert got.atoms == (
@@ -277,7 +275,7 @@ class TestCollapseAndSplit:
 
     def test_degenerate_split_merges_back(self):
         dist = PosteriorDistribution.point_mass(uniform_belief(2))
-        got = split_atom(
+        got = support.split_atom(
             dist,
             0,
             (uniform_belief(2), Fraction(1, 2)),
@@ -288,7 +286,7 @@ class TestCollapseAndSplit:
     def test_split_raises_value_under_curvature(self):
         dp = support.two_peak_problem()
         base = PosteriorDistribution.point_mass(uniform_belief(2))
-        spread = split_atom(
+        spread = support.split_atom(
             base, 0, (belief("3/4", "1/4"), Fraction(1, 2)), (belief("1/4", "3/4"), Fraction(1, 2))
         )
         assert expected_value(dp, spread) == Fraction(3, 4)
@@ -297,7 +295,7 @@ class TestCollapseAndSplit:
     def test_mean_mismatch_rejected(self):
         dist = PosteriorDistribution.point_mass(uniform_belief(2))
         with pytest.raises(MeanMismatch):
-            split_atom(
+            support.split_atom(
                 dist, 0, (belief(1, 0), Fraction(1, 2)), (belief("1/4", "3/4"), Fraction(1, 2))
             )
 
