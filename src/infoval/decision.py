@@ -25,6 +25,7 @@ from .geometry import (
     _coords_of,
     _dedupe_canonical,
     _frac,
+    _normalized,
     _rank,
     adjacent_facets,
     envelope_rays,
@@ -320,7 +321,7 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     """
     n = dp.n
     rays, tight, winners = _lift(dp)
-    vertices = [Belief(tuple(Fraction(v, sum(ray)) for v in ray)) for ray in rays]
+    vertices = [_normalized(ray) for ray in rays]
     cells = []
     for a in winners:
         halfspaces = _dedupe_canonical(

@@ -108,6 +108,12 @@ def uniform_belief(n: int) -> Belief:
     return Belief(tuple(Fraction(1, n) for _ in range(n)))
 
 
+def _normalized(column) -> Belief:
+    """The belief proportional to a nonnegative int or Fraction column with a positive sum."""
+    total = sum(column)
+    return Belief(tuple(Fraction(c, total) for c in column))
+
+
 @dataclass(frozen=True)
 class Halfspace:
     """The set {x : normal . x >= offset}, read within the simplex.
@@ -366,9 +372,7 @@ def vertices_of(halfspaces, n: int) -> list[Belief]:
     """
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     rows += [_integer_row(_coords_of(h.as_affine_coords(), n)) for h in halfspaces]
-    return sorted(
-        Belief(tuple(Fraction(v, sum(ray)) for v in ray)) for ray, _ in _extreme_rays(rows, n)
-    )
+    return sorted(_normalized(ray) for ray, _ in _extreme_rays(rows, n))
 
 
 def envelope_rays(rows) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:

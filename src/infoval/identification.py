@@ -38,6 +38,7 @@ from .geometry import (
     Belief,
     Polytope,
     _frac,
+    _normalized,
     _require_prior,
     barycenter,
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
@@ -155,11 +156,9 @@ def _residual_point(prior: Belief, anchor: Belief, forbidden: set) -> tuple[Beli
     first = _halvings(ONE, bound)
     for k in range(first, first + len(forbidden) + 1):
         lam = Fraction(1, 2**k)
-        coords = tuple(
-            (m - lam * a) / (1 - lam) for m, a in zip(prior.coords, anchor.coords)
-        )
-        if coords not in forbidden:
-            return Belief(coords), lam
+        residual = _normalized([m - lam * a for m, a in zip(prior.coords, anchor.coords)])
+        if residual.coords not in forbidden:
+            return residual, lam
     raise MalformedData("every residual falls on a point of the cell; is the cell degenerate?")
 
 
@@ -278,8 +277,6 @@ def extract_subdivision(data: IdentificationData) -> Subdivision:
         raise MalformedData("need exactly one affineness equality per cell")
     cells: list[Cell] = []
     for statement in sorted(cell_tags, key=lambda s: s.tag.cell):
-        if statement.relation != "eq":
-            raise MalformedData("cell-tagged statements must be equalities")
         right_support = {b.coords for b in statement.rhs.support}
         removed = [b for b in statement.lhs.support if b.coords not in right_support]
         try:
@@ -379,9 +376,7 @@ def _residual_difference(sub: Subdivision, prior: Belief, parent: int, child: in
     beta = (1 + 2 * t) / (2 * (1 + t))
     # with lam = 2 * eps, the lhs puts eps * (2 - beta) on x_j and eps * beta
     # on x_i, that is lam on their mixture `mixed`; the residual takes the rest
-    mixed = Belief(
-        tuple(((2 - beta) * j + beta * i) / 2 for j, i in zip(x_j.coords, x_i.coords))
-    )
+    mixed = _normalized([(2 - beta) * j + beta * i for j, i in zip(x_j.coords, x_i.coords)])
     residual, lam = _residual_point(prior, mixed, {x_i.coords, x_hat.coords, x_j.coords})
     eps = lam / 2
     lhs = PosteriorDistribution(

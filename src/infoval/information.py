@@ -6,15 +6,21 @@ is the prior; that distribution is the only thing the decision maker cares
 about, so distributions are kept in a canonical form (atoms with equal
 beliefs merged, atoms sorted) and equality is literal.
 
-Valuing an experiment needs no posteriors, though. Observing signal s and
-acting optimally earns max_a u_a . c_s, where c_s(theta) = pi(theta) P(s |
-theta) is the signal's joint column, the unnormalized posterior. So
-E[V] = sum_s max_a u_a . c_s. With the utility rows and the columns each
-scaled to integers over one common denominator, that is one integer matrix
-product and a single division at the end, exactly equal to the posterior
-route: a zero column adds max_a 0 = 0, as a dropped zero-marginal signal
-does, and proportional columns share a maximizer, so merging them adds
-their maxima.
+Joint columns are the one bridge between experiments, posteriors and
+values. Signal s at prior pi has the joint column c_s(theta) = pi(theta)
+P(s | theta), formed only by _columns; atom (x_s, p_s) has the column
+p_s x_s, formed only by _atom_columns. Divided by its sum
+(geometry._normalized), a column is the posterior and the sum is the
+marginal; divided by the prior, state by state, the atom columns are the
+likelihoods of the experiment that induces the distribution.
+
+Valuing an experiment needs no posteriors. Observing signal s and acting
+optimally earns max_a u_a . c_s, so E[V] = sum_s max_a u_a . c_s. With
+the utility rows and the columns each scaled to integers over one common
+denominator, that is one integer matrix product and a single division at
+the end, exactly equal to the posterior route: a zero column adds
+max_a 0 = 0, as a dropped zero-marginal signal does, and proportional
+columns share a maximizer, so merging them adds their maxima.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from operator import mul
 
 from .decision import DecisionProblem
 from .errors import MeanMismatch, ShapeMismatch
-from .geometry import ONE, ZERO, Belief, Coords, _frac, _require_interior
+from .geometry import ONE, ZERO, Belief, Coords, _frac, _normalized, _require_interior
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,8 @@ class PosteriorDistribution:
     """A finitely supported distribution over beliefs, in canonical form.
 
     Atoms with identical beliefs are merged and the list is sorted by belief,
-    so equal distributions compare equal syntactically. The mean is cached.
+    so equal distributions compare equal syntactically. The mean, the sum of
+    the atom columns, is cached.
     """
 
     atoms: tuple[tuple[Belief, Fraction], ...]
@@ -141,13 +148,8 @@ class PosteriorDistribution:
         total = sum(merged.values())
         if total != 1:
             raise ValueError(f"atom probabilities must sum to 1, got {total}")
-        canonical = tuple(sorted(merged.items()))
-        n = canonical[0][0].n
-        mean = tuple(
-            sum(prob * b.coords[i] for b, prob in canonical) for i in range(n)
-        )
-        object.__setattr__(self, "atoms", canonical)
-        object.__setattr__(self, "mean", Belief(mean))
+        object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
+        object.__setattr__(self, "mean", Belief(tuple(map(sum, zip(*_atom_columns(self))))))
 
     @property
     def support(self) -> tuple[Belief, ...]:
@@ -169,42 +171,42 @@ class Order(enum.Enum):
         return {"better": ">", "equal": "=", "worse": "<"}[self.value]
 
 
-def _require_split(prior: Belief, experiment: Experiment) -> None:
-    """BoundaryPrior unless the prior is interior, then ShapeMismatch unless the rows fit it."""
+def _columns(prior: Belief, experiment: Experiment) -> list[Coords]:
+    """One joint column pi(theta) P(s | theta) per signal, the unnormalized posterior.
+
+    BoundaryPrior unless the prior is interior, then ShapeMismatch unless the
+    experiment's rows match the prior's states.
+    """
     _require_interior(prior)
     if experiment.n != prior.n:
         raise ShapeMismatch("experiment rows must match the prior's states")
+    weighted = [tuple(p * v for v in row) for p, row in zip(prior.coords, experiment.likelihood)]
+    return list(zip(*weighted))
+
+
+def _atom_columns(dist: PosteriorDistribution) -> list[Coords]:
+    """One column p_s x_s per atom: the joint column of the signal inducing it."""
+    return [tuple(prob * c for c in b.coords) for b, prob in dist.atoms]
 
 
 def bayes_split(prior: Belief, experiment: Experiment) -> PosteriorDistribution:
     """The distribution of posterior beliefs the experiment induces at the prior.
 
-    Signals with zero marginal probability are dropped; signals leading to the
-    same posterior are merged. The result's mean is the prior, exactly.
+    Each signal's joint column, divided by its sum, is its posterior, and the
+    sum is its marginal probability. Signals with zero marginal probability
+    are dropped; signals leading to the same posterior are merged. The
+    result's mean is the prior, exactly.
     """
-    _require_split(prior, experiment)
-    atoms = []
-    for s in range(experiment.num_signals):
-        marginal = sum(
-            prior.coords[t] * experiment.likelihood[t][s] for t in range(prior.n)
-        )
-        if marginal == 0:
-            continue
-        posterior = Belief(
-            tuple(
-                prior.coords[t] * experiment.likelihood[t][s] / marginal
-                for t in range(prior.n)
-            )
-        )
-        atoms.append((posterior, marginal))
-    return PosteriorDistribution(atoms)
+    columns = _columns(prior, experiment)
+    return PosteriorDistribution((_normalized(c), sum(c)) for c in columns if any(c))
 
 
 def experiment_of(prior: Belief, dist: PosteriorDistribution) -> Experiment:
     """The canonical experiment generating the given posterior distribution.
 
-    One signal per atom, with P(s | theta) = prob_s * x_s(theta) / prior(theta).
-    Inverse of bayes_split: splitting the result at the same prior returns the
+    One signal per atom, with P(s | theta) = prob_s * x_s(theta) / prior(theta):
+    the atom columns divided by the prior, state by state. Inverse of
+    bayes_split: splitting the result at the same prior returns the
     distribution unchanged.
     """
     _require_interior(prior)
@@ -212,14 +214,9 @@ def experiment_of(prior: Belief, dist: PosteriorDistribution) -> Experiment:
         raise MeanMismatch(
             f"distribution mean {dist.mean} does not match the prior {prior}"
         )
-    labels = tuple(f"s{i+1}" for i in range(len(dist.atoms)))
-    rows = tuple(
-        tuple(
-            prob * b.coords[t] / prior.coords[t] for b, prob in dist.atoms
-        )
-        for t in range(prior.n)
-    )
-    return Experiment(labels, rows)
+    columns = _atom_columns(dist)
+    rows = tuple(tuple(c / m for c in row) for m, row in zip(prior.coords, zip(*columns)))
+    return Experiment(tuple(f"s{i+1}" for i in range(len(columns))), rows)
 
 
 def garble(experiment: Experiment, garbling: Garbling) -> Experiment:
@@ -251,18 +248,6 @@ def _maxima(utility: tuple[Coords, ...], columns: list[Coords]) -> tuple[list[in
     return maxima, row_scale * column_scale
 
 
-def _joint_columns(dp: DecisionProblem, prior: Belief, experiment: Experiment) -> list[Coords]:
-    """One column pi(theta) P(s | theta) per signal: p_s x_s, the unnormalized posterior.
-
-    Checks the prior's interior, then the experiment's rows, then the
-    problem's states.
-    """
-    _require_split(prior, experiment)
-    dp._require_states(prior.n)
-    weighted = [tuple(p * v for v in row) for p, row in zip(prior.coords, experiment.likelihood)]
-    return list(zip(*weighted))
-
-
 def expected_value(dp: DecisionProblem, dist: PosteriorDistribution) -> Fraction:
     """Expectation of the problem's value function under the distribution.
 
@@ -271,8 +256,7 @@ def expected_value(dp: DecisionProblem, dist: PosteriorDistribution) -> Fraction
     division at the end.
     """
     dp._require_states(dist.mean.n)
-    columns = [tuple(prob * c for c in b.coords) for b, prob in dist.atoms]
-    maxima, denominator = _maxima(dp.utility, columns)
+    maxima, denominator = _maxima(dp.utility, _atom_columns(dist))
     return Fraction(sum(maxima), denominator)
 
 
@@ -287,7 +271,8 @@ def value_of_experiment(dp: DecisionProblem, prior: Belief, experiment: Experime
     boundary, then ShapeMismatch for experiment rows that do not match the
     prior, then ShapeMismatch for a prior over other states than the problem.
     """
-    columns = _joint_columns(dp, prior, experiment)
+    columns = _columns(prior, experiment)
+    dp._require_states(prior.n)
     maxima, denominator = _maxima(dp.utility, columns + [prior.coords])
     return Fraction(sum(maxima[:-1]) - maxima[-1], denominator)
 
@@ -299,9 +284,10 @@ def rank(dp: DecisionProblem, prior: Belief, first: Experiment, second: Experime
     sums sum_s max_a u_a . c_s are compared directly, over one shared
     denominator. The first experiment is checked in full before the second.
     """
-    columns = _joint_columns(dp, prior, first)
+    columns = _columns(prior, first)
+    dp._require_states(prior.n)
     split = len(columns)
-    columns += _joint_columns(dp, prior, second)
+    columns += _columns(prior, second)
     maxima, _ = _maxima(dp.utility, columns)
     w1, w2 = sum(maxima[:split]), sum(maxima[split:])
     if w1 > w2:

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 from .decision import DecisionProblem, Subdivision
 from .errors import ShapeMismatch
-from .geometry import Belief, Coords, _coords_of, _frac, _require_interior, _require_prior
+from .geometry import (
+    Belief,
+    Coords,
+    _coords_of,
+    _frac,
+    _normalized,
+    _require_interior,
+    _require_prior,
+)
 from .identification import CellAffine, IdentificationData, PairNonAffine
 from .information import Experiment, Order, experiment_of, rank
 
@@ -80,11 +88,10 @@ def realize(spec: SpectralSubdivision, prior: Belief) -> list[tuple[Belief, ...]
     _require_interior(prior)
     cells = []
     for element in spec.elements:
-        vertices = []
-        for ray in element.rays:
-            weighted = [m * r for m, r in zip(prior.coords, _coords_of(ray, prior.n))]
-            total = sum(weighted)
-            vertices.append(Belief(tuple(w / total for w in weighted)))
+        vertices = [
+            _normalized([m * r for m, r in zip(prior.coords, _coords_of(ray, prior.n))])
+            for ray in element.rays
+        ]
         cells.append(tuple(sorted(vertices)))
     return cells
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
+from hypothesis import Phase
+
 from infoval import linprog
 from infoval.decision import (
     AdjacentPair,
@@ -83,6 +85,10 @@ def grid_beliefs(n: int, steps: int) -> list[Belief]:
 
 
 REPEATED_ROWS = 100
+
+# Hypothesis phases for a test drawn from an integer seed: a seed has no
+# structure to shrink, and each shrink try builds a fresh random problem.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def random_problem(rng: Random, n: int | None = None, max_actions: int = 8,

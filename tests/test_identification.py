@@ -21,11 +21,13 @@ from infoval.errors import (
     InconsistentData,
     MalformedData,
     ShapeMismatch,
+    SingularSolve,
 )
 from infoval.geometry import Belief, Polytope, barycenter, belief, interior_point, uniform_belief
 from infoval.identification import (
     CellAffine,
     IdentificationData,
+    OrderedExpectation,
     PairNonAffine,
     UtilityDifference,
     equal_up_to_affine,
@@ -151,7 +153,7 @@ def _generated_and_oracle(sub, prior):
 
 
 class TestGeneratorsAgainstCollapseAndSplit:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, phases=support.NO_SHRINK)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=6))
     def test_random_problems(self, seed, n):
         rng = Random(seed)
@@ -260,6 +262,15 @@ class TestExtractSubdivision:
         broken = IdentificationData(data.prior, only_cells, data.cardinal)
         with pytest.raises(MalformedData):
             extract_subdivision(broken)
+
+    def test_cell_without_interior_is_malformed(self):
+        # only (0, 1) leaves the left side, and one point's hull has no interior
+        lhs = PosteriorDistribution([(belief(1, 0), "1/2"), (belief(0, 1), "1/2")])
+        rhs = PosteriorDistribution([(belief(1, 0), "1/4"), (belief("1/3", "2/3"), "3/4")])
+        equality = OrderedExpectation(lhs, rhs, "eq", CellAffine(0))
+        data = IdentificationData(uniform_belief(2), (equality,), ())
+        with pytest.raises(MalformedData, match="cell 0: the point set does not span"):
+            extract_subdivision(data)
 
 
 class TestUtilityDifferences:
@@ -435,6 +446,63 @@ class TestReconstruction:
         with pytest.raises(MalformedData, match="difference 0"):
             reconstruct_value(broken)
 
+    @pytest.mark.parametrize("root", [-1, 2])
+    def test_root_out_of_range_is_malformed(self, root):
+        data = generate_identification(support.safe_or_bet_problem(), uniform_belief(2))
+        moved = IdentificationData(data.prior, data.ordinal, data.cardinal, root)
+        with pytest.raises(MalformedData, match=f"root cell {root} is out of range"):
+            reconstruct_value(moved)
+
+    def test_anchor_outside_the_child_cell_is_malformed(self):
+        # the anchor is inside cell 1; the reversed edge names cell 0 as the child
+        data = generate_identification(support.safe_or_bet_problem(), uniform_belief(2))
+        d = data.cardinal[0]
+        reversed_edge = UtilityDifference(d.lhs, d.rhs, d.gap, (1, 0))
+        broken = IdentificationData(data.prior, data.ordinal, (reversed_edge,))
+        with pytest.raises(MalformedData, match="anchor atom is not in cell 0"):
+            reconstruct_value(broken)
+
+    def test_edge_between_cells_that_do_not_meet_is_malformed(self):
+        # a chain of three cells: the (1, 2) difference's anchor is in cell 2,
+        # which does not meet cell 0
+        dp = make_problem([[0, 0], [-1, 1], [-3, 2]])
+        data = generate_identification(dp, belief("1/10", "9/10"))
+        first, second = data.cardinal
+        skipping = UtilityDifference(second.lhs, second.rhs, second.gap, (0, 2))
+        broken = IdentificationData(data.prior, data.ordinal, (first, skipping))
+        with pytest.raises(MalformedData, match=r"edge \(0, 2\) does not join adjacent cells"):
+            reconstruct_value(broken)
+
+    def test_anchor_on_the_facet_is_singular(self):
+        # the two cells of two_peak_problem meet at the uniform belief
+        data = generate_identification(support.two_peak_problem(), uniform_belief(2))
+        facet = uniform_belief(2)
+        lhs = PosteriorDistribution([(facet, "1/2"), (belief(1, 0), "1/4"), (belief(0, 1), "1/4")])
+        rhs = PosteriorDistribution.point_mass(facet)
+        singular = UtilityDifference(lhs, rhs, 1, (0, 1))
+        broken = IdentificationData(data.prior, data.ordinal, (singular,))
+        with pytest.raises(SingularSolve, match="anchor on the facet"):
+            reconstruct_value(broken)
+
+    ENDS = PosteriorDistribution([(belief(1, 0), "1/2"), (belief(0, 1), "1/2")])
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [
+            ENDS,
+            # both ends stay, with other weights
+            PosteriorDistribution(
+                [(belief(1, 0), "1/4"), (belief(0, 1), "1/4"), (uniform_belief(2), "1/2")]
+            ),
+        ],
+    )
+    def test_other_than_one_differing_atom_is_malformed(self, rhs):
+        data = generate_identification(support.two_peak_problem(), uniform_belief(2))
+        difference = UtilityDifference(self.ENDS, rhs, 1, (0, 1))
+        broken = IdentificationData(data.prior, data.ordinal, (difference,))
+        with pytest.raises(MalformedData, match="exactly one shared atom"):
+            reconstruct_value(broken)
+
     def test_non_spanning_data_rejected(self):
         from infoval.decision import make_problem
 
@@ -484,7 +552,34 @@ class TestWalkOrder:
         assert reconstruct_value(moved).pieces == tuple(p - pieces[root] for p in pieces)
 
 
+class TestOrderedExpectationFields:
+    @pytest.mark.parametrize(
+        "relation, tag, message",
+        [
+            ("ge", CellAffine(0), "relation must be 'eq' or 'gt'"),
+            ("eq", PairNonAffine(0, 1), "equalities must carry a cell tag"),
+            ("gt", CellAffine(0), "strict inequalities must carry a pair tag"),
+        ],
+    )
+    def test_relation_and_tag_checked(self, relation, tag, message):
+        d = PosteriorDistribution.point_mass(uniform_belief(2))
+        with pytest.raises(ValueError, match=message):
+            OrderedExpectation(d, d, relation, tag)
+
+    def test_sides_with_other_means_rejected(self):
+        d = PosteriorDistribution.point_mass(uniform_belief(2))
+        other = PosteriorDistribution.point_mass(belief("1/3", "2/3"))
+        with pytest.raises(ValueError, match="ordered expectation must share their mean"):
+            OrderedExpectation(d, other, "eq", CellAffine(0))
+
+
 class TestUtilityDifferenceFields:
+    def test_sides_with_other_means_rejected(self):
+        d = PosteriorDistribution.point_mass(uniform_belief(2))
+        other = PosteriorDistribution.point_mass(belief("1/3", "2/3"))
+        with pytest.raises(ValueError, match="utility difference must share their mean"):
+            UtilityDifference(d, other, 1, (0, 1))
+
     def test_float_gap_rejected(self):
         d = PosteriorDistribution([(uniform_belief(2), 1)])
         with pytest.raises(TypeError):

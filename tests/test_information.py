@@ -334,7 +334,7 @@ experiment_shapes = st.tuples(
 
 
 class TestValuationAgainstPosteriors:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, phases=support.NO_SHRINK)
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=2, max_value=6),
