@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import InconsistentData, MalformedData, NonpositiveScale, ShapeMismatch
 from .geometry import (
@@ -146,8 +145,8 @@ class Cell:
 class AdjacentPair:
     """Two cells meeting in a common facet, with the separating halfspace.
 
-    The halfspace is oriented to hold on cell j (the larger index side) with
-    equality exactly on the shared facet.
+    The halfspace is tight on the facet and, by the convention that
+    geometry.adjacent_facets stores, holds on cell j, the larger index.
     """
 
     i: int
@@ -158,7 +157,10 @@ class AdjacentPair:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """Cells covering the simplex with pairwise disjoint interiors."""
+    """Cells covering the simplex with pairwise disjoint interiors.
+
+    adjacency holds one AdjacentPair (i < j) per two cells sharing a facet.
+    """
 
     cells: tuple[Cell, ...]
     adjacency: tuple[AdjacentPair, ...]
@@ -176,23 +178,9 @@ class Subdivision:
             raise MalformedData("a subdivision needs at least one cell")
         return self.cells[0].geometry.n
 
-    @cached_property
-    def _pairs(self) -> dict[tuple[int, int], AdjacentPair]:
-        pairs: dict[tuple[int, int], AdjacentPair] = {}
-        for pair in self.adjacency:
-            pairs.setdefault((pair.i, pair.j), pair)
-        return pairs
-
-    def oriented_facet(self, i: int, j: int) -> Halfspace | None:
-        """The facet halfspace between cells i and j, positive on cell j."""
-        pair = self._pairs.get((min(i, j), max(i, j)))
-        if pair is None:
-            return None
-        return pair.halfspace if j == pair.j else pair.halfspace.flipped()
-
-    def shared_facet(self, i: int, j: int) -> Polytope | None:
-        pair = self._pairs.get((min(i, j), max(i, j)))
-        return None if pair is None else pair.shared
+    def pair(self, i: int, j: int) -> AdjacentPair | None:
+        """The adjacent pair of cells i and j, named in either order, or None (a scan)."""
+        return next((p for p in self.adjacency if (p.i, p.j) in ((i, j), (j, i))), None)
 
     def spanning_tree(self) -> list[tuple[int, int]]:
         """Breadth-first tree edges (parent, child) from cell 0, lowest neighbor first.
@@ -215,9 +203,6 @@ class Subdivision:
             return None
         lookup = {key: k for k, key in enumerate(theirs)}
         return [(i, lookup[key]) for i, key in enumerate(mine)]
-
-    def same_geometry(self, other: "Subdivision") -> bool:
-        return self.match_cells(other) is not None
 
 
 def _vertex_key(cell: Cell) -> tuple[Coords, ...]:

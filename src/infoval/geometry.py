@@ -53,10 +53,10 @@ def _coords(values) -> Coords:
     return tuple(_frac(v) for v in values)
 
 
-def _coords_of(point, n: int) -> Coords:
-    """The coordinates of a Belief or raw tuple, which must number n."""
+def _coords_of(point, n: int | None = None) -> Coords:
+    """The coordinates of a Belief or raw tuple, which must number n when n is given."""
     coords = point.coords if isinstance(point, Belief) else point
-    if len(coords) != n:
+    if n is not None and len(coords) != n:
         raise ShapeMismatch(f"{len(coords)} coordinates where {n} are expected")
     return coords
 
@@ -130,6 +130,8 @@ class Halfspace:
     def __post_init__(self):
         object.__setattr__(self, "normal", _coords(self.normal))
         object.__setattr__(self, "offset", _frac(self.offset))
+        if not self.normal:
+            raise ValueError("halfspace normal needs at least one coordinate")
         if len(set(self.normal)) == 1:
             raise ValueError("halfspace normal is constant on the simplex (degenerate)")
 
@@ -150,10 +152,6 @@ class Halfspace:
         g = math.gcd(*ints)
         factor = Fraction(scale, g)
         return Halfspace(tuple(a * factor for a in shifted), offset * factor)
-
-    def flipped(self) -> "Halfspace":
-        """The opposite halfspace, canonicalized."""
-        return Halfspace(tuple(-a for a in self.normal), -self.offset).canonical()
 
     def as_affine_coords(self) -> Coords:
         """Coefficients of x -> normal . x - offset as a pure linear form on the simplex."""
@@ -402,8 +400,9 @@ def dimension(points) -> int:
     pts = list(points)
     if not pts:
         raise EmptyInput("dimension of an empty point set is undefined")
+    n = len(_coords_of(pts[0]))
     # beliefs lie on the hyperplane sum(x) = 1, which misses the origin
-    return _rank([_coords_of(p, pts[0].n) for p in pts]) - 1
+    return _rank([_coords_of(p, n) for p in pts]) - 1
 
 
 def barycenter(points) -> Belief:
@@ -411,8 +410,9 @@ def barycenter(points) -> Belief:
     pts = list(points)
     if not pts:
         raise EmptyInput("barycenter of an empty point set is undefined")
-    columns = zip(*(_coords_of(p, pts[0].n) for p in pts))
-    return Belief(tuple(sum(column) / len(pts) for column in columns))
+    n = len(_coords_of(pts[0]))
+    columns = zip(*(_coords_of(p, n) for p in pts))
+    return Belief(tuple(Fraction(sum(column), len(pts)) for column in columns))
 
 
 def interior_point(poly: Polytope) -> Belief:
@@ -431,10 +431,10 @@ def _hull(points) -> tuple[list[Belief], list[tuple[list[int], int]], list[Halfs
     to integers, with n affinely independent points first. Returns the
     points in that row order, the rays with their zero sets over those rows
     (bit k set when g vanishes at point k), and the canonical facets sorted
-    by (normal, offset). Raises ValueError when the points do not span the
-    simplex.
+    by (normal, offset). Raw coordinate tuples are read as beliefs. Raises
+    ValueError when the points do not span the simplex.
     """
-    pts = sorted(set(points))
+    pts = sorted({p if isinstance(p, Belief) else Belief(p) for p in points})
     if not pts:
         raise EmptyInput("hull of an empty point set is undefined")
     n = pts[0].n

@@ -317,10 +317,9 @@ def _binary_difference(sub: Subdivision, prior: Belief, parent: int, child: int)
     distributions (lhs, rhs), or None when infeasible; the common point
     x_j is the anchor that reconstruct_value reads back.
     """
-    facet = sub.shared_facet(parent, child)
-    h = sub.oriented_facet(parent, child)
-    facet_center = interior_point(facet)
-    if h.value(prior) != 0:
+    pair = sub.pair(parent, child)
+    facet_center = interior_point(pair.shared)
+    if pair.halfspace.value(prior) != 0:
         direction = tuple(f - m for m, f in zip(prior.coords, facet_center.coords))
     else:
         target = interior_point(sub.cells[child].geometry)
@@ -369,7 +368,7 @@ def _residual_difference(sub: Subdivision, prior: Belief, parent: int, child: in
     Returns the two distributions (lhs, rhs); x_j is the anchor.
     """
     facet_center, x_i, x_j, t = _point_into_cell(
-        sub.shared_facet(parent, child), sub.cells[parent].geometry, sub.cells[child].geometry
+        sub.pair(parent, child).shared, sub.cells[parent].geometry, sub.cells[child].geometry
     )
     x_hat = barycenter([x_i, facet_center])
     # facet_center = (x_j + t * x_i) / (1 + t), so x_hat = beta * x_i + (1 - beta) * x_j
@@ -465,9 +464,11 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
     linked by the first difference naming it, and a breadth-first walk over
     those links from the root must reach every cell. Each tree edge's
     difference fixes the slope jump across its facet via
-    gap = (p - q) * jump(anchor), which solves the child's piece. Every other
-    difference is a consistency check and must agree exactly with the
-    rebuilt function.
+    gap = (p - q) * jump(anchor), which solves the child's piece. The jump
+    vanishes on the facet, so with A the facet's linear form it is
+    A * gap / ((p - q) * A(anchor)); negating or rescaling A cancels, so the
+    pair's halfspace serves whichever cell it faces. Every other difference
+    is a consistency check and must agree exactly with the rebuilt function.
     """
     sub = extract_subdivision(data)
     t = len(sub.cells)
@@ -493,13 +494,13 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
             raise MalformedData(
                 f"difference for edge {diff.edge}: its anchor atom is not in cell {j}"
             )
-        h = sub.oriented_facet(i, j)
-        if h is None:
+        pair = sub.pair(i, j)
+        if pair is None:
             raise MalformedData(f"edge {diff.edge} does not join adjacent cells")
-        denominator = (p - q) * h.value(anchor)
+        denominator = (p - q) * pair.halfspace.value(anchor)
         if denominator == 0:
             raise SingularSolve(f"edge {diff.edge}: degenerate weights or anchor on the facet")
-        jump = AffineFn.from_halfspace(h).scaled(diff.gap / denominator)
+        jump = AffineFn.from_halfspace(pair.halfspace).scaled(diff.gap / denominator)
         pieces[child] = pieces[parent] + jump if parent == i else pieces[parent] - jump
 
     fn = PiecewiseAffineFn(sub, tuple(pieces[cell] for cell in range(t)))

@@ -36,6 +36,30 @@ from .errors import MeanMismatch, ShapeMismatch
 from .geometry import ONE, ZERO, Belief, Coords, _frac, _normalized, _require_interior
 
 
+def _stochastic_rows(matrix, width: int | None = None) -> tuple[Coords, ...]:
+    """The matrix's rows as Fractions, each a probability vector of the same width.
+
+    The width is the first row's length unless given. One pass converts and
+    checks every row; ValueError names the first fault: no rows, a row of
+    another width, a negative entry, or a row that does not sum to 1.
+    """
+    rows = []
+    for k, values in enumerate(matrix):
+        row = tuple(_frac(v) for v in values)
+        if width is None:
+            width = len(row)
+        if len(row) != width:
+            raise ValueError(f"row {k} has length {len(row)} where {width} is expected")
+        if any(v < 0 for v in row):
+            raise ValueError(f"row {k} has a negative entry")
+        if sum(row) != 1:
+            raise ValueError(f"row {k} sums to {sum(row)}, not 1")
+        rows.append(row)
+    if not rows:
+        raise ValueError("a row-stochastic matrix needs at least one row")
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class Experiment:
     """A row-stochastic likelihood matrix: row theta gives P(signal | theta)."""
@@ -44,19 +68,9 @@ class Experiment:
     likelihood: tuple[Coords, ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(_frac(v) for v in row) for row in self.likelihood)
-        object.__setattr__(self, "likelihood", rows)
         object.__setattr__(self, "signal_labels", tuple(self.signal_labels))
-        if not rows:
-            raise ValueError("an experiment needs at least one state row")
-        width = len(self.signal_labels)
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("likelihood rows must match the signal labels")
-            if any(v < 0 for v in row):
-                raise ValueError("signal probabilities must be nonnegative")
-            if sum(row) != 1:
-                raise ValueError("each likelihood row must sum to exactly 1")
+        rows = _stochastic_rows(self.likelihood, len(self.signal_labels))
+        object.__setattr__(self, "likelihood", rows)
 
     @property
     def n(self) -> int:
@@ -86,18 +100,7 @@ class Garbling:
     matrix: tuple[Coords, ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(_frac(v) for v in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
-        if not rows:
-            raise ValueError("a garbling needs at least one row")
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("garbling rows must have equal length")
-            if any(v < 0 for v in row):
-                raise ValueError("garbling entries must be nonnegative")
-            if sum(row) != 1:
-                raise ValueError("each garbling row must sum to exactly 1")
+        object.__setattr__(self, "matrix", _stochastic_rows(self.matrix))
 
     @property
     def num_inputs(self) -> int:

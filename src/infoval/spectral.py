@@ -44,6 +44,8 @@ class SpectralElement:
         rays = tuple(tuple(_frac(v) for v in ray) for ray in self.rays)
         if len({len(ray) for ray in rays}) > 1:
             raise ShapeMismatch("likelihood rays in one element must all have the same length")
+        if not all(rays):
+            raise ValueError("each likelihood ray needs at least one coordinate")
         object.__setattr__(self, "rays", tuple(sorted(rays)))
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("likelihood rays must be pairwise distinct")

@@ -9,6 +9,7 @@ import support
 from infoval.decision import (
     AffineFn,
     Cell,
+    DecisionProblem,
     PiecewiseAffineFn,
     Subdivision,
     _breadth_first,
@@ -37,6 +38,18 @@ class TestProblemValidation:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             make_problem([[0.5, 0.5], [0, 1]])
+
+    def test_no_action_rejected(self):
+        with pytest.raises(ValueError, match="at least one action"):
+            DecisionProblem(("t1", "t2"), (), ())
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one label per action"):
+            DecisionProblem(("t1", "t2"), ("a1",), ((1, 0), (0, 1)))
+
+    def test_short_row_rejected(self):
+        with pytest.raises(ValueError, match="one entry per state"):
+            make_problem([[1, 0], [1]])
 
 
 class TestEvaluateValue:
@@ -167,7 +180,7 @@ class TestLiftAgainstLP:
         sub = compute_subdivision(dp)
         i, j = (k for k, cell in enumerate(sub.cells) if cell.action_index in (4, 5))
         common = set(sub.cells[i].geometry.vertices) & set(sub.cells[j].geometry.vertices)
-        assert len(common) == 4 and sub.oriented_facet(i, j) is None
+        assert len(common) == 4 and sub.pair(i, j) is None
         self.check(dp)
 
     def test_seven_states(self):
@@ -240,6 +253,21 @@ class TestSubdivision:
         assert {(p.i, p.j) for p in sub.adjacency} == {(0, 1), (0, 2), (1, 2)}
         assert sub.spanning_tree() == [(0, 1), (0, 2)]
 
+    def test_pair_named_in_either_order(self):
+        # the flat middle action's cell 2 lies between the two bets' cells
+        sub = compute_subdivision(make_problem([[1, 0], [0, 1], ["2/3", "2/3"]]))
+        assert [(p.i, p.j) for p in sub.adjacency] == [(0, 2), (1, 2)]
+        for pair in sub.adjacency:
+            assert sub.pair(pair.i, pair.j) is pair
+            assert sub.pair(pair.j, pair.i) is pair
+        assert sub.pair(0, 1) is None and sub.pair(1, 0) is None
+
+    def test_match_cells_of_other_geometry(self):
+        two_peak = compute_subdivision(support.two_peak_problem())
+        assert two_peak.match_cells(compute_subdivision(make_problem([[1, 0]]))) is None
+        bet = compute_subdivision(support.safe_or_bet_problem())
+        assert two_peak.match_cells(bet) == [(0, 0), (1, 1)]
+
     def test_breadth_first_takes_the_lowest_neighbor_first(self):
         # a four-cycle 0-1-3-2-0 with links given in either orientation
         links = [(2, 3), (0, 2), (1, 0), (3, 1)]
@@ -295,7 +323,7 @@ class TestScaling:
         dp = support.two_peak_problem()
         scaled = scale_problem(dp, 3)
         assert scaled.utility[2] == (Fraction(6, 5), Fraction(6, 5))
-        assert compute_subdivision(dp).same_geometry(compute_subdivision(scaled))
+        assert compute_subdivision(dp).match_cells(compute_subdivision(scaled)) is not None
 
     def test_nonpositive_rejected(self):
         with pytest.raises(NonpositiveScale):
@@ -306,9 +334,8 @@ class TestScaling:
         for _ in range(5):
             dp = support.random_problem(rng, max_actions=4, max_denominator=6)
             factor = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            assert compute_subdivision(dp).same_geometry(
-                compute_subdivision(scale_problem(dp, factor))
-            )
+            scaled = compute_subdivision(scale_problem(dp, factor))
+            assert compute_subdivision(dp).match_cells(scaled) is not None
 
 
 class TestStateTransfer:
@@ -320,6 +347,14 @@ class TestStateTransfer:
         relabeling, transfer = got
         assert relabeling == {0: 0, 1: 1}
         assert transfer == AffineFn((5, 0))
+
+    def test_other_state_count_is_not_a_transfer(self):
+        dp = support.two_peak_problem()
+        assert equal_up_to_state_transfer(dp, support.guess_the_state_problem()) is None
+
+    def test_other_cells_are_not_a_transfer(self):
+        dp = support.two_peak_problem()
+        assert equal_up_to_state_transfer(dp, make_problem([[2, 0], [0, 1]])) is None
 
     def test_scaling_is_not_a_transfer(self):
         dp = support.safe_or_bet_problem()
@@ -342,7 +377,7 @@ class TestStateTransfer:
             moved = make_problem(
                 [tuple(u + g for u, g in zip(row, gamma)) for row in dp.utility]
             )
-            assert compute_subdivision(dp).same_geometry(compute_subdivision(moved))
+            assert compute_subdivision(dp).match_cells(compute_subdivision(moved)) is not None
             got = equal_up_to_state_transfer(dp, moved)
             assert got is not None
             assert got[1] == AffineFn(gamma)
@@ -392,6 +427,11 @@ class TestValueFunction:
             combine(AffineFn((1, 2)), AffineFn((1, 2, 3)))
         with pytest.raises(ShapeMismatch):
             combine(AffineFn((1, 2, 3)), AffineFn((1, 2)))
+
+    def test_wrong_piece_count_rejected(self):
+        sub = compute_subdivision(support.safe_or_bet_problem())
+        with pytest.raises(ValueError, match="one affine piece per cell"):
+            PiecewiseAffineFn(sub, (AffineFn((0, 0)),))
 
     def test_envelope_matches_evaluate_value(self):
         rng = Random(29)

@@ -54,6 +54,10 @@ class TestBelief:
     def test_lexicographic_order(self):
         assert belief("0", "1") < belief("1/2", "1/2") < belief("1", "0")
 
+    def test_rejects_no_coordinates(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            Belief(())
+
 
 class TestHalfspaceCanonical:
     def test_gauge_and_scale_quotient(self):
@@ -67,13 +71,13 @@ class TestHalfspaceCanonical:
         assert h.normal == (Fraction(0), Fraction(1))
         assert h.offset == Fraction(1, 2)
 
-    def test_flip_roundtrip(self):
-        h = hs([0, 1], "1/2")
-        assert h.flipped().flipped() == h.canonical()
-
     def test_degenerate_normal_rejected(self):
         with pytest.raises(ValueError):
             hs([2, 2], 1)
+
+    def test_empty_normal_rejected(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            Halfspace((), 0)
 
     def test_value_at_point_over_other_states_rejected(self):
         with pytest.raises(ShapeMismatch):
@@ -141,6 +145,10 @@ class TestDimension:
         with pytest.raises(ShapeMismatch):
             dimension([belief(0, 1), belief(1, 0, 0)])
 
+    def test_raw_tuple_first(self):
+        assert dimension([(1, 0), belief(0, 1)]) == 1
+        assert dimension([(Fraction(1, 2), Fraction(1, 2))]) == 0
+
 
 class TestBarycenter:
     def test_endpoints(self):
@@ -165,6 +173,10 @@ class TestBarycenter:
     def test_points_over_mixed_state_counts_rejected(self):
         with pytest.raises(ShapeMismatch):
             barycenter([belief(0, 1), belief(1, 0, 0)])
+
+    def test_raw_tuples_in_any_position(self):
+        assert barycenter([(1, 0), belief(0, 1)]) == belief("1/2", "1/2")
+        assert barycenter([(1, 0), (0, 1)]) == belief("1/2", "1/2")
 
 
 class TestInteriorPoint:
@@ -205,6 +217,12 @@ class TestContains:
         with pytest.raises(ShapeMismatch):
             poly.contains(belief(0, 0, 1), strict=strict)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_negative_coordinate_outside(self, strict):
+        # no halfspace is stored, so only the coordinate check can say no
+        simplex = Polytope.from_halfspaces([], 2)
+        assert not simplex.contains((Fraction(-1, 2), Fraction(3, 2)), strict=strict)
+
 
 class TestFacetBetween:
     def cells_2(self):
@@ -229,7 +247,7 @@ class TestFacetBetween:
         left, right = self.cells_2()
         _, h1 = facet_between(left, right)
         _, h2 = facet_between(right, left)
-        assert h2 == h1.flipped()
+        assert h2 == Halfspace(tuple(-a for a in h1.normal), -h1.offset).canonical()
 
     def test_vertex_touch_is_not_a_facet(self):
         # two cells of the three-way dominance subdivision meet in dim 1,
@@ -295,6 +313,22 @@ class TestHull:
         with pytest.raises(ShapeMismatch):
             hull_halfspaces([belief(0, 1), belief(1, 0), belief(1, 0, 0)])
 
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInput):
+            hull_halfspaces([])
+
+    def test_hull_of_raw_tuple_first(self):
+        got = hull_halfspaces([(Fraction(1, 4), Fraction(3, 4)), belief("3/4", "1/4")])
+        assert got == hull_halfspaces([belief("1/4", "3/4"), belief("3/4", "1/4")])
+
+    def test_beliefs_mixed_with_tuples(self):
+        corners3 = [belief(1, 0, 0), belief(0, 1, 0), belief(0, 0, 1)]
+        assert hull_halfspaces([corners3[0], (0, 1, 0), (0, 0, 1)]) == hull_halfspaces(corners3)
+
+    def test_polytope_from_raw_tuple_first(self):
+        poly = Polytope.from_vertices([(1, 0), belief("1/2", "1/2")])
+        assert poly.vertices == (belief("1/2", "1/2"), belief(1, 0))
+
     def test_one_double_description_per_polytope(self, monkeypatch):
         runs = []
 
@@ -343,7 +377,7 @@ def halfspace_systems(draw):
         elif partner == "repeated":
             out.append(Halfspace(tuple(2 * a for a in normal), 2 * h.offset))
         elif partner == "equality":
-            out.append(h.flipped())
+            out.append(Halfspace(tuple(-a for a in normal), -h.offset).canonical())
         elif partner == "empty":
             out.append(Halfspace(tuple(-a for a in normal), 1 - h.offset))
     return out, n
@@ -497,6 +531,24 @@ class TestLineInterval:
         direction = (Fraction(-1, 4), Fraction(1, 4))
         got = interior_interval_on_line(origin, direction, poly)
         assert got == (Fraction(-3), Fraction(-1))
+
+    def test_direction_parallel_to_a_facet(self):
+        # (1, 1, -2) runs parallel to the facet x1 = x2 of the cell x1 >= x2
+        poly = Polytope.from_halfspaces([hs([1, -1, 0], 0)], 3)
+        direction = (Fraction(1), Fraction(1), Fraction(-2))
+        inside = interior_interval_on_line(belief("1/2", "1/6", "1/3"), direction, poly)
+        assert inside == (Fraction(-1, 6), Fraction(1, 6))
+        assert interior_interval_on_line(belief("1/6", "1/2", "1/3"), direction, poly) is None
+
+    def test_zero_direction_has_no_interval(self):
+        poly = Polytope.from_halfspaces([hs([1, -1], 0)], 2)
+        assert interior_interval_on_line(belief("3/4", "1/4"), (0, 0), poly) is None
+
+    def test_line_that_misses(self):
+        # x2 reaches zero at t = 1/6, before x1 reaches the cell x1 >= 1/2 at t = 1/3
+        poly = Polytope.from_halfspaces([hs([1, 0, 0], "1/2")], 3)
+        direction = (Fraction(1), Fraction(-1), Fraction(0))
+        assert interior_interval_on_line(belief("1/6", "1/6", "2/3"), direction, poly) is None
 
     def test_line_over_other_states_rejected(self):
         simplex = Polytope.from_halfspaces([], 3)

@@ -210,7 +210,7 @@ class TestExtractSubdivision:
         dp = support.two_peak_problem()
         data = generate_identification(dp, uniform_belief(2))
         extracted = extract_subdivision(data)
-        assert extracted.same_geometry(compute_subdivision(dp))
+        assert extracted.match_cells(compute_subdivision(dp)) is not None
 
     def test_roundtrip_single_cell(self):
         from infoval.decision import make_problem
@@ -229,7 +229,7 @@ class TestExtractSubdivision:
         data = generate_identification(dp, uniform_belief(3))
         extracted = extract_subdivision(data)
         reference = compute_subdivision(dp)
-        assert extracted.same_geometry(reference)
+        assert extracted.match_cells(reference) is not None
         assert {(p.i, p.j) for p in extracted.adjacency} == {
             (p.i, p.j) for p in reference.adjacency
         }
@@ -616,6 +616,10 @@ class TestEqualUpToAffine:
         )
         assert equal_up_to_affine(fn, lifted) == AffineFn((3, 0))
 
+    def test_other_geometry_is_not_affine(self):
+        fn = value_function(support.two_peak_problem())
+        assert equal_up_to_affine(fn, value_function(make_problem([[2, 0], [0, 1]]))) is None
+
     def test_scaling_is_not_affine(self):
         dp = support.safe_or_bet_problem()
         assert (
@@ -635,7 +639,7 @@ class TestRandomRoundtrips:
             data = generate_identification(dp, prior)
             assert satisfies_ordinal(dp, data)
             assert satisfies_ordinal(scale_problem(dp, Fraction(1, 2)), data)
-            assert extract_subdivision(data).same_geometry(compute_subdivision(dp))
+            assert extract_subdivision(data).match_cells(compute_subdivision(dp)) is not None
             fn = reconstruct_value(data)
             assert equal_up_to_affine(fn, value_function(dp)) is not None
 

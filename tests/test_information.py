@@ -87,6 +87,38 @@ class TestExperimentOf:
             experiment_of(uniform_belief(2), dist)
 
 
+def _experiment(rows):
+    return Experiment(("s1", "s2"), rows)
+
+
+class TestRowStochastic:
+    """Experiment and Garbling share one row-stochastic check."""
+
+    @pytest.mark.parametrize("build", [_experiment, Garbling])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ((), "needs at least one row"),
+            (((1, 0), (1,)), "row 1 has length 1 where 2 is expected"),
+            (((2, -1), (0, 1)), "row 0 has a negative entry"),
+            (((1, 0), ("1/2", "1/4")), "row 1 sums to 3/4, not 1"),
+        ],
+    )
+    def test_fault_rejected(self, build, rows, message):
+        with pytest.raises(ValueError, match=message):
+            build(rows)
+
+    def test_rows_must_match_the_signal_labels(self):
+        with pytest.raises(ValueError, match="row 0 has length 2 where 1 is expected"):
+            Experiment(("s1",), ((1, 0), (0, 1)))
+
+    def test_compose(self):
+        swap = Garbling(((0, 1), (1, 0)))
+        assert swap.compose(swap) == Garbling(((1, 0), (0, 1)))
+        with pytest.raises(ShapeMismatch, match="do not compose"):
+            swap.compose(Garbling(((1,),)))
+
+
 class TestGarble:
     def test_identity(self):
         g = Garbling(((1, 0), (0, 1)))
@@ -111,6 +143,23 @@ class TestPosteriorDistribution:
     def test_atoms_over_different_states_rejected(self):
         with pytest.raises(ShapeMismatch):
             PosteriorDistribution([(belief(1, 0, 0), "1/2"), (belief(0, 1), "1/2")])
+
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PosteriorDistribution([(belief(1, 0), "3/2"), (belief(0, 1), "-1/2")])
+
+    def test_zero_probability_atom_dropped(self):
+        dist = PosteriorDistribution([(belief(1, 0), 0), (uniform_belief(2), 1)])
+        assert dist.atoms == ((uniform_belief(2), Fraction(1)),)
+
+    @pytest.mark.parametrize("atoms", [[], [(belief(1, 0), 0)]])
+    def test_no_mass_rejected(self, atoms):
+        with pytest.raises(ValueError, match="positive mass"):
+            PosteriorDistribution(atoms)
+
+    def test_total_other_than_one_rejected(self):
+        with pytest.raises(ValueError, match="sum to 1, got 1/2"):
+            PosteriorDistribution([(belief(1, 0), "1/4"), (belief(0, 1), "1/4")])
 
 
 class TestValues:
@@ -175,6 +224,11 @@ class TestValues:
         dp = support.two_peak_problem()
         with pytest.raises(ShapeMismatch, match="experiment rows must match the prior's states"):
             value_of_experiment(dp, uniform_belief(3), Experiment.fully_revealing(2))
+
+
+class TestOrder:
+    def test_str(self):
+        assert [str(order) for order in Order] == [">", "=", "<"]
 
 
 class TestRank:

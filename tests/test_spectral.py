@@ -7,9 +7,10 @@ import support
 from infoval.decision import compute_subdivision, scale_problem
 from infoval.errors import BoundaryPrior, ShapeMismatch
 from infoval.geometry import belief, uniform_belief
-from infoval.identification import generate_identification
+from infoval.identification import CellAffine, PairNonAffine, generate_identification
 from infoval.information import Experiment, value_of_experiment
 from infoval.spectral import (
+    RankedExperiment,
     SpectralElement,
     SpectralSubdivision,
     ranked_experiments_of,
@@ -64,6 +65,15 @@ class TestSpectralOf:
         for prior in (uniform_belief(3), belief(1, 0, 0)):  # the shape is checked first
             with pytest.raises(ShapeMismatch):
                 spectral_of(sub, prior)
+
+    @pytest.mark.parametrize("ray", [(1, -1), ("1/2", 0)])
+    def test_ray_not_nonnegative_with_maximum_one_rejected(self, ray):
+        with pytest.raises(ValueError, match="nonnegative with maximum 1"):
+            SpectralElement(0, (ray,))
+
+    def test_empty_ray_rejected(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            SpectralElement(0, ((),))
 
     def test_rays_of_different_lengths_rejected(self):
         with pytest.raises(ShapeMismatch):
@@ -213,6 +223,22 @@ class TestRankedExperiments:
         prior = belief("2/5", "3/5")
         ranked = ranked_experiments_of(generate_identification(dp, prior))
         assert satisfies_ranked(scale_problem(dp, 5), prior, ranked)
+
+    def test_unknown_relation_rejected(self):
+        none = Experiment.uninformative(2)
+        with pytest.raises(ValueError, match="relation must be"):
+            RankedExperiment(none, none, "better", CellAffine(0))
+
+    def test_each_relation_can_fail(self):
+        # full information is worth 1/2 here, so it is neither equal to nor worse than none
+        dp = support.two_peak_problem()
+        full, none = Experiment.fully_revealing(2), Experiment.uninformative(2)
+        tag = PairNonAffine(0, 1)
+        for ranked in (
+            RankedExperiment(full, none, "indifferent", tag),
+            RankedExperiment(none, full, "preferred", tag),
+        ):
+            assert not satisfies_ranked(dp, uniform_belief(2), [ranked])
 
     def test_different_subdivision_violates(self):
         from infoval.decision import make_problem
