@@ -21,6 +21,7 @@ from .geometry import (
     Coords,
     Halfspace,
     Polytope,
+    _belief,
     _coords_of,
     _dedupe_canonical,
     _frac,
@@ -34,7 +35,7 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class DecisionProblem:
-    """States, actions, and an exact utility matrix u[action][state]."""
+    """States, actions and an exact utility matrix u[action][state]; equal rows are one action."""
 
     state_labels: tuple[str, ...]
     action_labels: tuple[str, ...]
@@ -46,23 +47,15 @@ class DecisionProblem:
         object.__setattr__(self, "state_labels", tuple(self.state_labels))
         object.__setattr__(self, "action_labels", tuple(self.action_labels))
         n = len(self.state_labels)
-        if n < 2:
-            raise ValueError("a decision problem needs at least two states")
         if not utility:
             raise ValueError("a decision problem needs at least one action")
+        if n < 2:
+            raise ValueError("a decision problem needs at least two states")
         if len(self.action_labels) != len(utility):
             raise ValueError("one label per action is required")
-        for row in utility:
+        for label, row in zip(self.action_labels, utility):
             if len(row) != n:
-                raise ValueError("every utility row needs one entry per state")
-        seen: dict[Coords, int] = {}
-        for idx, row in enumerate(utility):
-            if row in seen:
-                raise ValueError(
-                    f"duplicate action payoffs: {self.action_labels[seen[row]]!r} "
-                    f"and {self.action_labels[idx]!r} are indistinguishable"
-                )
-            seen[row] = idx
+                raise ValueError(f"action {label!r}: every utility row needs one entry per state")
 
     @property
     def n(self) -> int:
@@ -77,14 +70,15 @@ class DecisionProblem:
         if k != self.n:
             raise ShapeMismatch(f"belief over {k} states for a problem with {self.n} states")
 
-    def payoff(self, action: int, x: Belief) -> Fraction:
+    def payoff(self, action: int, x: Belief | Coords) -> Fraction:
+        x = _belief(x)
         self._require_states(x.n)
         return sum(u * c for u, c in zip(self.utility[action], x.coords))
 
 
 def make_problem(utility, state_labels=None, action_labels=None) -> DecisionProblem:
     rows = [tuple(_frac(v) for v in row) for row in utility]
-    n = len(rows[0]) if rows else 0
+    n = max(map(len, rows), default=0)
     states = tuple(state_labels) if state_labels else tuple(f"t{i+1}" for i in range(n))
     actions = (
         tuple(action_labels)
@@ -185,8 +179,10 @@ class Subdivision:
     def spanning_tree(self) -> list[tuple[int, int]]:
         """Breadth-first tree edges (parent, child) from cell 0, lowest neighbor first.
 
-        Raises MalformedData when the adjacency graph is disconnected.
+        Raises MalformedData when there is no cell or the graph is disconnected.
         """
+        if not self.cells:
+            raise MalformedData("a subdivision needs at least one cell")
         edges = _breadth_first(((pair.i, pair.j) for pair in self.adjacency), 0)
         if len(edges) != len(self.cells) - 1:
             raise MalformedData("adjacency graph is disconnected")
@@ -275,7 +271,8 @@ def evaluate_value(dp: DecisionProblem, x: Belief) -> Fraction:
 def _lift(dp: DecisionProblem) -> tuple[list[tuple[int, ...]], list[frozenset[int]], list[int]]:
     """dp's envelope rays, each action's tight rays, and the undominated actions."""
     rays, tight = envelope_rays(dp.utility)
-    winners = [a for a, on in enumerate(tight) if _rank([rays[r] for r in on]) == dp.n]
+    lowest = sorted({dp.utility.index(row) for row in dp.utility})  # lowest index per distinct row
+    winners = [a for a in lowest if _rank([rays[r] for r in tight[a]]) == dp.n]
     return rays, tight, winners
 
 
@@ -285,7 +282,8 @@ def undominated_actions(dp: DecisionProblem) -> frozenset[int]:
     Read off one lift of the payoff rows: an action is undominated exactly
     when the envelope vertices where it is optimal span R^n, so that it is
     optimal on a full-dimensional region, where distinct rows tie only on
-    hyperplanes. Actions optimal only on ties count as dominated.
+    hyperplanes. Actions optimal only on ties count as dominated, as do all
+    but the lowest index of equal rows.
     """
     return frozenset(_lift(dp)[2])
 
@@ -299,10 +297,10 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     come back ordered by action index. Adjacency comes from
     Subdivision.from_cells on those cells, as for cells read back from data:
     payoffs tie on a shared face, so its kernel line is u(j,.) - u(i,.) up to
-    scale. Each undominated action is the only maximizer on an open set, so
-    its cell is full-dimensional and it is uniquely optimal inside; the cells
-    tile the simplex, so their adjacency graph is connected, which the
-    spanning tree confirms.
+    scale. Each undominated action's row is the only maximizing row on an
+    open set, so its cell is full-dimensional and that row is uniquely
+    optimal inside; the cells tile the simplex, so their adjacency graph is
+    connected, which the spanning tree confirms. Equal rows share one cell.
     """
     n = dp.n
     rays, tight, winners = _lift(dp)

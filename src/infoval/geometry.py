@@ -38,15 +38,13 @@ def _frac(value) -> Fraction:
     return Fraction(value)
 
 
-def _require_interior(prior: "Belief") -> None:
+def _require_prior(prior, n: int | None = None) -> "Belief":
+    """The prior as a Belief: ShapeMismatch unless over n states, if given, then BoundaryPrior."""
+    _coords_of(prior, n)
+    prior = _belief(prior)
     if not prior.is_interior():
         raise BoundaryPrior()
-
-
-def _require_prior(prior: "Belief", n: int) -> None:
-    """A prior over n states that is interior: ShapeMismatch first, then BoundaryPrior."""
-    _coords_of(prior, n)
-    _require_interior(prior)
+    return prior
 
 
 def _coords(values) -> Coords:
@@ -97,6 +95,11 @@ class Belief:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+def _belief(point) -> Belief:
+    """point itself when it is a Belief, else the Belief of its coordinates."""
+    return point if isinstance(point, Belief) else Belief(point)
 
 
 def belief(*values) -> Belief:
@@ -434,7 +437,7 @@ def _hull(points) -> tuple[list[Belief], list[tuple[list[int], int]], list[Halfs
     by (normal, offset). Raw coordinate tuples are read as beliefs. Raises
     ValueError when the points do not span the simplex.
     """
-    pts = sorted({p if isinstance(p, Belief) else Belief(p) for p in points})
+    pts = sorted({_belief(p) for p in points})
     if not pts:
         raise EmptyInput("hull of an empty point set is undefined")
     n = pts[0].n

@@ -37,6 +37,7 @@ from .geometry import (
     ZERO,
     Belief,
     Polytope,
+    _coords_of,
     _frac,
     _normalized,
     _require_prior,
@@ -46,7 +47,7 @@ from .geometry import (
     interior_point,
     point_on_line,
 )
-from .information import PosteriorDistribution, expected_value
+from .information import PosteriorDistribution, _atom_columns, _gap
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ def gen_affineness_equalities(sub: Subdivision, prior: Belief) -> list[OrderedEx
     convex candidate the two sides agree exactly when the candidate is
     affine on the cell.
     """
-    _require_prior(prior, sub.n)
+    prior = _require_prior(prior, sub.n)
     statements = []
     for index, cell in enumerate(sub.cells):
         extremes = cell.geometry.vertices
@@ -222,7 +223,7 @@ def gen_nonaffineness_inequalities(sub: Subdivision, prior: Belief) -> list[Orde
     candidate strictly prefers the split exactly when it is not affine
     across the pair.
     """
-    _require_prior(prior, sub.n)
+    prior = _require_prior(prior, sub.n)
     statements = []
     for pair in sub.adjacency:
         facet_center, inner_i, inner_j, t = _point_into_cell(
@@ -248,11 +249,11 @@ def gen_nonaffineness_inequalities(sub: Subdivision, prior: Belief) -> list[Orde
 def satisfies_ordinal(dp: DecisionProblem, data: IdentificationData) -> bool:
     """Whether the problem's value function satisfies every ordinal statement."""
     for statement in data.ordinal:
-        left = expected_value(dp, statement.lhs)
-        right = expected_value(dp, statement.rhs)
-        if statement.relation == "eq" and left != right:
+        dp._require_states(statement.lhs.mean.n)
+        gap = _gap(dp.utility, _atom_columns(statement.lhs), _atom_columns(statement.rhs))
+        if statement.relation == "eq" and gap != 0:
             return False
-        if statement.relation == "gt" and not left > right:
+        if statement.relation == "gt" and gap <= 0:
             return False
     return True
 
@@ -400,7 +401,7 @@ def gen_utility_differences(
     include_all_edges=True every adjacent pair gets a difference, not just
     the tree, which makes the data redundant and cross-checkable.
     """
-    _require_prior(prior, dp.n)
+    prior = _require_prior(prior, dp.n)
     sub = subdivision if subdivision is not None else compute_subdivision(dp)
     edges = sub.spanning_tree()
     if include_all_edges:
@@ -412,7 +413,7 @@ def gen_utility_differences(
     for parent, child in edges:
         built = _binary_difference(sub, prior, parent, child)
         lhs, rhs = built if built is not None else _residual_difference(sub, prior, parent, child)
-        gap = expected_value(dp, lhs) - expected_value(dp, rhs)
+        gap = _gap(dp.utility, _atom_columns(lhs), _atom_columns(rhs))
         if gap <= 0:
             raise InconsistentData(
                 f"edge {(parent, child)}: the problem's utility difference is {gap}, "
@@ -426,7 +427,7 @@ def generate_identification(
     dp: DecisionProblem, prior: Belief, include_all_edges: bool = False
 ) -> IdentificationData:
     """The full identifying collection for a problem at an interior prior."""
-    _require_prior(prior, dp.n)
+    prior = _require_prior(prior, dp.n)
     sub = compute_subdivision(dp)
     ordinal = gen_affineness_equalities(sub, prior)
     ordinal += gen_nonaffineness_inequalities(sub, prior)
@@ -468,7 +469,7 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
     vanishes on the facet, so with A the facet's linear form it is
     A * gap / ((p - q) * A(anchor)); negating or rescaling A cancels, so the
     pair's halfspace serves whichever cell it faces. Every other difference
-    is a consistency check and must agree exactly with the rebuilt function.
+    is a check: its gap must equal information._gap over the pieces' rows.
     """
     sub = extract_subdivision(data)
     t = len(sub.cells)
@@ -504,13 +505,13 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
         pieces[child] = pieces[parent] + jump if parent == i else pieces[parent] - jump
 
     fn = PiecewiseAffineFn(sub, tuple(pieces[cell] for cell in range(t)))
+    rows = tuple(piece.coeffs for piece in fn.pieces)
     solved = {first[min(edge), max(edge)] for edge in tree}
     for index, diff in enumerate(data.cardinal):
         if index in solved:
             continue
-        predicted = sum(prob * fn(b) for b, prob in diff.lhs.atoms) - sum(
-            prob * fn(b) for b, prob in diff.rhs.atoms
-        )
+        _coords_of(diff.lhs.mean, sub.n)  # ShapeMismatch before the gap zips the columns
+        predicted = _gap(rows, _atom_columns(diff.lhs), _atom_columns(diff.rhs))
         if predicted != diff.gap:
             raise InconsistentData(
                 f"edge {diff.edge}: stated gap {diff.gap} but the reconstruction "

@@ -15,12 +15,12 @@ marginal; divided by the prior, state by state, the atom columns are the
 likelihoods of the experiment that induces the distribution.
 
 Valuing an experiment needs no posteriors. Observing signal s and acting
-optimally earns max_a u_a . c_s, so E[V] = sum_s max_a u_a . c_s. With
-the utility rows and the columns each scaled to integers over one common
-denominator, that is one integer matrix product and a single division at
-the end, exactly equal to the posterior route: a zero column adds
-max_a 0 = 0, as a dropped zero-marginal signal does, and proportional
-columns share a maximizer, so merging them adds their maxima.
+optimally earns max_a u_a . c_s, so E[V] = sum_s max_a u_a . c_s, exactly
+as on the posterior route: a zero column adds max_a 0 = 0, as a dropped
+zero-marginal signal does, and proportional columns share a maximizer, so
+merging them adds their maxima. Each comparison of two sides is one gap,
+the sum over one set of columns minus the sum over the other, and only _gap
+computes it, as one integer product and one division.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import mul
 
 from .decision import DecisionProblem
 from .errors import MeanMismatch, ShapeMismatch
-from .geometry import ONE, ZERO, Belief, Coords, _frac, _normalized, _require_interior
+from .geometry import ONE, ZERO, Belief, Coords, _belief, _frac, _normalized, _require_prior
 
 
 def _stochastic_rows(matrix, width: int | None = None) -> tuple[Coords, ...]:
@@ -127,15 +127,15 @@ class PosteriorDistribution:
     """A finitely supported distribution over beliefs, in canonical form.
 
     Atoms with identical beliefs are merged and the list is sorted by belief,
-    so equal distributions compare equal syntactically. The mean, the sum of
-    the atom columns, is cached.
+    so equal distributions compare equal syntactically. A raw coordinate
+    tuple is read as a Belief. The mean, the sum of the atom columns, is cached.
     """
 
     atoms: tuple[tuple[Belief, Fraction], ...]
     mean: Belief
 
     def __init__(self, atoms):
-        atoms = list(atoms)
+        atoms = [(_belief(b), prob) for b, prob in atoms]
         if len({b.n for b, _ in atoms}) > 1:
             raise ShapeMismatch("every atom's belief must be over the same states")
         merged: dict[Belief, Fraction] = {}
@@ -177,10 +177,9 @@ class Order(enum.Enum):
 def _columns(prior: Belief, experiment: Experiment) -> list[Coords]:
     """One joint column pi(theta) P(s | theta) per signal, the unnormalized posterior.
 
-    BoundaryPrior unless the prior is interior, then ShapeMismatch unless the
-    experiment's rows match the prior's states.
+    The prior is one that _require_prior returned, so BoundaryPrior comes
+    first; ShapeMismatch unless the experiment's rows match its states.
     """
-    _require_interior(prior)
     if experiment.n != prior.n:
         raise ShapeMismatch("experiment rows must match the prior's states")
     weighted = [tuple(p * v for v in row) for p, row in zip(prior.coords, experiment.likelihood)]
@@ -200,7 +199,7 @@ def bayes_split(prior: Belief, experiment: Experiment) -> PosteriorDistribution:
     are dropped; signals leading to the same posterior are merged. The
     result's mean is the prior, exactly.
     """
-    columns = _columns(prior, experiment)
+    columns = _columns(_require_prior(prior), experiment)
     return PosteriorDistribution((_normalized(c), sum(c)) for c in columns if any(c))
 
 
@@ -212,7 +211,7 @@ def experiment_of(prior: Belief, dist: PosteriorDistribution) -> Experiment:
     bayes_split: splitting the result at the same prior returns the
     distribution unchanged.
     """
-    _require_interior(prior)
+    prior = _require_prior(prior)
     if dist.mean != prior:
         raise MeanMismatch(
             f"distribution mean {dist.mean} does not match the prior {prior}"
@@ -233,68 +232,65 @@ def garble(experiment: Experiment, garbling: Garbling) -> Experiment:
     return Experiment(labels, _matmul(experiment.likelihood, garbling.matrix))
 
 
-def _maxima(utility: tuple[Coords, ...], columns: list[Coords]) -> tuple[list[int], int]:
-    """max_a u_a . c for each column c, as integers over one shared denominator.
+def _gap(utility: tuple[Coords, ...], left: list[Coords], right: list[Coords]) -> Fraction:
+    """sum_c max_a u_a . c over the left columns, minus the same sum over the right.
 
     The rows are scaled to integers by the lcm of their denominators and the
-    columns by the lcm of theirs, so every dot product is an integer one and
-    the product of the two lcms is the denominator of every maximum. The max
-    runs over all rows; a dominated row never exceeds it.
+    columns, which callers check have one entry per state, by the lcm of
+    theirs: every dot product is an integer one, over one denominator. The
+    max runs over all rows; a dominated row never exceeds it.
     """
     row_scale = math.lcm(*(u.denominator for row in utility for u in row))
     rows = [[u.numerator * (row_scale // u.denominator) for u in row] for row in utility]
-    column_scale = math.lcm(*(c.denominator for column in columns for c in column))
-    maxima = []
-    for column in columns:
-        scaled = [c.numerator * (column_scale // c.denominator) for c in column]
-        maxima.append(max(sum(map(mul, row, scaled)) for row in rows))
-    return maxima, row_scale * column_scale
+    column_scale = math.lcm(*(c.denominator for column in left + right for c in column))
+    total = 0
+    for sign, columns in ((1, left), (-1, right)):
+        for column in columns:
+            scaled = [c.numerator * (column_scale // c.denominator) for c in column]
+            total += sign * max(sum(map(mul, row, scaled)) for row in rows)
+    return Fraction(total, row_scale * column_scale)
 
 
 def expected_value(dp: DecisionProblem, dist: PosteriorDistribution) -> Fraction:
     """Expectation of the problem's value function under the distribution.
 
-    sum_s p_s max_a u_a . x_s = sum_s max_a u_a . (p_s x_s), evaluated on the
-    unnormalized atoms p_s x_s as one integer product with a single exact
-    division at the end.
+    sum_s p_s max_a u_a . x_s = sum_s max_a u_a . (p_s x_s), the gap between
+    the unnormalized atoms p_s x_s and no columns at all.
     """
     dp._require_states(dist.mean.n)
-    maxima, denominator = _maxima(dp.utility, _atom_columns(dist))
-    return Fraction(sum(maxima), denominator)
+    return _gap(dp.utility, _atom_columns(dist), [])
 
 
 def value_of_experiment(dp: DecisionProblem, prior: Belief, experiment: Experiment) -> Fraction:
     """Expected gain from observing the experiment before acting.
 
     Normalized so an uninformative experiment is worth exactly zero:
-    sum_s max_a u_a . c_s - max_a u_a . pi over the joint columns
-    c_s(theta) = pi(theta) P(s | theta), which sum to the prior. No posterior
-    is formed; the value equals the posterior route's E[V] - V(pi) exactly
-    (see the module docstring). Raises BoundaryPrior for a prior on the
-    boundary, then ShapeMismatch for experiment rows that do not match the
-    prior, then ShapeMismatch for a prior over other states than the problem.
+    sum_s max_a u_a . c_s - max_a u_a . pi, the gap between the joint columns
+    c_s(theta) = pi(theta) P(s | theta), which sum to the prior, and the
+    prior. This is the posterior route's E[V] - V(pi) exactly. Raises
+    BoundaryPrior for a prior on the boundary, then ShapeMismatch for
+    experiment rows that do not match the prior, then ShapeMismatch for a
+    prior over other states than the problem.
     """
+    prior = _require_prior(prior)
     columns = _columns(prior, experiment)
     dp._require_states(prior.n)
-    maxima, denominator = _maxima(dp.utility, columns + [prior.coords])
-    return Fraction(sum(maxima[:-1]) - maxima[-1], denominator)
+    return _gap(dp.utility, columns, [prior.coords])
 
 
 def rank(dp: DecisionProblem, prior: Belief, first: Experiment, second: Experiment) -> Order:
     """Exact comparison of two experiments' value at the prior.
 
-    The uninformed term V(pi) is the same on both sides, so the informed
-    sums sum_s max_a u_a . c_s are compared directly, over one shared
-    denominator. The first experiment is checked in full before the second.
+    The uninformed term V(pi) is the same on both sides, so the order is the
+    sign of the gap between the two experiments' joint columns. The first
+    experiment is checked in full before the second.
     """
+    prior = _require_prior(prior)
     columns = _columns(prior, first)
     dp._require_states(prior.n)
-    split = len(columns)
-    columns += _columns(prior, second)
-    maxima, _ = _maxima(dp.utility, columns)
-    w1, w2 = sum(maxima[:split]), sum(maxima[split:])
-    if w1 > w2:
+    gap = _gap(dp.utility, columns, _columns(prior, second))
+    if gap > 0:
         return Order.BETTER
-    if w1 < w2:
+    if gap < 0:
         return Order.WORSE
     return Order.EQUAL

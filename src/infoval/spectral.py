@@ -21,7 +21,6 @@ from .geometry import (
     _coords_of,
     _frac,
     _normalized,
-    _require_interior,
     _require_prior,
 )
 from .identification import CellAffine, IdentificationData, PairNonAffine
@@ -72,7 +71,7 @@ def _ray_of(point: Belief, prior: Belief) -> Coords:
 
 def spectral_of(sub: Subdivision, prior: Belief) -> SpectralSubdivision:
     """Encode every cell vertex as a max-normalized likelihood-ratio ray."""
-    _require_prior(prior, sub.n)
+    prior = _require_prior(prior, sub.n)
     elements = []
     for index, cell in enumerate(sub.cells):
         rays = tuple(_ray_of(v, prior) for v in cell.geometry.vertices)
@@ -87,7 +86,7 @@ def realize(spec: SpectralSubdivision, prior: Belief) -> list[tuple[Belief, ...]
     prior(theta) * L(theta). At the encoding prior this inverts spectral_of
     exactly. Only the geometry comes back; payoffs are not part of the data.
     """
-    _require_interior(prior)
+    prior = _require_prior(prior)
     cells = []
     for element in spec.elements:
         vertices = [
@@ -104,12 +103,11 @@ def transport_problem(dp: DecisionProblem, prior: Belief, target: Belief) -> Dec
     Entrywise u'(a, theta) = u(a, theta) * prior(theta) / target(theta). The
     transported problem's subdivision at the target prior is exactly the
     realization there of the original subdivision's spectral encoding, and
-    the value of any experiment is unchanged.
+    the value of any experiment is unchanged. Each prior goes through
+    _require_prior on the problem's states.
     """
-    _require_interior(prior)
-    _require_interior(target)
-    if prior.n != target.n or prior.n != dp.n:
-        raise ShapeMismatch("priors must live on the problem's state space")
+    prior = _require_prior(prior, dp.n)
+    target = _require_prior(target, dp.n)
     weights = tuple(m / t for m, t in zip(prior.coords, target.coords))
     utility = tuple(
         tuple(u * w for u, w in zip(row, weights)) for row in dp.utility
@@ -138,13 +136,13 @@ def ranked_experiments_of(data: IdentificationData) -> list[RankedExperiment]:
     it at the data's prior; equalities become indifferences and strict
     inequalities become strict preferences for the left experiment.
     """
-    _require_interior(data.prior)
+    prior = _require_prior(data.prior)
     out = []
     for statement in data.ordinal:
         out.append(
             RankedExperiment(
-                experiment_of(data.prior, statement.lhs),
-                experiment_of(data.prior, statement.rhs),
+                experiment_of(prior, statement.lhs),
+                experiment_of(prior, statement.rhs),
                 "indifferent" if statement.relation == "eq" else "preferred",
                 statement.tag,
             )
@@ -156,7 +154,7 @@ def satisfies_ranked(
     dp: DecisionProblem, prior: Belief, collection: list[RankedExperiment]
 ) -> bool:
     """Whether the problem at this prior ranks every pair as stated."""
-    _require_interior(prior)
+    prior = _require_prior(prior)
     for ranked in collection:
         order = rank(dp, prior, ranked.lhs, ranked.rhs)
         if ranked.relation == "indifferent" and order is not Order.EQUAL:

@@ -28,7 +28,6 @@ from infoval.geometry import (
     _frac,
     _integer_row,
     _kernel_ray,
-    _require_interior,
     _require_prior,
     barycenter,
     dimension,
@@ -168,7 +167,7 @@ def value_by_posteriors(dp: DecisionProblem, prior: Belief, experiment: Experime
 
     Normalized so an uninformative experiment is worth exactly zero.
     """
-    _require_interior(prior)
+    _require_prior(prior)
     return expected_value_by_posteriors(dp, bayes_split(prior, experiment)) - evaluate_value(dp, prior)
 
 

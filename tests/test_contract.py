@@ -6,7 +6,9 @@ python -O and raises AssertionError otherwise). Every number is exact, so
 no float literal appears in the source. The forward geometry comes from one
 lifted double description, so no library module imports the exact LP in
 linprog.py, which stays only as a test oracle. No module imports a name it
-never reads, so code deleted from a module takes its imports with it.
+never reads, so code deleted from a module takes its imports with it, and
+no private function, class or method goes unreferenced, so code that loses
+its last caller is deleted with it.
 """
 
 import ast
@@ -88,6 +90,36 @@ def _unused_imports(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for line, name in imported if name not in read)
 
 
+def _unreferenced_private(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each private definition no other code refers to.
+
+    Private means a function, class or method named with a leading
+    underscore, dunders excepted. A reference is a name, an attribute or an
+    imported name anywhere in the sources, outside the definition itself.
+    """
+    definitions, references = [], []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    definitions.append((module, node))
+            elif isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                name = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}[type(node)]
+                references.append((module, node.lineno, getattr(node, name)))
+
+    def referenced(module, node) -> bool:
+        return any(
+            name == node.name and not (where == module and node.lineno <= line <= node.end_lineno)
+            for where, line, name in references
+        )
+
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, node in definitions
+        if not referenced(module, node)
+    )
+
+
 def test_sources_found():
     assert any(path.name == "identification.py" for path in SOURCES)
 
@@ -110,6 +142,33 @@ def test_library_does_not_import_linprog(path):
 )
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_no_unreferenced_private_code():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert _unreferenced_private(sources) == []
+
+
+def test_unreferenced_private_scanner_catches_each_kind():
+    sources = {
+        "a.py": (
+            "def _called():\n    return 1\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Unused:\n"
+            "    def __init__(self):\n        self._method()\n"
+            "    def _method(self):\n        pass\n"
+            "    def _orphan(self):\n        pass\n"
+            "def public():\n    return _called()\n"
+        ),
+        "b.py": "from a import _imported\n",
+        "c.py": "def _imported():\n    pass\ndef _dead():\n    pass\n",
+    }
+    assert _unreferenced_private(sources) == [
+        ("a.py", 3, "_recursive"),
+        ("a.py", 5, "_Unused"),
+        ("a.py", 10, "_orphan"),
+        ("c.py", 3, "_dead"),
+    ]
 
 
 def test_unused_import_scanner_catches_each_kind():

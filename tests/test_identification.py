@@ -98,6 +98,17 @@ class TestAffinenessEqualities:
             with pytest.raises(ShapeMismatch):
                 generate_identification(support.two_peak_problem(), prior)
 
+    def test_raw_tuple_prior_read_as_belief(self):
+        dp, prior = support.safe_or_bet_problem(), (Fraction(2, 5), Fraction(3, 5))
+        sub = compute_subdivision(dp)
+        for generate in (
+            lambda prior: gen_affineness_equalities(sub, prior),
+            lambda prior: gen_nonaffineness_inequalities(sub, prior),
+            lambda prior: gen_utility_differences(dp, prior),
+            lambda prior: generate_identification(dp, prior),
+        ):
+            assert generate(prior) == generate(Belief(prior))
+
     @pytest.mark.parametrize(
         "generate",
         [
@@ -203,6 +214,12 @@ class TestSatisfiesOrdinal:
         data = generate_identification(dp_a, uniform_belief(2))
         shifted_split = make_problem([[0, 0], [-2, 1]])  # indifferent at x(t2) = 2/3
         assert not satisfies_ordinal(shifted_split, data)
+
+    def test_problem_over_fewer_states_than_the_data_rejected(self):
+        # the gap zips payoff rows with atom columns, which must not truncate
+        data = generate_identification(support.guess_the_state_problem(), uniform_belief(3))
+        with pytest.raises(ShapeMismatch, match="belief over 3 states for a problem with 2 states"):
+            satisfies_ordinal(support.two_peak_problem(), data)
 
 
 class TestExtractSubdivision:
@@ -410,6 +427,17 @@ class TestReconstruction:
         )
         with pytest.raises(InconsistentData):
             reconstruct_value(tampered)
+
+    def test_extra_difference_over_more_states_rejected(self):
+        # a difference the tree does not use is checked by a gap over the
+        # pieces' rows, which must not truncate its four-state atoms
+        dp = support.guess_the_state_problem()
+        data = generate_identification(dp, uniform_belief(3), include_all_edges=True)
+        wide = PosteriorDistribution.point_mass(uniform_belief(4))
+        extra = UtilityDifference(wide, wide, 0, data.cardinal[0].edge)
+        widened = IdentificationData(data.prior, data.ordinal, data.cardinal + (extra,))
+        with pytest.raises(ShapeMismatch, match="4 coordinates where 3 are expected"):
+            reconstruct_value(widened)
 
     def test_swapped_sides_with_negated_gap_are_equivalent(self):
         # E[lhs] = E[rhs] + gap says the same thing as E[rhs] = E[lhs] - gap
@@ -699,6 +727,14 @@ class TestClosedFormWitnesses:
         assert equal_up_to_affine(reconstruct_value(data), value_function(dp)) is not None
 
 
+def spanning_tree_of(sub, prior):
+    return sub.spanning_tree()
+
+
+def differences_on(sub, prior):
+    return gen_utility_differences(support.safe_or_bet_problem(), prior, subdivision=sub)
+
+
 class TestForeignSubdivision:
     def test_disconnected_subdivision_is_malformed(self):
         dp = support.safe_or_bet_problem()
@@ -713,7 +749,14 @@ class TestForeignSubdivision:
             gen_utility_differences(flat, uniform_belief(2), subdivision=other)
 
     @pytest.mark.parametrize(
-        "generate", [gen_affineness_equalities, gen_nonaffineness_inequalities, spectral_of]
+        "generate",
+        [
+            gen_affineness_equalities,
+            gen_nonaffineness_inequalities,
+            spectral_of,
+            spanning_tree_of,
+            differences_on,
+        ],
     )
     def test_subdivision_without_cells_is_malformed(self, generate):
         with pytest.raises(MalformedData, match="at least one cell"):

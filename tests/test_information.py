@@ -161,6 +161,11 @@ class TestPosteriorDistribution:
         with pytest.raises(ValueError, match="sum to 1, got 1/2"):
             PosteriorDistribution([(belief(1, 0), "1/4"), (belief(0, 1), "1/4")])
 
+    def test_raw_tuple_atom_read_as_belief(self):
+        dist = PosteriorDistribution([((1, 0), "1/2"), (belief(0, 1), "1/2")])
+        assert dist == PosteriorDistribution([(belief(1, 0), "1/2"), (belief(0, 1), "1/2")])
+        assert dist.support == (belief(0, 1), belief(1, 0))
+
 
 class TestValues:
     def test_full_information_value(self):
@@ -224,6 +229,28 @@ class TestValues:
         dp = support.two_peak_problem()
         with pytest.raises(ShapeMismatch, match="experiment rows must match the prior's states"):
             value_of_experiment(dp, uniform_belief(3), Experiment.fully_revealing(2))
+
+
+# every entry point that takes a prior reads a raw coordinate tuple once as a Belief
+PRIOR_ENTRY_POINTS = {
+    "bayes_split": lambda prior: bayes_split(prior, SYMMETRIC_NOISY),
+    "experiment_of": lambda prior: experiment_of(
+        prior, bayes_split(belief("1/3", "2/3"), SYMMETRIC_NOISY)
+    ),
+    "value_of_experiment": lambda prior: value_of_experiment(
+        support.two_peak_problem(), prior, SYMMETRIC_NOISY
+    ),
+    "rank": lambda prior: rank(
+        support.two_peak_problem(), prior, SYMMETRIC_NOISY, Experiment.uninformative(2)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", PRIOR_ENTRY_POINTS.values(), ids=PRIOR_ENTRY_POINTS.keys())
+def test_raw_tuple_prior_read_as_belief(call):
+    assert call((Fraction(1, 3), Fraction(2, 3))) == call(belief("1/3", "2/3"))
+    with pytest.raises(BoundaryPrior):
+        call((Fraction(1), Fraction(0)))
 
 
 class TestOrder:

@@ -142,9 +142,10 @@ class TestTransport:
     @pytest.mark.parametrize("prior, target", [
         (uniform_belief(3), uniform_belief(3)),
         (uniform_belief(2), uniform_belief(3)),
+        (belief(1, 0, 0), uniform_belief(2)),  # the shape is checked before the interior
     ])
     def test_prior_over_other_states_rejected(self, prior, target):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="3 coordinates where 2 are expected"):
             transport_problem(support.two_peak_problem(), prior, target)
 
     def test_transported_subdivision_is_the_realization(self):
@@ -180,6 +181,39 @@ class TestTransport:
         assert {e.rays for e in spec_before.elements} == {
             e.rays for e in spec_after.elements
         }
+
+
+# every entry point that takes a prior reads a raw coordinate tuple once as a Belief
+def _ranked(prior):
+    data = generate_identification(support.safe_or_bet_problem(), belief("2/5", "3/5"))
+    return ranked_experiments_of(type(data)(prior, data.ordinal, data.cardinal))
+
+
+PRIOR_ENTRY_POINTS = {
+    "spectral_of": lambda prior: spectral_of(
+        compute_subdivision(support.two_peak_problem()), prior
+    ),
+    "realize": lambda prior: realize(
+        spectral_of(compute_subdivision(support.two_peak_problem()), uniform_belief(2)), prior
+    ),
+    "transport_problem": lambda prior: transport_problem(
+        support.two_peak_problem(), prior, belief("1/4", "3/4")
+    ),
+    "transport_problem target": lambda target: transport_problem(
+        support.two_peak_problem(), uniform_belief(2), target
+    ),
+    "ranked_experiments_of": _ranked,
+    "satisfies_ranked": lambda prior: satisfies_ranked(
+        support.safe_or_bet_problem(), prior, _ranked(belief("2/5", "3/5"))
+    ),
+}
+
+
+@pytest.mark.parametrize("call", PRIOR_ENTRY_POINTS.values(), ids=PRIOR_ENTRY_POINTS.keys())
+def test_raw_tuple_prior_read_as_belief(call):
+    assert call((Fraction(2, 5), Fraction(3, 5))) == call(belief("2/5", "3/5"))
+    with pytest.raises(BoundaryPrior):
+        call((Fraction(1), Fraction(0)))
 
 
 class TestRankedExperiments:
