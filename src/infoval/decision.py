@@ -11,8 +11,10 @@ payoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InconsistentData, MalformedData, NonpositiveScale, ShapeMismatch
 from .geometry import (
@@ -25,6 +27,7 @@ from .geometry import (
     _coords_of,
     _dedupe_canonical,
     _frac,
+    _integer_row,
     _normalized,
     _rank,
     adjacent_facets,
@@ -231,7 +234,9 @@ class PiecewiseAffineFn:
 
     Construction verifies exactly that each cell's piece dominates every
     other piece at each vertex of that cell, and so on the whole cell: the
-    function is the pointwise maximum of its pieces. Adjacent pieces then
+    function is the pointwise maximum of its pieces. It compares integer dot
+    products: the rows scaled by the lcm of all their denominators, each
+    vertex by the lcm of its own. Adjacent pieces then
     agree on their shared facet, because every shared face this library
     builds (geometry.adjacent_facets) is spanned by vertices common to both
     cells, where each piece dominates the other.
@@ -245,14 +250,25 @@ class PiecewiseAffineFn:
         cells = self.subdivision.cells
         if len(self.pieces) != len(cells):
             raise ValueError("need exactly one affine piece per cell")
-        values: dict[Belief, list[Fraction]] = {}
+        widths = [len(piece.coeffs) for piece in self.pieces]
+        scale = math.lcm(*(a.denominator for piece in self.pieces for a in piece.coeffs))
+        rows = [
+            [a.numerator * (scale // a.denominator) for a in piece.coeffs] for piece in self.pieces
+        ]
+        values: dict[Belief, list[int]] = {}
         for i, cell in enumerate(cells):
             for v in cell.geometry.vertices:
-                if v not in values:
-                    values[v] = [piece(v) for piece in self.pieces]
-                for k, value in enumerate(values[v]):
-                    if value > values[v][i]:
-                        raise InconsistentData(f"piece {k} rises above piece {i} on cell {i}")
+                row = values.get(v)
+                if row is None:
+                    coords = _coords_of(v)
+                    for width in widths:
+                        _coords_of(coords, width)  # the ShapeMismatch piece(v) raises
+                    x = _integer_row(coords)
+                    row = values[v] = [sum(map(mul, r, x)) for r in rows]
+                top = row[i]
+                if max(row) > top:
+                    k = next(k for k, value in enumerate(row) if value > top)
+                    raise InconsistentData(f"piece {k} rises above piece {i} on cell {i}")
 
     def __call__(self, x) -> Fraction:
         return max(piece(x) for piece in self.pieces)
@@ -271,7 +287,10 @@ def evaluate_value(dp: DecisionProblem, x: Belief) -> Fraction:
 def _lift(dp: DecisionProblem) -> tuple[list[tuple[int, ...]], list[frozenset[int]], list[int]]:
     """dp's envelope rays, each action's tight rays, and the undominated actions."""
     rays, tight = envelope_rays(dp.utility)
-    lowest = sorted({dp.utility.index(row) for row in dp.utility})  # lowest index per distinct row
+    first: dict[Coords, int] = {}
+    for a, row in enumerate(dp.utility):
+        first.setdefault(row, a)
+    lowest = list(first.values())  # lowest index per distinct row, ascending
     winners = [a for a in lowest if _rank([rays[r] for r in tight[a]]) == dp.n]
     return rays, tight, winners
 

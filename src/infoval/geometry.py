@@ -9,7 +9,9 @@ integer rows, which touches only adjacent pairs of extreme rays rather than
 every subset of constraints or points. All other exact linear algebra
 (rank and affine dimension, the independent points that seed a hull, the
 kernel line that spans a facet) comes from one fraction-free row reduction
-on integer rows. Each polytope costs one double description: a hull's run
+on integer rows. Canonical halfspaces come from one integer routine,
+_facet, whether the normal is a hull's integer ray or a halfspace given in
+rationals. Each polytope costs one double description: a hull's run
 also tells which of its points are vertices. Which cells share a facet, on
 the forward and the backward path alike, is read off vertex incidence by
 one scan, adjacent_facets, which indexes the cells' vertices itself.
@@ -65,10 +67,12 @@ class Belief:
 
     Coordinates must be nonnegative rationals summing to one. Instances are
     immutable, hashable, and ordered lexicographically by coordinates, which
-    gives every vertex listing in this library a canonical order.
+    gives every vertex listing in this library a canonical order. The hash
+    is cached on first use outside the fields, and left out of pickles.
     """
 
     coords: Coords
+    _hash = None
 
     def __post_init__(self):
         coords = _coords(self.coords)
@@ -79,6 +83,14 @@ class Belief:
             raise ValueError(f"belief has a negative coordinate: {coords}")
         if sum(coords) != 1:
             raise ValueError(f"belief coordinates must sum to 1, got {sum(coords)}")
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.coords,)))
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {"coords": self.coords}
 
     @property
     def n(self) -> int:
@@ -147,14 +159,8 @@ class Halfspace:
         return sum(a * x for a, x in zip(self.normal, _coords_of(point, self.n))) - self.offset
 
     def canonical(self) -> "Halfspace":
-        low = min(self.normal)
-        shifted = tuple(a - low for a in self.normal)
-        offset = self.offset - low
-        scale = math.lcm(*(a.denominator for a in shifted))
-        ints = [int(a * scale) for a in shifted]
-        g = math.gcd(*ints)
-        factor = Fraction(scale, g)
-        return Halfspace(tuple(a * factor for a in shifted), offset * factor)
+        """_facet of (normal - offset) . x >= 0, the same cut, scaled to integers."""
+        return _facet(_integer_row(self.as_affine_coords()))
 
     def as_affine_coords(self) -> Coords:
         """Coefficients of x -> normal . x - offset as a pure linear form on the simplex."""
@@ -218,6 +224,19 @@ class Polytope:
         if any(c < 0 for c in coords):
             return False
         return all(h.value(coords) >= 0 for h in self.halfspaces)
+
+
+def _facet(g) -> Halfspace:
+    """The canonical halfspace of g . x >= 0 for a nonconstant integer vector g.
+
+    On the simplex, g . x >= 0 is (g - low) . x >= -low with low = min(g);
+    dividing by d, the gcd of g - low, leaves a primitive normal whose least
+    entry is 0, and the offset -low/d.
+    """
+    low = min(g)
+    shifted = [a - low for a in g]
+    d = math.gcd(*shifted)
+    return Halfspace(tuple(a // d for a in shifted), Fraction(-low, d))
 
 
 def _dedupe_canonical(halfspaces) -> tuple[Halfspace, ...]:
@@ -447,7 +466,7 @@ def _hull(points) -> tuple[list[Belief], list[tuple[list[int], int]], list[Halfs
         raise ValueError("the point set does not span the simplex, so its hull has no interior")
     order = first + [i for i in range(len(pts)) if i not in first]
     rays = _extreme_rays([rows[i] for i in order], n)
-    facets = [Halfspace(tuple(ray), ZERO).canonical() for ray, _ in rays]
+    facets = [_facet(ray) for ray, _ in rays]
     return [pts[i] for i in order], rays, sorted(facets, key=lambda h: (h.normal, h.offset))
 
 
@@ -494,7 +513,7 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
             g = [-a for a in g]
         halfspaces = tuple(dict.fromkeys(cells[i].halfspaces + cells[j].halfspaces))
         shared = Polytope(halfspaces, tuple(sorted(vertices[r] for r in common)), n)
-        out.append((i, j, shared, Halfspace(tuple(g), ZERO).canonical()))
+        out.append((i, j, shared, _facet(g)))
     return out
 
 

@@ -106,7 +106,10 @@ class UtilityDifference:
 
     def __post_init__(self):
         object.__setattr__(self, "gap", _frac(self.gap))
-        edge = tuple(self.edge)
+        try:
+            edge = tuple(self.edge)
+        except TypeError:
+            raise MalformedData(f"a difference edge names two cells, got {self.edge!r}") from None
         if len(edge) != 2:
             raise MalformedData(f"a difference edge names two cells, got {edge}")
         object.__setattr__(self, "edge", (int(edge[0]), int(edge[1])))
@@ -278,8 +281,8 @@ def extract_subdivision(data: IdentificationData) -> Subdivision:
         raise MalformedData("need exactly one affineness equality per cell")
     cells: list[Cell] = []
     for statement in sorted(cell_tags, key=lambda s: s.tag.cell):
-        right_support = {b.coords for b in statement.rhs.support}
-        removed = [b for b in statement.lhs.support if b.coords not in right_support]
+        right_support = set(statement.rhs.support)
+        removed = [b for b in statement.lhs.support if b not in right_support]
         try:
             geometry = Polytope.from_vertices(removed)
         except ValueError as exc:
@@ -444,8 +447,8 @@ def generate_identification(
 
 def _anchor_of(difference: UtilityDifference):
     """The unique common-support atom whose weight differs between the sides."""
-    lhs = {b.coords: p for b, p in difference.lhs.atoms}
-    rhs = {b.coords: p for b, p in difference.rhs.atoms}
+    lhs = dict(difference.lhs.atoms)
+    rhs = dict(difference.rhs.atoms)
     differing = [
         key for key in lhs.keys() & rhs.keys() if lhs[key] != rhs[key]
     ]
@@ -454,7 +457,7 @@ def _anchor_of(difference: UtilityDifference):
             "a utility difference needs exactly one shared atom with differing weights"
         )
     key = differing[0]
-    return Belief(key), lhs[key], rhs[key]
+    return key, lhs[key], rhs[key]
 
 
 def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
@@ -474,6 +477,8 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
     sub = extract_subdivision(data)
     t = len(sub.cells)
     root = data.root_cell
+    if not isinstance(root, int):
+        raise MalformedData(f"root cell {root!r} is not a cell index")
     if not 0 <= root < t:
         raise MalformedData(f"root cell {root} is out of range")
     first: dict[tuple[int, int], int] = {}

@@ -41,6 +41,8 @@ class SpectralElement:
 
     def __post_init__(self):
         rays = tuple(tuple(_frac(v) for v in ray) for ray in self.rays)
+        if not rays:
+            raise ValueError("a spectral element needs at least one ray")
         if len({len(ray) for ray in rays}) > 1:
             raise ShapeMismatch("likelihood rays in one element must all have the same length")
         if not all(rays):

@@ -16,7 +16,7 @@ from infoval.decision import (
     evaluate_value,
     make_problem,
 )
-from infoval.errors import EmptyInput, MeanMismatch
+from infoval.errors import EmptyInput, InconsistentData, MeanMismatch
 from infoval.geometry import (
     ONE,
     ZERO,
@@ -278,6 +278,41 @@ def nonaffineness_by_split(sub: Subdivision, prior: Belief) -> list[OrderedExpec
 
 
 # ---------------------------------------------------------------------------
+# the Fraction kernels that integer ones replaced: Halfspace.canonical's shift,
+# lcm and gcd, and PiecewiseAffineFn's dominance loop
+# ---------------------------------------------------------------------------
+
+
+def canonical_by_fractions(h: Halfspace) -> Halfspace:
+    """Halfspace.canonical in Fractions: shift the least normal entry to 0, then scale."""
+    low = min(h.normal)
+    shifted = tuple(a - low for a in h.normal)
+    offset = h.offset - low
+    scale = math.lcm(*(a.denominator for a in shifted))
+    ints = [int(a * scale) for a in shifted]
+    g = math.gcd(*ints)
+    factor = Fraction(scale, g)
+    return Halfspace(tuple(a * factor for a in shifted), offset * factor)
+
+
+def check_dominance_by_fractions(sub: Subdivision, pieces) -> None:
+    """PiecewiseAffineFn's check in Fractions: each piece at each vertex of each cell.
+
+    Raises what construction raises: ShapeMismatch from the first piece of
+    another length at the first vertex, then InconsistentData for the first
+    cell, its first vertex and the lowest piece rising above the cell's own.
+    """
+    values: dict[Belief, list[Fraction]] = {}
+    for i, cell in enumerate(sub.cells):
+        for v in cell.geometry.vertices:
+            if v not in values:
+                values[v] = [piece(v) for piece in pieces]
+            for k, value in enumerate(values[v]):
+                if value > values[v][i]:
+                    raise InconsistentData(f"piece {k} rises above piece {i} on cell {i}")
+
+
+# ---------------------------------------------------------------------------
 # brute-force polyhedra: the enumeration the double-description core replaced,
 # kept as a differential oracle for vertices_of, hull_halfspaces, the rank and
 # the kernel line, with the Fraction Gauss-Jordan elimination it used; and the
@@ -448,9 +483,9 @@ def hull_by_brute_force(points) -> list[Halfspace]:
         cut = sum(a * b for a, b in zip(w, base))
         signs = [sum(a * c for a, c in zip(w, p.coords)) - cut for p in pts]
         if all(s >= 0 for s in signs):
-            h = Halfspace(w, cut).canonical()
+            h = canonical_by_fractions(Halfspace(w, cut))
         elif all(s <= 0 for s in signs):
-            h = Halfspace(tuple(-a for a in w), -cut).canonical()
+            h = canonical_by_fractions(Halfspace(tuple(-a for a in w), -cut))
         else:
             continue
         facets[(h.normal, h.offset)] = h
@@ -546,7 +581,7 @@ def facet_between_pair(p1: Polytope, p2: Polytope):
         raise ValueError("shared hyperplane does not support the second cell")
     if max(sides) <= 0:
         w = [-a for a in w]
-    h = Halfspace(tuple(w), ZERO).canonical()
+    h = canonical_by_fractions(Halfspace(tuple(w), ZERO))
     shared = Polytope(tuple(dict.fromkeys(p1.halfspaces + p2.halfspaces)), tuple(common), n)
     return shared, h
 

@@ -53,6 +53,18 @@ class TestProblemValidation:
             for a in undominated_actions(copied):
                 assert rows.index(rows[a]) == a  # the lowest index of equal rows wins
 
+    def test_many_copies_of_few_rows_keep_the_lowest_index(self):
+        # five classes of rows, the flat (1/4, 1/4, 1/4) one dominated by the
+        # flat (2/5, 2/5, 2/5) one, copied to 600 actions in shuffled order
+        classes = [(1, 0, 0), (0, 1, 0), (0, 0, 1), ("1/4",) * 3, ("2/5",) * 3]
+        rows = classes * 120
+        Random(5).shuffle(rows)
+        dp = make_problem(rows)
+        flat = (Fraction(1, 4),) * 3
+        winners = {dp.utility.index(row) for row in set(dp.utility) if row != flat}
+        assert undominated_actions(dp) == winners
+        assert [cell.action_index for cell in compute_subdivision(dp).cells] == sorted(winners)
+
     def test_single_state_rejected(self):
         with pytest.raises(ValueError, match="two states"):
             make_problem([[1], [2]])
@@ -443,6 +455,15 @@ class TestStateTransfer:
         assert combined[1] == AffineFn(tuple(a + b for a, b in zip(gamma1, gamma2)))
 
 
+def _outcome(check, *args):
+    """None when check(*args) returns, else the type and message of what it raised."""
+    try:
+        check(*args)
+    except Exception as exc:  # whatever it raises must match the oracle
+        return type(exc), str(exc)
+    return None
+
+
 class TestValueFunction:
     def test_pieces_are_the_winning_rows(self):
         dp = support.safe_or_bet_problem()
@@ -465,6 +486,36 @@ class TestValueFunction:
         with pytest.raises(ShapeMismatch):
             combine(AffineFn((1, 2, 3)), AffineFn((1, 2)))
 
+    def test_piece_of_other_length_rejected(self):
+        sub = compute_subdivision(support.safe_or_bet_problem())
+        cases = [
+            ((AffineFn((0, 0)), AffineFn((1, 2, 3))), "2 coordinates where 3 are expected"),
+            ((AffineFn((0,)), AffineFn((-1, 1, 0))), "2 coordinates where 1 are expected"),
+        ]
+        for pieces, message in cases:
+            with pytest.raises(ShapeMismatch, match=message):
+                PiecewiseAffineFn(sub, pieces)
+            with pytest.raises(ShapeMismatch, match=message):
+                support.check_dominance_by_fractions(sub, pieces)
+
+    @settings(max_examples=80, deadline=None, phases=support.NO_SHRINK)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=5))
+    def test_dominance_check_against_fractions(self, seed, n):
+        # the true rows plus one common affine shift, which keeps them
+        # convex, and then up to two entries nudged, which mostly does not
+        rng = Random(seed)
+        dp = support.random_problem(rng, n=n, max_actions=6)
+        sub = compute_subdivision(dp)
+        shift = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+        rows = [[u + t for u, t in zip(dp.utility[cell.action_index], shift)] for cell in sub.cells]
+        for _ in range(rng.randint(0, 2)):
+            row = rng.choice(rows)
+            row[rng.randrange(n)] += Fraction(rng.randint(-3, 3), rng.randint(1, 40))
+        pieces = tuple(AffineFn(row) for row in rows)
+        assert _outcome(PiecewiseAffineFn, sub, pieces) == _outcome(
+            support.check_dominance_by_fractions, sub, pieces
+        )
+
     def test_wrong_piece_count_rejected(self):
         sub = compute_subdivision(support.safe_or_bet_problem())
         with pytest.raises(ValueError, match="one affine piece per cell"):
@@ -485,6 +536,15 @@ class TestValueFunction:
         pieces = (AffineFn((1, 0, 0)), AffineFn((0, 1, 0)), AffineFn((1, 1, 2)))
         with pytest.raises(InconsistentData, match="piece 2 rises above piece 0 on cell 0"):
             PiecewiseAffineFn(sub, pieces)
+
+    def test_lowest_piece_rising_is_named(self):
+        # at (1/3, 1/3, 1/3), the first vertex of cell 0, pieces 1 and 2 both
+        # rise above the zero piece, piece 2 the higher
+        sub = compute_subdivision(support.guess_the_state_problem())
+        pieces = (AffineFn((0, 0, 0)), AffineFn((0, 1, 0)), AffineFn((0, 0, 2)))
+        for check in (PiecewiseAffineFn, support.check_dominance_by_fractions):
+            with pytest.raises(InconsistentData, match="piece 1 rises above piece 0 on cell 0"):
+                check(sub, pieces)
 
     def test_continuous_pieces_that_are_not_convex_rejected(self):
         # both pieces vanish at the shared point (1/2, 1/2), but the kink

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from infoval.geometry import (
     Halfspace,
     Polytope,
     _extreme_rays,
+    _facet,
     _kernel_ray,
     _row_reduce,
     barycenter,
@@ -57,6 +61,62 @@ class TestBelief:
     def test_rejects_no_coordinates(self):
         with pytest.raises(ValueError, match="at least one coordinate"):
             Belief(())
+
+
+class TestBeliefHash:
+    def test_equal_beliefs_built_apart_hash_equal_and_find_each_other(self):
+        a = belief("1/3", "2/3")
+        b = Belief((Fraction(2, 6), Fraction(4, 6)))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "found"}[b] == "found" and b in {a}
+
+    def test_hash_is_the_coordinates_and_does_not_change(self):
+        a = belief("1/4", "1/4", "1/2")
+        first = hash(a)
+        assert first == hash((a.coords,))
+        assert [hash(a) for _ in range(3)] == [first] * 3
+
+    def test_repr_and_fields_are_the_coordinates_alone(self):
+        a = belief("1/2", "1/2")
+        hash(a)
+        assert repr(a) == "Belief(coords=(Fraction(1, 2), Fraction(1, 2)))"
+        assert [field.name for field in dataclasses.fields(Belief)] == ["coords"]
+
+    @pytest.mark.parametrize("hashed", [False, True])
+    def test_pickle_and_copy_round_trips(self, hashed):
+        a = belief("1/5", "3/5", "1/5")
+        if hashed:
+            hash(a)
+        assert pickle.dumps(a) == pickle.dumps(Belief(a.coords))  # the cached hash stays out
+        for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert clone == a and hash(clone) == hash(a)
+            assert repr(clone) == repr(a)
+
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+class TestCanonicalAgainstFractions:
+    """_facet and Halfspace.canonical against the Fraction canonical they replaced, by repr."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-60, 60), min_size=2, max_size=8))
+    @example([0, 0, 1])
+    @example([-3, -3, -6, 0])
+    def test_integer_vectors(self, g):
+        assume(len(set(g)) > 1)
+        expected = repr(support.canonical_by_fractions(Halfspace(tuple(g), 0)))
+        assert repr(_facet(g)) == expected
+        assert repr(Halfspace(tuple(g), 0).canonical()) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(rationals, min_size=2, max_size=8), rationals)
+    @example([Fraction(-1, 2), Fraction(0)], Fraction(0))
+    @example([Fraction(2, 3), Fraction(-4, 9), Fraction(0)], Fraction(-5, 6))
+    def test_rational_halfspaces(self, normal, offset):
+        assume(len(set(normal)) > 1)
+        h = Halfspace(tuple(normal), offset)
+        assert repr(h.canonical()) == repr(support.canonical_by_fractions(h))
 
 
 class TestHalfspaceCanonical:

@@ -481,6 +481,13 @@ class TestReconstruction:
         with pytest.raises(MalformedData, match=f"root cell {root} is out of range"):
             reconstruct_value(moved)
 
+    @pytest.mark.parametrize("root", ["x", None, 0.0])
+    def test_root_that_is_not_an_index_is_malformed(self, root):
+        data = generate_identification(support.safe_or_bet_problem(), uniform_belief(2))
+        moved = IdentificationData(data.prior, data.ordinal, data.cardinal, root)
+        with pytest.raises(MalformedData, match="is not a cell index"):
+            reconstruct_value(moved)
+
     def test_anchor_outside_the_child_cell_is_malformed(self):
         # the anchor is inside cell 1; the reversed edge names cell 0 as the child
         data = generate_identification(support.safe_or_bet_problem(), uniform_belief(2))
@@ -614,7 +621,7 @@ class TestUtilityDifferenceFields:
             UtilityDifference(d, d, 0.1, (0, 1))
         assert UtilityDifference(d, d, "1/10", (0, 1)).gap == Fraction(1, 10)
 
-    @pytest.mark.parametrize("edge", [(0, 1, 7), (0,), ()])
+    @pytest.mark.parametrize("edge", [(0, 1, 7), (0,), (), None, 3])
     def test_edge_of_other_than_two_cells_rejected(self, edge):
         d = PosteriorDistribution([(uniform_belief(2), 1)])
         with pytest.raises(MalformedData, match="names two cells"):

@@ -71,6 +71,10 @@ class TestSpectralOf:
         with pytest.raises(ValueError, match="nonnegative with maximum 1"):
             SpectralElement(0, (ray,))
 
+    def test_element_without_rays_rejected(self):
+        with pytest.raises(ValueError, match="at least one ray"):
+            SpectralElement(0, ())
+
     def test_empty_ray_rejected(self):
         with pytest.raises(ValueError, match="at least one coordinate"):
             SpectralElement(0, ((),))
