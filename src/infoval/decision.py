@@ -11,7 +11,6 @@ payoff.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -30,6 +29,7 @@ from .geometry import (
     _integer_row,
     _normalized,
     _rank,
+    _scaled,
     adjacent_facets,
     envelope_rays,
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
@@ -251,10 +251,7 @@ class PiecewiseAffineFn:
         if len(self.pieces) != len(cells):
             raise ValueError("need exactly one affine piece per cell")
         widths = [len(piece.coeffs) for piece in self.pieces]
-        scale = math.lcm(*(a.denominator for piece in self.pieces for a in piece.coeffs))
-        rows = [
-            [a.numerator * (scale // a.denominator) for a in piece.coeffs] for piece in self.pieces
-        ]
+        rows, _ = _scaled([piece.coeffs for piece in self.pieces])
         values: dict[Belief, list[int]] = {}
         for i, cell in enumerate(cells):
             for v in cell.geometry.vertices:

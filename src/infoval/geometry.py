@@ -11,10 +11,13 @@ every subset of constraints or points. All other exact linear algebra
 kernel line that spans a facet) comes from one fraction-free row reduction
 on integer rows. Canonical halfspaces come from one integer routine,
 _facet, whether the normal is a hull's integer ray or a halfspace given in
-rationals. Each polytope costs one double description: a hull's run
-also tells which of its points are vertices. Which cells share a facet, on
-the forward and the backward path alike, is read off vertex incidence by
-one scan, adjacent_facets, which indexes the cells' vertices itself.
+rationals. _scaled, which puts rational rows over one denominator, is the
+one home of common-denominator integer sums: beliefs, barycenters, line
+windows and the value kernels add integers and divide once. Each polytope
+costs one double description: a hull's run also tells which of its points
+are vertices. Which cells share a facet, on the forward and the backward
+path alike, is read off vertex incidence by one scan, adjacent_facets,
+which indexes the cells' vertices itself.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .errors import BoundaryPrior, EmptyInput, EmptyPolytope, ShapeMismatch
 
@@ -79,9 +83,10 @@ class Belief:
         object.__setattr__(self, "coords", coords)
         if not coords:
             raise ValueError("belief needs at least one coordinate")
-        if any(c < 0 for c in coords):
+        (row,), scale = _scaled((coords,))
+        if min(row) < 0:
             raise ValueError(f"belief has a negative coordinate: {coords}")
-        if sum(coords) != 1:
+        if sum(row) != scale:
             raise ValueError(f"belief coordinates must sum to 1, got {sum(coords)}")
 
     def __hash__(self) -> int:
@@ -125,8 +130,9 @@ def uniform_belief(n: int) -> Belief:
 
 def _normalized(column) -> Belief:
     """The belief proportional to a nonnegative int or Fraction column with a positive sum."""
-    total = sum(column)
-    return Belief(tuple(Fraction(c, total) for c in column))
+    row = _integer_row(column)
+    total = sum(row)
+    return Belief(tuple(Fraction(c, total) for c in row))
 
 
 @dataclass(frozen=True)
@@ -147,7 +153,7 @@ class Halfspace:
         object.__setattr__(self, "offset", _frac(self.offset))
         if not self.normal:
             raise ValueError("halfspace normal needs at least one coordinate")
-        if len(set(self.normal)) == 1:
+        if all(a == self.normal[0] for a in self.normal):
             raise ValueError("halfspace normal is constant on the simplex (degenerate)")
 
     @property
@@ -248,10 +254,15 @@ def _dedupe_canonical(halfspaces) -> tuple[Halfspace, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _scaled(rows) -> tuple[list[list[int]], int]:
+    """(ints, scale) with rows[i][k] == ints[i][k] / scale, scale the lcm of all denominators."""
+    scale = math.lcm(*[v.denominator for row in rows for v in row])
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
+
+
 def _integer_row(values) -> list[int]:
     """A rational vector scaled by the lcm of its denominators: same direction, integer entries."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+    return _scaled((values,))[0][0]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -429,12 +440,13 @@ def dimension(points) -> int:
 
 def barycenter(points) -> Belief:
     """Unweighted average of the points, exact."""
-    pts = list(points)
+    pts = [p if isinstance(p, Belief) else _coords(p) for p in points]
     if not pts:
         raise EmptyInput("barycenter of an empty point set is undefined")
     n = len(_coords_of(pts[0]))
-    columns = zip(*(_coords_of(p, n) for p in pts))
-    return Belief(tuple(Fraction(sum(column), len(pts)) for column in columns))
+    rows, scale = _scaled([_coords_of(p, n) for p in pts])
+    count = len(pts) * scale
+    return Belief(tuple(Fraction(sum(column), count) for column in zip(*rows)))
 
 
 def interior_point(poly: Polytope) -> Belief:
@@ -538,28 +550,27 @@ def interior_interval_on_line(origin: Belief, direction: Coords, poly: Polytope)
 
     Returns an exact (lo, hi) pair with lo < hi, or None when the line misses
     the relative interior. The direction must sum to zero so the line stays
-    in the simplex's affine hull.
+    in the simplex's affine hull. Each coordinate and halfspace bounds t by
+    -alpha/beta, kept as an integer pair over the line's and its own scale.
     """
-    coords = _coords_of(origin, poly.n)
-    direction = _coords_of(direction, poly.n)
+    points = [p if isinstance(p, Belief) else _coords(p) for p in (origin, direction)]
+    (coords, direction), scale = _scaled([_coords_of(p, poly.n) for p in points])
     conditions = list(zip(coords, direction))
     for h in poly.halfspaces:
-        conditions.append((h.value(coords), sum(a * d for a, d in zip(h.normal, direction))))
-    lo: Fraction | None = None
-    hi: Fraction | None = None
+        *g, c = _integer_row(h.normal + (h.offset,))
+        conditions.append((sum(map(mul, g, coords)) - c * scale, sum(map(mul, g, direction))))
+    lo = hi = None
     for alpha, beta in conditions:
         if beta == 0:
             if alpha <= 0:
                 return None
             continue
-        bound = -alpha / beta
         if beta > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    if lo is None or hi is None:
-        # a zero-sum direction always hits coordinate bounds on both sides
+            if lo is None or -alpha * lo[1] > lo[0] * beta:
+                lo = (-alpha, beta)
+        elif hi is None or alpha * hi[1] < hi[0] * -beta:
+            hi = (alpha, -beta)
+    # a zero-sum direction always hits coordinate bounds on both sides
+    if lo is None or hi is None or lo[0] * hi[1] >= hi[0] * lo[1]:
         return None
-    if lo >= hi:
-        return None
-    return lo, hi
+    return Fraction(*lo), Fraction(*hi)

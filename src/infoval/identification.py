@@ -110,8 +110,8 @@ class UtilityDifference:
             edge = tuple(self.edge)
         except TypeError:
             raise MalformedData(f"a difference edge names two cells, got {self.edge!r}") from None
-        if len(edge) != 2:
-            raise MalformedData(f"a difference edge names two cells, got {edge}")
+        if len(edge) != 2 or not all(isinstance(e, int) and not isinstance(e, bool) for e in edge):
+            raise MalformedData(f"a difference edge names two cells by int index, got {edge}")
         object.__setattr__(self, "edge", (int(edge[0]), int(edge[1])))
         if self.lhs.mean != self.rhs.mean:
             raise ValueError("both sides of a utility difference must share their mean")
@@ -161,7 +161,7 @@ def _residual_point(prior: Belief, anchor: Belief, forbidden: set) -> tuple[Beli
     for k in range(first, first + len(forbidden) + 1):
         lam = Fraction(1, 2**k)
         residual = _normalized([m - lam * a for m, a in zip(prior.coords, anchor.coords)])
-        if residual.coords not in forbidden:
+        if residual not in forbidden:
             return residual, lam
     raise MalformedData("every residual falls on a point of the cell; is the cell degenerate?")
 
@@ -182,7 +182,7 @@ def gen_affineness_equalities(sub: Subdivision, prior: Belief) -> list[OrderedEx
     for index, cell in enumerate(sub.cells):
         extremes = cell.geometry.vertices
         center = barycenter(extremes)
-        residual, lam = _residual_point(prior, center, {v.coords for v in extremes})
+        residual, lam = _residual_point(prior, center, set(extremes))
         k = len(extremes)
         spread = PosteriorDistribution([(v, lam / k) for v in extremes] + [(residual, 1 - lam)])
         collapsed = PosteriorDistribution([(center, lam), (residual, 1 - lam)])
@@ -239,7 +239,7 @@ def gen_nonaffineness_inequalities(sub: Subdivision, prior: Belief) -> list[Orde
         if facet_center == prior:
             rest, lam = [], ONE
         else:
-            residual, lam = _residual_point(prior, facet_center, {facet_center.coords})
+            residual, lam = _residual_point(prior, facet_center, {facet_center})
             rest = [(residual, 1 - lam)]
         base = PosteriorDistribution([(facet_center, lam)] + rest)
         spread = PosteriorDistribution(rest + [(inner_i, lam * w_i), (inner_j, lam * w_j)])
@@ -380,7 +380,7 @@ def _residual_difference(sub: Subdivision, prior: Belief, parent: int, child: in
     # with lam = 2 * eps, the lhs puts eps * (2 - beta) on x_j and eps * beta
     # on x_i, that is lam on their mixture `mixed`; the residual takes the rest
     mixed = _normalized([(2 - beta) * j + beta * i for j, i in zip(x_j.coords, x_i.coords)])
-    residual, lam = _residual_point(prior, mixed, {x_i.coords, x_hat.coords, x_j.coords})
+    residual, lam = _residual_point(prior, mixed, {x_i, x_hat, x_j})
     eps = lam / 2
     lhs = PosteriorDistribution(
         [(x_j, eps * (2 - beta)), (x_i, eps * beta), (residual, 1 - lam)]

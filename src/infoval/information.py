@@ -20,20 +20,22 @@ as on the posterior route: a zero column adds max_a 0 = 0, as a dropped
 zero-marginal signal does, and proportional columns share a maximizer, so
 merging them adds their maxima. Each comparison of two sides is one gap,
 the sum over one set of columns minus the sum over the other, and only _gap
-computes it, as one integer product and one division.
+computes it, as integer dot products over geometry._scaled's rows and one
+division.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .decision import DecisionProblem
 from .errors import MeanMismatch, ShapeMismatch
-from .geometry import ONE, ZERO, Belief, Coords, _belief, _frac, _normalized, _require_prior
+from .geometry import (
+    ONE, ZERO, Belief, Coords, _belief, _frac, _normalized, _require_prior, _scaled
+)
 
 
 def _stochastic_rows(matrix, width: int | None = None) -> tuple[Coords, ...]:
@@ -128,7 +130,8 @@ class PosteriorDistribution:
 
     Atoms with identical beliefs are merged and the list is sorted by belief,
     so equal distributions compare equal syntactically. A raw coordinate
-    tuple is read as a Belief. The mean, the sum of the atom columns, is cached.
+    tuple is read as a Belief. The mean, the sum of the atom columns, is cached;
+    it and the total are integer sums over common denominators.
     """
 
     atoms: tuple[tuple[Belief, Fraction], ...]
@@ -148,11 +151,13 @@ class PosteriorDistribution:
             merged[belief_point] = merged.get(belief_point, ZERO) + prob
         if not merged:
             raise ValueError("a posterior distribution needs positive mass")
-        total = sum(merged.values())
-        if total != 1:
-            raise ValueError(f"atom probabilities must sum to 1, got {total}")
+        (probs,), scale = _scaled((tuple(merged.values()),))
+        if sum(probs) != scale:
+            raise ValueError(f"atom probabilities must sum to 1, got {sum(merged.values())}")
         object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
-        object.__setattr__(self, "mean", Belief(tuple(map(sum, zip(*_atom_columns(self))))))
+        rows, row_scale = _scaled([b.coords for b in merged])
+        mean = (Fraction(sum(map(mul, probs, c)), scale * row_scale) for c in zip(*rows))
+        object.__setattr__(self, "mean", Belief(tuple(mean)))
 
     @property
     def support(self) -> tuple[Belief, ...]:
@@ -235,20 +240,15 @@ def garble(experiment: Experiment, garbling: Garbling) -> Experiment:
 def _gap(utility: tuple[Coords, ...], left: list[Coords], right: list[Coords]) -> Fraction:
     """sum_c max_a u_a . c over the left columns, minus the same sum over the right.
 
-    The rows are scaled to integers by the lcm of their denominators and the
-    columns, which callers check have one entry per state, by the lcm of
-    theirs: every dot product is an integer one, over one denominator. The
-    max runs over all rows; a dominated row never exceeds it.
+    The rows go over one denominator and the columns, which callers check
+    have one entry per state, over another: every dot product is an integer
+    one, over their product. The max runs over all rows; a dominated row
+    never exceeds it.
     """
-    row_scale = math.lcm(*(u.denominator for row in utility for u in row))
-    rows = [[u.numerator * (row_scale // u.denominator) for u in row] for row in utility]
-    column_scale = math.lcm(*(c.denominator for column in left + right for c in column))
-    total = 0
-    for sign, columns in ((1, left), (-1, right)):
-        for column in columns:
-            scaled = [c.numerator * (column_scale // c.denominator) for c in column]
-            total += sign * max(sum(map(mul, row, scaled)) for row in rows)
-    return Fraction(total, row_scale * column_scale)
+    rows, row_scale = _scaled(utility)
+    columns, column_scale = _scaled(left + right)
+    best = [max(sum(map(mul, row, column)) for row in rows) for column in columns]
+    return Fraction(sum(best[: len(left)]) - sum(best[len(left) :]), row_scale * column_scale)
 
 
 def expected_value(dp: DecisionProblem, dist: PosteriorDistribution) -> Fraction:

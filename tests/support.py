@@ -6,6 +6,7 @@ from itertools import combinations
 from random import Random
 
 from hypothesis import Phase
+from hypothesis import strategies as st
 
 from infoval import linprog
 from infoval.decision import (
@@ -24,6 +25,7 @@ from infoval.geometry import (
     Coords,
     Halfspace,
     Polytope,
+    _coords_of,
     _dedupe_canonical,
     _frac,
     _integer_row,
@@ -41,7 +43,14 @@ from infoval.identification import (
     _point_into_cell,
     _residual_point,
 )
-from infoval.information import Experiment, Garbling, Order, PosteriorDistribution, bayes_split
+from infoval.information import (
+    Experiment,
+    Garbling,
+    Order,
+    PosteriorDistribution,
+    _atom_columns,
+    bayes_split,
+)
 
 
 def two_peak_problem() -> DecisionProblem:
@@ -116,6 +125,19 @@ def random_problem(rng: Random, n: int | None = None, max_actions: int = 8,
     if len(rows) < k:
         raise ValueError(f"the rng gave {len(rows)} distinct rows in {k + REPEATED_ROWS} draws, not {k}")
     return make_problem(rows)
+
+
+def fractions(low: int, high: int, max_denominator: int):
+    """Fractions a/b, low <= a <= high and 0 < b <= max_denominator; quicker than st.fractions."""
+    return st.builds(Fraction, st.integers(low, high), st.integers(1, max_denominator))
+
+
+@st.composite
+def mixed_beliefs(draw, n: int) -> Belief:
+    """Beliefs over n states from nonnegative rational weights, so their denominators differ."""
+    weights = fractions(0, 45, 9)
+    drawn = draw(st.lists(weights, min_size=n, max_size=n).filter(any))
+    return Belief(tuple(w / sum(drawn) for w in drawn))
 
 
 def random_interior_prior(rng: Random, n: int) -> Belief:
@@ -245,11 +267,11 @@ def affineness_by_collapse(sub: Subdivision, prior: Belief) -> list[OrderedExpec
     for index, cell in enumerate(sub.cells):
         extremes = list(cell.geometry.vertices)
         center = barycenter(extremes)
-        forbidden = {v.coords for v in extremes}
+        forbidden = set(extremes)
         residual, lam = _residual_point(prior, center, forbidden)
         k = len(extremes)
         spread = PosteriorDistribution([(v, lam / k) for v in extremes] + [(residual, 1 - lam)])
-        extreme_indices = [i for i, (b, _) in enumerate(spread.atoms) if b.coords in forbidden]
+        extreme_indices = [i for i, (b, _) in enumerate(spread.atoms) if b in forbidden]
         collapsed = collapse_to_barycenter(spread, extreme_indices)
         statements.append(OrderedExpectation(spread, collapsed, "eq", CellAffine(index)))
     return statements
@@ -269,7 +291,7 @@ def nonaffineness_by_split(sub: Subdivision, prior: Belief) -> list[OrderedExpec
             base = PosteriorDistribution([(facet_center, ONE)])
             lam = ONE
         else:
-            residual, lam = _residual_point(prior, facet_center, {facet_center.coords})
+            residual, lam = _residual_point(prior, facet_center, {facet_center})
             base = PosteriorDistribution([(facet_center, lam), (residual, 1 - lam)])
         at = next(i for i, (b, _) in enumerate(base.atoms) if b == facet_center)
         spread = split_atom(base, at, (inner_i, lam * w_i), (inner_j, lam * w_j))
@@ -310,6 +332,52 @@ def check_dominance_by_fractions(sub: Subdivision, pieces) -> None:
             for k, value in enumerate(values[v]):
                 if value > values[v][i]:
                     raise InconsistentData(f"piece {k} rises above piece {i} on cell {i}")
+
+
+# ---------------------------------------------------------------------------
+# the Fraction sums that integer ones over one denominator (geometry._scaled)
+# replaced: barycenter, the posterior mean and the window of a line in a
+# polytope
+# ---------------------------------------------------------------------------
+
+
+def barycenter_by_fractions(points) -> Belief:
+    """barycenter as one chain of Fraction additions per coordinate."""
+    pts = list(points)
+    if not pts:
+        raise EmptyInput("barycenter of an empty point set is undefined")
+    n = len(_coords_of(pts[0]))
+    columns = zip(*(_coords_of(p, n) for p in pts))
+    return Belief(tuple(Fraction(sum(column), len(pts)) for column in columns))
+
+
+def mean_by_fractions(dist: PosteriorDistribution) -> Belief:
+    """The mean of a distribution: the sum of its atom columns p_s x_s, in Fractions."""
+    return Belief(tuple(map(sum, zip(*_atom_columns(dist)))))
+
+
+def interval_by_fractions(origin: Belief, direction: Coords, poly: Polytope):
+    """interior_interval_on_line with every bound -alpha/beta a Fraction, compared as one."""
+    coords = _coords_of(origin, poly.n)
+    direction = _coords_of(direction, poly.n)
+    conditions = list(zip(coords, direction))
+    for h in poly.halfspaces:
+        conditions.append((h.value(coords), sum(a * d for a, d in zip(h.normal, direction))))
+    lo: Fraction | None = None
+    hi: Fraction | None = None
+    for alpha, beta in conditions:
+        if beta == 0:
+            if alpha <= 0:
+                return None
+            continue
+        bound = -alpha / beta
+        if beta > 0:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    if lo is None or hi is None or lo >= hi:
+        return None
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

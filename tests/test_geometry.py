@@ -62,6 +62,16 @@ class TestBelief:
         with pytest.raises(ValueError, match="at least one coordinate"):
             Belief(())
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(support.fractions(0, 24, 12), min_size=1, max_size=6))
+    @example([Fraction(1, 2), Fraction(1, 3)])
+    @example([Fraction(0)])
+    def test_bad_sum_names_the_fraction_sum(self, coords):
+        assume(sum(coords) != 1)
+        with pytest.raises(ValueError) as info:
+            Belief(tuple(coords))
+        assert str(info.value) == f"belief coordinates must sum to 1, got {sum(coords)}"
+
 
 class TestBeliefHash:
     def test_equal_beliefs_built_apart_hash_equal_and_find_each_other(self):
@@ -132,8 +142,13 @@ class TestHalfspaceCanonical:
         assert h.offset == Fraction(1, 2)
 
     def test_degenerate_normal_rejected(self):
-        with pytest.raises(ValueError):
-            hs([2, 2], 1)
+        message = r"^halfspace normal is constant on the simplex \(degenerate\)$"
+        for normal in ([2, 2], ["1/2", "2/4", "1/2"], [5], [-1, -1, -1, -1]):
+            with pytest.raises(ValueError, match=message):
+                hs(normal, 1)
+
+    def test_repeated_entries_that_vary_accepted(self):
+        assert hs([1, 1, 0], 0).normal == (1, 1, 0)
 
     def test_empty_normal_rejected(self):
         with pytest.raises(ValueError, match="at least one coordinate"):
@@ -237,6 +252,23 @@ class TestBarycenter:
     def test_raw_tuples_in_any_position(self):
         assert barycenter([(1, 0), belief(0, 1)]) == belief("1/2", "1/2")
         assert barycenter([(1, 0), (0, 1)]) == belief("1/2", "1/2")
+
+    def test_raw_float_rejected(self):
+        with pytest.raises(TypeError, match="floating point"):
+            barycenter([belief(1, 0), (0.5, 0.5)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.lists(
+                st.tuples(support.mixed_beliefs(n), st.booleans()), min_size=1, max_size=6
+            )
+        )
+    )
+    def test_matches_fraction_sums(self, drawn):
+        # some points as raw coordinate tuples
+        pts = [p.coords if raw else p for p, raw in drawn]
+        assert repr(barycenter(pts)) == repr(support.barycenter_by_fractions(pts))
 
 
 class TestInteriorPoint:
@@ -417,7 +449,7 @@ class TestHull:
         assert "hull_halfspaces" not in str(caught.value)
 
 
-small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+small_fractions = support.fractions(-3, 3, 4)
 
 
 @st.composite
@@ -609,6 +641,36 @@ class TestLineInterval:
         poly = Polytope.from_halfspaces([hs([1, 0, 0], "1/2")], 3)
         direction = (Fraction(1), Fraction(-1), Fraction(0))
         assert interior_interval_on_line(belief("1/6", "1/6", "2/3"), direction, poly) is None
+
+    @pytest.mark.parametrize(
+        "origin, direction, halfspaces",
+        [
+            # beta = 0 with alpha = 0: a zero coordinate the direction leaves alone
+            (belief(0, "1/2", "1/2"), (0, 1, -1), []),
+            # beta = 0 with alpha < 0: parallel to the cell's facet, on its far side
+            (belief("1/6", "1/2", "1/3"), (1, 1, -2), [hs([1, -1, 0], 0)]),
+            # lo > hi: the line leaves the simplex before it reaches the cell
+            (belief("1/6", "1/6", "2/3"), (1, -1, 0), [hs([1, 0, 0], "1/2")]),
+            # lo == hi: the cell is the single point (1/2, 1/2), reached at t = 1/4
+            (belief("1/4", "3/4"), (1, -1), [hs([1, 0], "1/2"), hs([-1, 0], "-1/2")]),
+        ],
+    )
+    def test_empty_windows_match_fraction_bounds(self, origin, direction, halfspaces):
+        poly = Polytope(tuple(halfspaces), (), origin.n)
+        assert interior_interval_on_line(origin, direction, poly) is None
+        assert support.interval_by_fractions(origin, direction, poly) is None
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(halfspace_systems(), st.data())
+    def test_matches_fraction_bounds(self, system, data):
+        halfspaces, n = system
+        poly = Polytope(tuple(halfspaces), (), n)
+        origin = data.draw(support.mixed_beliefs(n))
+        entries = small_fractions | st.integers(-2, 2)
+        steps = data.draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+        direction = (*steps, -sum(steps))
+        got = interior_interval_on_line(origin, direction, poly)
+        assert repr(got) == repr(support.interval_by_fractions(origin, direction, poly))
 
     def test_line_over_other_states_rejected(self):
         simplex = Polytope.from_halfspaces([], 3)

@@ -627,6 +627,13 @@ class TestUtilityDifferenceFields:
         with pytest.raises(MalformedData, match="names two cells"):
             UtilityDifference(d, d, 1, edge)
 
+    @pytest.mark.parametrize("edge", [(0.7, 1.9), ("x", 1), (0, "1"), (True, 0), (0, Fraction(1))])
+    def test_edge_of_other_than_int_indices_rejected(self, edge):
+        # a float edge was truncated to (0, 1), and a string one raised a bare ValueError
+        d = PosteriorDistribution([(uniform_belief(2), 1)])
+        with pytest.raises(MalformedData, match="names two cells by int index"):
+            UtilityDifference(d, d, 1, edge)
+
 
 class TestEqualUpToAffine:
     def test_constant_shift(self):

@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -160,6 +160,34 @@ class TestPosteriorDistribution:
     def test_total_other_than_one_rejected(self):
         with pytest.raises(ValueError, match="sum to 1, got 1/2"):
             PosteriorDistribution([(belief(1, 0), "1/4"), (belief(0, 1), "1/4")])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(support.fractions(0, 24, 12), min_size=1, max_size=5))
+    def test_bad_total_names_the_fraction_sum(self, probs):
+        assume(0 < sum(probs) != 1)
+        atoms = [(uniform_belief(2) if k % 2 else belief(1, 0), p) for k, p in enumerate(probs)]
+        with pytest.raises(ValueError) as info:
+            PosteriorDistribution(atoms)
+        assert str(info.value) == f"atom probabilities must sum to 1, got {sum(probs)}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.lists(
+                st.tuples(support.mixed_beliefs(n), support.fractions(0, 30, 10)),
+                min_size=1,
+                max_size=5,
+            )
+        ),
+        st.booleans(),
+    )
+    def test_mean_matches_atom_columns(self, weighted, repeat):
+        # a repeated atom is merged before the mean is taken
+        weighted += weighted[:1] if repeat else []
+        total = sum(w for _, w in weighted)
+        assume(total > 0)
+        dist = PosteriorDistribution([(b, w / total) for b, w in weighted])
+        assert repr(dist.mean) == repr(support.mean_by_fractions(dist))
 
     def test_raw_tuple_atom_read_as_belief(self):
         dist = PosteriorDistribution([((1, 0), "1/2"), (belief(0, 1), "1/2")])
