@@ -27,6 +27,7 @@ from .geometry import (
     _dedupe_canonical,
     _frac,
     _integer_row,
+    _lex_order,
     _normalized,
     _rank,
     _scaled,
@@ -321,6 +322,7 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     n = dp.n
     rays, tight, winners = _lift(dp)
     vertices = [_normalized(ray) for ray in rays]
+    order = _lex_order(vertices)
     cells = []
     for a in winners:
         halfspaces = _dedupe_canonical(
@@ -328,7 +330,7 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
             for b in winners
             if b != a
         )
-        corners = tuple(sorted(vertices[r] for r in tight[a]))
+        corners = tuple(vertices[r] for r in order if r in tight[a])
         cells.append(Cell(a, Polytope(halfspaces, corners, n)))
     sub = Subdivision.from_cells(cells)
     sub.spanning_tree()  # raises MalformedData if the graph is disconnected

@@ -6,18 +6,18 @@ halfspace intersections (implicitly cut with the simplex) together with their
 exact vertex sets. Vertices, hull facets and the vertices of an upper
 envelope all come from one incremental double-description routine on
 integer rows, which touches only adjacent pairs of extreme rays rather than
-every subset of constraints or points. All other exact linear algebra
-(rank and affine dimension, the independent points that seed a hull, the
-kernel line that spans a facet) comes from one fraction-free row reduction
-on integer rows. Canonical halfspaces come from one integer routine,
-_facet, whether the normal is a hull's integer ray or a halfspace given in
-rationals. _scaled, which puts rational rows over one denominator, is the
-one home of common-denominator integer sums: beliefs, barycenters, line
-windows and the value kernels add integers and divide once. Each polytope
-costs one double description: a hull's run also tells which of its points
-are vertices. Which cells share a facet, on the forward and the backward
-path alike, is read off vertex incidence by one scan, adjacent_facets,
-which indexes the cells' vertices itself.
+every subset of constraints or points. All exact linear algebra (its seed
+rays, rank and affine dimension, the independent points that seed a hull,
+the kernel line that spans a facet) comes from one fraction-free row
+reduction on integer rows. Canonical halfspaces, and the order of a hull's
+facets, come from one integer routine, _facet. _scaled, which puts rational
+rows over one denominator, is the one home of common-denominator integer
+sums and sort keys: beliefs, barycenters, line windows, membership and the
+value kernels add integers and divide once, and points sort by their rows.
+Each polytope costs one double description, whose zero sets also tell which
+of a hull's points are vertices. Which cells share a facet, on the forward
+and the backward path alike, is read off vertex incidence by one scan,
+adjacent_facets, which indexes the cells' vertices itself.
 """
 
 from __future__ import annotations
@@ -143,10 +143,12 @@ class Halfspace:
     coordinates sum to one, and positive rescaling changes nothing either.
     canonical() quotients both freedoms out: it shifts the smallest normal
     coordinate to zero and scales the normal to a primitive integer vector.
+    The hash is cached as Belief's is, outside the fields and the pickles.
     """
 
     normal: Coords
     offset: Fraction
+    _hash = None
 
     def __post_init__(self):
         object.__setattr__(self, "normal", _coords(self.normal))
@@ -155,6 +157,14 @@ class Halfspace:
             raise ValueError("halfspace normal needs at least one coordinate")
         if all(a == self.normal[0] for a in self.normal):
             raise ValueError("halfspace normal is constant on the simplex (degenerate)")
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.normal, self.offset)))
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {"normal": self.normal, "offset": self.offset}
 
     @property
     def n(self) -> int:
@@ -166,7 +176,7 @@ class Halfspace:
 
     def canonical(self) -> "Halfspace":
         """_facet of (normal - offset) . x >= 0, the same cut, scaled to integers."""
-        return _facet(_integer_row(self.as_affine_coords()))
+        return Halfspace(*_facet(_integer_row(self.as_affine_coords())))
 
     def as_affine_coords(self) -> Coords:
         """Coefficients of x -> normal . x - offset as a pure linear form on the simplex."""
@@ -197,20 +207,20 @@ class Polytope:
         """Build a full-dimensional polytope from its claimed vertex set.
 
         One double description gives the hull's facets and, for each point,
-        the facets tight at it. A point is a vertex of the hull exactly when
-        the normals of its tight facets have rank n-1, so that they pin it
-        down; any other point lies inside the hull or inside one of its
-        faces, and the input is rejected.
+        the set of facets tight at it. Those cut out the least face holding
+        the point, the hull of the points on it, so a point is a vertex
+        exactly when no other point's set contains its own (an interior
+        point's is empty); any other point is rejected.
         """
         points = list(points)
         if not points:
             raise EmptyInput("cannot build a polytope from no points")
         pts, rays, facets = _hull(points)
-        n = pts[0].n
-        for k in range(len(pts)):
-            if _rank([ray for ray, zeros in rays if zeros >> k & 1]) != n - 1:
-                raise ValueError("points are not the vertex set of their convex hull")
-        return cls(tuple(facets), tuple(sorted(pts)), n)
+        tight = [sum(1 << r for r, (_, z) in enumerate(rays) if z >> k & 1)
+                 for k in range(len(pts))]
+        if any(sum(s & t == t for s in tight) > 1 for t in tight):
+            raise ValueError("points are not the vertex set of their convex hull")
+        return cls(tuple(facets), tuple(pts), pts[0].n)
 
     def is_empty(self) -> bool:
         return not self.vertices
@@ -220,29 +230,31 @@ class Polytope:
 
         For a full-dimensional polytope the relative interior is exactly the
         set of points with every stored halfspace strict and every coordinate
-        positive.
+        positive. Each is an integer dot product over the point's scale.
         """
-        coords = _coords_of(point, self.n)
-        if strict:
-            if any(c <= 0 for c in coords):
-                return False
-            return all(h.value(coords) > 0 for h in self.halfspaces)
-        if any(c < 0 for c in coords):
+        coords = point if isinstance(point, Belief) else _coords(point)
+        (x,), scale = _scaled([_coords_of(coords, self.n)])
+        floor = 1 if strict else 0  # an integer is > 0 when it is >= 1
+        if any(v < floor for v in x):
             return False
-        return all(h.value(coords) >= 0 for h in self.halfspaces)
+        for h in self.halfspaces:
+            _coords_of(coords, h.n)  # the ShapeMismatch h.value raises
+        x.append(-scale)  # so that (normal, offset) . x is scale * (normal . point - offset)
+        rows = (_integer_row(h.normal + (h.offset,)) for h in self.halfspaces)
+        return all(sum(map(mul, g, x)) >= floor for g in rows)
 
 
-def _facet(g) -> Halfspace:
-    """The canonical halfspace of g . x >= 0 for a nonconstant integer vector g.
+def _facet(g) -> tuple[tuple[int, ...], Fraction]:
+    """(integer normal, offset) of the canonical halfspace of g . x >= 0, g integer, nonconstant.
 
     On the simplex, g . x >= 0 is (g - low) . x >= -low with low = min(g);
     dividing by d, the gcd of g - low, leaves a primitive normal whose least
-    entry is 0, and the offset -low/d.
+    entry is 0, and the offset -low/d. The pair also sorts facets.
     """
     low = min(g)
     shifted = [a - low for a in g]
     d = math.gcd(*shifted)
-    return Halfspace(tuple(a // d for a in shifted), Fraction(-low, d))
+    return tuple(a // d for a in shifted), Fraction(-low, d)
 
 
 def _dedupe_canonical(halfspaces) -> tuple[Halfspace, ...]:
@@ -265,6 +277,12 @@ def _integer_row(values) -> list[int]:
     return _scaled((values,))[0][0]
 
 
+def _lex_order(points) -> list[int]:
+    """The indices of distinct beliefs in sorted order, keyed by their rows over one denominator."""
+    keys, _ = _scaled([p.coords for p in points])
+    return sorted(range(len(points)), key=keys.__getitem__)
+
+
 def _primitive(row: list[int]) -> list[int]:
     """A nonzero integer vector divided by its gcd, its first nonzero entry made positive."""
     g = math.gcd(*row)
@@ -274,7 +292,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _row_reduce(rows) -> tuple[list[int], list[tuple[int, list[int]]]]:
-    """Fraction-free row reduction of rational rows, taken in input order.
+    """Fraction-free row reduction of integer rows, taken in input order.
 
     Returns the indices of the rows that are independent of the rows before
     them (so their count is the rank) and a reduced basis of the span: one
@@ -287,8 +305,7 @@ def _row_reduce(rows) -> tuple[list[int], list[tuple[int, list[int]]]]:
     """
     independent: list[int] = []
     basis: list[tuple[int, list[int]]] = []
-    for index, values in enumerate(rows):
-        row = _integer_row(values)
+    for index, row in enumerate(rows):
         for col, b in basis:
             if row[col]:
                 row = [b[col] * x - row[col] * y for x, y in zip(row, b)]
@@ -310,12 +327,12 @@ def _row_reduce(rows) -> tuple[list[int], list[tuple[int, list[int]]]]:
 
 
 def _rank(rows) -> int:
-    """The rank of a list of rational rows."""
+    """The rank of a list of integer rows."""
     return len(_row_reduce(rows)[0])
 
 
 def _kernel_ray(rows, n: int) -> list[int] | None:
-    """The kernel of a rational system of rows of length n, when it is a line.
+    """The kernel of an integer system of rows of length n, when it is a line.
 
     Read off the reduced basis: the one non-pivot column is free, and each
     basis row fixes its pivot coordinate against it. Returns the primitive
@@ -339,22 +356,25 @@ def _extreme_rays(rows: list[list[int]], n: int) -> list[tuple[list[int], int]]:
     """Extreme rays of the pointed cone {r : row . r >= 0 for every row}.
 
     Incremental double description (Motzkin et al. 1953; Fukuda & Prodon
-    1996). The first n rows must be linearly independent: they cut out a
-    simplicial cone whose n rays are kernel vectors of n-1 of them. Each
-    further row splits the current rays into positive, zero and negative
-    ones; the negative rays leave, and every adjacent positive/negative pair
-    is combined into a new ray on the row's hyperplane. Each ray carries its
+    1996). The first n rows A must be linearly independent: they cut out a
+    simplicial cone whose ray i, column i of A^-1 (row i is positive on it,
+    the other n-1 vanish), comes from one reduction of [A | I]. Each further
+    row splits the current rays into positive, zero and negative ones; the
+    negative rays leave, and every adjacent positive/negative pair is
+    combined into a new ray on the row's hyperplane. Each ray carries its
     zero set as a bitmask over the rows so far (bit k set exactly when
     row k . r = 0), and is returned with it. Two rays are adjacent when
     their common zero set has at least n-2 rows and no third ray's zero set
     contains it. Rays are primitive integer vectors, all distinct.
     """
+    seed = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows[:n])]
+    _, basis = _row_reduce(seed)  # the row with pivot c is b[c] times row c of [I | A^-1]
+    scale = math.lcm(*(b[col] for col, b in basis))
+    inverse = [[v * (scale // b[col]) for v in b[n:]] for col, b in sorted(basis)]
     rays: list[tuple[list[int], int]] = []
-    for i in range(n):
-        ray = _kernel_ray(rows[:i] + rows[i + 1 : n], n)
-        if sum(a * b for a, b in zip(rows[i], ray)) < 0:
-            ray = [-v for v in ray]
-        rays.append((ray, ((1 << n) - 1) & ~(1 << i)))
+    for i, ray in enumerate(zip(*inverse)):
+        g = math.gcd(*ray)
+        rays.append(([v // g for v in ray], ((1 << n) - 1) & ~(1 << i)))
     for k in range(n, len(rows)):
         row = rows[k]
         bit = 1 << k
@@ -430,12 +450,12 @@ def envelope_rays(rows) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
 
 def dimension(points) -> int:
     """Affine dimension of a point set (0 for a single point)."""
-    pts = list(points)
+    pts = [p if isinstance(p, Belief) else _coords(p) for p in points]
     if not pts:
         raise EmptyInput("dimension of an empty point set is undefined")
     n = len(_coords_of(pts[0]))
     # beliefs lie on the hyperplane sum(x) = 1, which misses the origin
-    return _rank([_coords_of(p, n) for p in pts]) - 1
+    return _rank(_scaled([_coords_of(p, n) for p in pts])[0]) - 1
 
 
 def barycenter(points) -> Belief:
@@ -461,16 +481,18 @@ def _hull(points) -> tuple[list[Belief], list[tuple[list[int], int]], list[Halfs
 
     The facets of the hull are the extreme rays g of the dual cone
     {g : g . p >= 0 for every point p}: on the simplex, g . x >= 0 is the
-    facet halfspace. Double description runs on the distinct points scaled
-    to integers, with n affinely independent points first. Returns the
-    points in that row order, the rays with their zero sets over those rows
-    (bit k set when g vanishes at point k), and the canonical facets sorted
-    by (normal, offset). Raw coordinate tuples are read as beliefs. Raises
-    ValueError when the points do not span the simplex.
+    facet halfspace (none at n = 1, where g is constant). Double description
+    runs on the distinct points, sorted and scaled to integers, with n
+    affinely independent points first. Returns the sorted points, the rays
+    with their zero sets over the points (in the run's row order), and the
+    canonical facets sorted by _facet's (integer normal, offset). Raw
+    coordinate tuples are read as beliefs. Raises ValueError when the points
+    do not span the simplex.
     """
-    pts = sorted({_belief(p) for p in points})
-    if not pts:
+    distinct = list(dict.fromkeys(map(_belief, points)))
+    if not distinct:
         raise EmptyInput("hull of an empty point set is undefined")
+    pts = [distinct[i] for i in _lex_order(distinct)]
     n = pts[0].n
     rows = [_integer_row(_coords_of(p, n)) for p in pts]
     first, _ = _row_reduce(rows)
@@ -478,8 +500,8 @@ def _hull(points) -> tuple[list[Belief], list[tuple[list[int], int]], list[Halfs
         raise ValueError("the point set does not span the simplex, so its hull has no interior")
     order = first + [i for i in range(len(pts)) if i not in first]
     rays = _extreme_rays([rows[i] for i in order], n)
-    facets = [_facet(ray) for ray, _ in rays]
-    return [pts[i] for i in order], rays, sorted(facets, key=lambda h: (h.normal, h.offset))
+    facets = [Halfspace(*key) for key in sorted(_facet(ray) for ray, _ in rays if n > 1)]
+    return pts, rays, facets
 
 
 def hull_halfspaces(points) -> list[Halfspace]:
@@ -495,18 +517,19 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
     """Every pair of cells that meets in a facet, read off vertex incidence.
 
     The cells are full-dimensional polytopes that meet face to face, as the
-    cells of one subdivision do. Their vertices are indexed in one pass, each
-    kept as its coordinate row scaled to integers, and each cell is checked
-    to be full-dimensional by the rank of its own rows. Cells i < j are
-    adjacent exactly when the kernel of their common rows is a line g, that
-    is, when the common vertices span an (n-2)-face: g . x >= 0 is the facet
-    halfspace, oriented by g's signs on cell j's other vertices, and mixed
-    signs (g does not support cell j) raise ValueError. Returns (i, j, shared
-    face, canonical halfspace) per adjacent pair.
+    cells of one subdivision do. Their distinct vertices are sorted once,
+    each kept as its coordinate row scaled to integers, and each cell is
+    checked to be full-dimensional by the rank of its own rows. Cells i < j
+    are adjacent exactly when the kernel of their common rows is a line g,
+    that is, when the common vertices span an (n-2)-face: g . x >= 0 is the
+    facet halfspace, oriented by g's signs on cell j's other vertices, and
+    mixed signs (g does not support cell j) raise ValueError. Returns (i, j,
+    shared face, canonical halfspace) per adjacent pair.
     """
-    index: dict[Belief, int] = {}
-    incidence = [frozenset(index.setdefault(v, len(index)) for v in p.vertices) for p in cells]
-    vertices = list(index)
+    distinct = list(dict.fromkeys(v for p in cells for v in p.vertices))
+    vertices = [distinct[r] for r in _lex_order(distinct)]
+    index = {v: r for r, v in enumerate(vertices)}
+    incidence = [frozenset(index[v] for v in p.vertices) for p in cells]
     rows = [_integer_row(v.coords) for v in vertices]
     for p, own in zip(cells, incidence):
         if not own or _rank([rows[r] for r in own]) != p.n:
@@ -524,8 +547,8 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
         if max(sides) <= 0:
             g = [-a for a in g]
         halfspaces = tuple(dict.fromkeys(cells[i].halfspaces + cells[j].halfspaces))
-        shared = Polytope(halfspaces, tuple(sorted(vertices[r] for r in common)), n)
-        out.append((i, j, shared, _facet(g)))
+        shared = Polytope(halfspaces, tuple(vertices[r] for r in sorted(common)), n)
+        out.append((i, j, shared, Halfspace(*_facet(g))))
     return out
 
 

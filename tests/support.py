@@ -28,8 +28,10 @@ from infoval.geometry import (
     _coords_of,
     _dedupe_canonical,
     _frac,
+    _hull,
     _integer_row,
     _kernel_ray,
+    _rank,
     _require_prior,
     barycenter,
     dimension,
@@ -579,6 +581,84 @@ def polytope_by_reenumeration(points) -> Polytope:
 
 
 # ---------------------------------------------------------------------------
+# the hull kernels integer ones replaced: seed rays as kernel lines, one rank
+# per claimed vertex, and membership as Fraction slacks
+# ---------------------------------------------------------------------------
+
+
+def extreme_rays_by_kernels(rows: list[list[int]], n: int) -> list[tuple[list[int], int]]:
+    """geometry._extreme_rays with each of the n seed rays its own kernel line.
+
+    Ray i is the kernel line of the first n rows but row i, oriented so
+    that row i is positive on it; the rest of the double description is
+    the library's, copied.
+    """
+    rays: list[tuple[list[int], int]] = []
+    for i in range(n):
+        ray = _kernel_ray(rows[:i] + rows[i + 1 : n], n)
+        if sum(a * b for a, b in zip(rows[i], ray)) < 0:
+            ray = [-v for v in ray]
+        rays.append((ray, ((1 << n) - 1) & ~(1 << i)))
+    for k in range(n, len(rows)):
+        row = rows[k]
+        bit = 1 << k
+        kept: list[tuple[list[int], int]] = []
+        pos: list[tuple[list[int], int, int]] = []
+        neg: list[tuple[list[int], int, int]] = []
+        for ray, zeros in rays:
+            s = sum(a * b for a, b in zip(row, ray))
+            if s > 0:
+                kept.append((ray, zeros))
+                pos.append((ray, zeros, s))
+            elif s < 0:
+                neg.append((ray, zeros, s))
+            else:
+                kept.append((ray, zeros | bit))
+        masks = [zeros for _, zeros in rays]
+        for p, pz, ps in pos:
+            for m, mz, ms in neg:
+                common = pz & mz
+                if common.bit_count() < n - 2:
+                    continue
+                if any(z & common == common for z in masks if z != pz and z != mz):
+                    continue
+                ray = [ps * b - ms * a for a, b in zip(p, m)]
+                g = math.gcd(*ray)
+                kept.append(([v // g for v in ray], common | bit))
+        rays = kept
+    return rays
+
+
+def polytope_by_rank_test(points) -> Polytope:
+    """Polytope.from_vertices with one rank per point: a vertex's tight facets have rank n-1.
+
+    Every point is tested, so the bits of the zero sets need not follow the
+    order of the points _hull returns.
+    """
+    points = list(points)
+    if not points:
+        raise EmptyInput("cannot build a polytope from no points")
+    pts, rays, facets = _hull(points)
+    n = pts[0].n
+    for k in range(len(pts)):
+        if _rank([ray for ray, zeros in rays if zeros >> k & 1]) != n - 1:
+            raise ValueError("points are not the vertex set of their convex hull")
+    return Polytope(tuple(facets), tuple(sorted(pts)), n)
+
+
+def contains_by_fractions(poly: Polytope, point, strict: bool = False) -> bool:
+    """Polytope.contains with each halfspace's slack a Fraction."""
+    coords = _coords_of(point, poly.n)
+    if strict:
+        if any(c <= 0 for c in coords):
+            return False
+        return all(h.value(coords) > 0 for h in poly.halfspaces)
+    if any(c < 0 for c in coords):
+        return False
+    return all(h.value(coords) >= 0 for h in poly.halfspaces)
+
+
+# ---------------------------------------------------------------------------
 # LP dominance: the forward path the lifted double description replaced, kept
 # as a differential oracle for undominated_actions and compute_subdivision
 # ---------------------------------------------------------------------------
@@ -641,7 +721,7 @@ def facet_between_pair(p1: Polytope, p2: Polytope):
         raise ValueError("facet_between expects full-dimensional cells")
     n = p1.n
     common = sorted(set(p1.vertices) & set(p2.vertices))
-    w = _kernel_ray([p.coords for p in common], n)
+    w = _kernel_ray([_integer_row(p.coords) for p in common], n)
     if w is None:
         return None
     sides = [sum(a * c for a, c in zip(w, v.coords)) for v in p2.vertices]

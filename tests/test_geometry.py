@@ -14,8 +14,10 @@ from infoval.geometry import (
     Belief,
     Halfspace,
     Polytope,
+    _coords,
     _extreme_rays,
     _facet,
+    _integer_row,
     _kernel_ray,
     _row_reduce,
     barycenter,
@@ -103,6 +105,43 @@ class TestBeliefHash:
             assert repr(clone) == repr(a)
 
 
+class TestHalfspaceHash:
+    def test_equal_halfspaces_built_apart_hash_equal_and_find_each_other(self):
+        a = hs([1, 0, "1/2"], "1/3")
+        b = Halfspace((Fraction(2, 2), 0, Fraction(2, 4)), Fraction(3, 9))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "found"}[b] == "found" and b in {a}
+
+    def test_hash_is_the_normal_and_offset_and_does_not_change(self):
+        a = hs([0, 1, 2], "-1/2")
+        first = hash(a)
+        assert first == hash((a.normal, a.offset))
+        assert [hash(a) for _ in range(3)] == [first] * 3
+
+    def test_repr_and_fields_are_the_normal_and_offset_alone(self):
+        a = hs([1, 0], "1/2")
+        hash(a)
+        assert repr(a) == (
+            "Halfspace(normal=(Fraction(1, 1), Fraction(0, 1)), offset=Fraction(1, 2))"
+        )
+        assert [field.name for field in dataclasses.fields(Halfspace)] == ["normal", "offset"]
+
+    def test_pickle_bytes_do_not_hold_the_hash(self):
+        a = hs([2, 0, 1], "-1/3")
+        before = pickle.dumps(a)
+        hash(a)
+        assert pickle.dumps(a) == before == pickle.dumps(Halfspace(a.normal, a.offset))
+
+    @pytest.mark.parametrize("hashed", [False, True])
+    def test_pickle_and_copy_round_trips(self, hashed):
+        a = hs([2, 0, 1], "-1/3")
+        if hashed:
+            hash(a)
+        for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert clone == a and hash(clone) == hash(a)
+            assert repr(clone) == repr(a)
+
+
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 
@@ -116,7 +155,7 @@ class TestCanonicalAgainstFractions:
     def test_integer_vectors(self, g):
         assume(len(set(g)) > 1)
         expected = repr(support.canonical_by_fractions(Halfspace(tuple(g), 0)))
-        assert repr(_facet(g)) == expected
+        assert repr(Halfspace(*_facet(g))) == expected
         assert repr(Halfspace(tuple(g), 0).canonical()) == expected
 
     @settings(max_examples=200, deadline=None)
@@ -224,6 +263,11 @@ class TestDimension:
         assert dimension([(1, 0), belief(0, 1)]) == 1
         assert dimension([(Fraction(1, 2), Fraction(1, 2))]) == 0
 
+    @pytest.mark.parametrize("points", [[(0.5, 0.5)], [belief(1, 0), (0.5, 0.5)]])
+    def test_raw_float_rejected(self, points):
+        with pytest.raises(TypeError, match="floating point"):
+            dimension(points)
+
 
 class TestBarycenter:
     def test_endpoints(self):
@@ -310,6 +354,18 @@ class TestContains:
             poly.contains(belief(0, 0, 1), strict=strict)
 
     @pytest.mark.parametrize("strict", [False, True])
+    def test_halfspace_over_other_states_rejected(self, strict):
+        poly = Polytope((hs([1, 0], 0),), (), 3)
+        with pytest.raises(ShapeMismatch, match="^3 coordinates where 2 are expected$"):
+            poly.contains(belief("1/3", "1/3", "1/3"), strict=strict)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_raw_float_rejected(self, strict):
+        simplex = Polytope.from_halfspaces([], 2)
+        with pytest.raises(TypeError, match="floating point"):
+            simplex.contains((0.5, 0.5), strict=strict)
+
+    @pytest.mark.parametrize("strict", [False, True])
     def test_negative_coordinate_outside(self, strict):
         # no halfspace is stored, so only the coordinate check can say no
         simplex = Polytope.from_halfspaces([], 2)
@@ -387,6 +443,32 @@ class TestHull:
         pts = [belief(1, 0), belief(0, 1), belief("1/2", "1/2")]
         with pytest.raises(ValueError):
             Polytope.from_vertices(pts)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            # the midpoint of a triangle's edge
+            belief("1/2", "1/2", 0),
+            # the centre of a facet at n = 4: one facet is tight there, and
+            # each of the facet's three corners is tight on it too
+            belief("1/3", "1/3", "1/3", 0),
+            # an interior point, where no facet is tight
+            belief("1/3", "1/3", "1/3"),
+        ],
+    )
+    def test_point_on_a_face_or_inside_rejected(self, extra):
+        pts = corners(extra.n) + [extra]
+        with pytest.raises(ValueError, match="^points are not the vertex set of their convex hull$"):
+            Polytope.from_vertices(pts)
+        with pytest.raises(ValueError, match="not the vertex set"):
+            support.polytope_by_rank_test(pts)
+
+    def test_single_point_at_one_state(self):
+        # the one point is the whole simplex, so the hull has no facet
+        poly = Polytope.from_vertices([belief(1)])
+        assert poly == Polytope((), (belief(1),), 1)
+        assert poly == support.polytope_by_rank_test([belief(1)])
+        assert hull_halfspaces([(1,)]) == []
 
     def test_hull_of_interval(self):
         pts = [belief("1/4", "3/4"), belief("3/4", "1/4")]
@@ -534,6 +616,54 @@ def rational_matrices(draw):
     return rows
 
 
+@st.composite
+def integer_systems(draw):
+    """Integer rows for double description: n independent rows first, then
+    fresh rows, repeats, positive multiples and sums of two earlier rows
+    (redundant), in any order."""
+    n = draw(st.integers(1, 7))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    assume(support.rank_by_fractions(rows) == n)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["fresh", "repeated", "multiple", "sum"]))
+        if kind == "fresh":
+            rows.append(draw(row))
+        elif kind == "repeated":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "multiple":
+            rows.append([draw(st.integers(2, 3)) * v for v in draw(st.sampled_from(rows))])
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x + y for x, y in zip(a, b)])
+    return rows, n
+
+
+@st.composite
+def membership_cases(draw):
+    """A polytope (stored canonical, or with its raw rational halfspaces) and
+    a point: one of its vertices, the barycenter of some of them (often on a
+    facet), a point on a coordinate face, a drawn belief, as a Belief or a
+    raw tuple, or a point over one state more."""
+    halfspaces, n = draw(halfspace_systems())
+    poly = Polytope.from_halfspaces(halfspaces, n)
+    if draw(st.booleans()):
+        poly = Polytope(tuple(halfspaces), poly.vertices, n)
+    kind = draw(st.sampled_from(["vertex", "face", "coordinate face", "drawn", "other states"]))
+    if kind in ("vertex", "face") and poly.vertices:
+        chosen = draw(st.lists(st.sampled_from(poly.vertices), min_size=1, max_size=3))
+        point = chosen[0] if kind == "vertex" else barycenter(chosen)
+    elif kind == "coordinate face":
+        coords = list(draw(support.mixed_beliefs(n - 1)).coords)
+        coords.insert(draw(st.integers(0, n - 1)), 0)
+        point = Belief(tuple(coords))
+    elif kind == "other states":
+        point = draw(support.mixed_beliefs(n + 1))
+    else:
+        point = draw(support.mixed_beliefs(n))
+    return poly, point.coords if draw(st.booleans()) else point
+
+
 # small inputs on which combining a non-adjacent pair of rays gives a wrong answer
 NON_ADJACENT_RAYS_SYSTEM = (
     [hs([2, 2, -2, 2, 2], 2), hs([1, 2, -2, 1, -1], "1/2"), hs([-3, -2, 3, 0, 2], 0)],
@@ -602,11 +732,54 @@ class TestBruteForceOracle:
     @settings(max_examples=200, deadline=None)
     @given(rational_matrices())
     def test_rank(self, rows):
-        """Rank and kernel line of the row reduction against Fraction elimination."""
+        """Rank and kernel line of the row reduction, on the rows scaled to
+        integers, against Fraction elimination on the rational rows."""
         n = len(rows[0])
-        assert len(_row_reduce(rows)[0]) == support.rank_by_fractions(rows)
-        ray = _kernel_ray(rows, n)
+        ints = [_integer_row(_coords(row)) for row in rows]
+        assert len(_row_reduce(ints)[0]) == support.rank_by_fractions(rows)
+        ray = _kernel_ray(ints, n)
         assert (None if ray is None else tuple(ray)) == support._unique_kernel_vector(rows, n)
+
+
+class TestHullKernelsAgainstReplaced:
+    """The integer hull kernels against the code they replaced, in tests/support.py."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(integer_systems())
+    @example(([[1]], 1))
+    @example(([[1, 0], [0, 1], [1, 0], [2, 0], [1, 1], [-1, 1]], 2))
+    def test_seeded_double_description(self, system):
+        rows, n = system
+        assert _extreme_rays(rows, n) == support.extreme_rays_by_kernels(rows, n)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(claimed_vertex_sets())
+    @example(NON_ADJACENT_RAYS_CLOUD)
+    @example(HULL_SEED_SKIPS_A_POINT)
+    @example([])
+    def test_vertex_test(self, points):
+        def outcome(build):
+            try:
+                return build(points)
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(Polytope.from_vertices) == outcome(support.polytope_by_rank_test)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(membership_cases(), st.booleans())
+    def test_contains(self, case, strict):
+        poly, point = case
+
+        def outcome(test):
+            try:
+                return test(point, strict=strict)
+            except ShapeMismatch as exc:
+                return str(exc)
+
+        assert outcome(poly.contains) == outcome(
+            lambda p, strict: support.contains_by_fractions(poly, p, strict)
+        )
 
 
 class TestLineInterval:
