@@ -39,11 +39,18 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class DecisionProblem:
-    """States, actions and an exact utility matrix u[action][state]; equal rows are one action."""
+    """States, actions and an exact utility matrix u[action][state]; equal rows are one action.
+
+    The utility rows over one denominator (_integers), which every valuation
+    reads, are formed on first use and then held outside the fields and the
+    pickles, as Belief holds its hash: valuing many experiments for one
+    problem scales its matrix once.
+    """
 
     state_labels: tuple[str, ...]
     action_labels: tuple[str, ...]
     utility: tuple[Coords, ...]
+    _ints = None
 
     def __post_init__(self):
         utility = tuple(tuple(_frac(v) for v in row) for row in self.utility)
@@ -60,6 +67,19 @@ class DecisionProblem:
         for label, row in zip(self.action_labels, utility):
             if len(row) != n:
                 raise ValueError(f"action {label!r}: every utility row needs one entry per state")
+
+    def __getstate__(self) -> dict:
+        return {
+            "state_labels": self.state_labels,
+            "action_labels": self.action_labels,
+            "utility": self.utility,
+        }
+
+    def _integers(self) -> tuple[list[list[int]], int]:
+        """(rows, scale) with utility[a][k] == rows[a][k] / scale, formed once and held."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", _scaled(self.utility))
+        return self._ints
 
     @property
     def n(self) -> int:

@@ -575,11 +575,14 @@ def interior_interval_on_line(origin: Belief, direction: Coords, poly: Polytope)
     the relative interior. The direction must sum to zero so the line stays
     in the simplex's affine hull. Each coordinate and halfspace bounds t by
     -alpha/beta, kept as an integer pair over the line's and its own scale.
+    A halfspace over other states raises the ShapeMismatch that
+    Polytope.contains raises.
     """
     points = [p if isinstance(p, Belief) else _coords(p) for p in (origin, direction)]
     (coords, direction), scale = _scaled([_coords_of(p, poly.n) for p in points])
     conditions = list(zip(coords, direction))
     for h in poly.halfspaces:
+        _coords_of(coords, h.n)  # the ShapeMismatch Polytope.contains raises
         *g, c = _integer_row(h.normal + (h.offset,))
         conditions.append((sum(map(mul, g, coords)) - c * scale, sum(map(mul, g, direction))))
     lo = hi = None

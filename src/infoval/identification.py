@@ -41,6 +41,7 @@ from .geometry import (
     _frac,
     _normalized,
     _require_prior,
+    _scaled,
     barycenter,
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
     interior_interval_on_line,
@@ -253,7 +254,7 @@ def satisfies_ordinal(dp: DecisionProblem, data: IdentificationData) -> bool:
     """Whether the problem's value function satisfies every ordinal statement."""
     for statement in data.ordinal:
         dp._require_states(statement.lhs.mean.n)
-        gap = _gap(dp.utility, _atom_columns(statement.lhs), _atom_columns(statement.rhs))
+        gap = _gap(dp._integers(), _atom_columns(statement.lhs), _atom_columns(statement.rhs))
         if statement.relation == "eq" and gap != 0:
             return False
         if statement.relation == "gt" and gap <= 0:
@@ -416,7 +417,7 @@ def gen_utility_differences(
     for parent, child in edges:
         built = _binary_difference(sub, prior, parent, child)
         lhs, rhs = built if built is not None else _residual_difference(sub, prior, parent, child)
-        gap = _gap(dp.utility, _atom_columns(lhs), _atom_columns(rhs))
+        gap = _gap(dp._integers(), _atom_columns(lhs), _atom_columns(rhs))
         if gap <= 0:
             raise InconsistentData(
                 f"edge {(parent, child)}: the problem's utility difference is {gap}, "
@@ -510,7 +511,7 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
         pieces[child] = pieces[parent] + jump if parent == i else pieces[parent] - jump
 
     fn = PiecewiseAffineFn(sub, tuple(pieces[cell] for cell in range(t)))
-    rows = tuple(piece.coeffs for piece in fn.pieces)
+    rows = _scaled([piece.coeffs for piece in fn.pieces])
     solved = {first[min(edge), max(edge)] for edge in tree}
     for index, diff in enumerate(data.cardinal):
         if index in solved:

@@ -7,12 +7,15 @@ about, so distributions are kept in a canonical form (atoms with equal
 beliefs merged, atoms sorted) and equality is literal.
 
 Joint columns are the one bridge between experiments, posteriors and
-values. Signal s at prior pi has the joint column c_s(theta) = pi(theta)
-P(s | theta), formed only by _columns; atom (x_s, p_s) has the column
-p_s x_s, formed only by _atom_columns. Divided by its sum
-(geometry._normalized), a column is the posterior and the sum is the
-marginal; divided by the prior, state by state, the atom columns are the
-likelihoods of the experiment that induces the distribution.
+values, and they are integer rows over one scale. Signal s at prior pi has
+the joint column c_s(theta) = pi(theta) P(s | theta), formed only by
+_columns, as the prior's integer row times the likelihood's integer rows;
+atom (x_s, p_s) has the column p_s x_s, formed only by _atom_columns, as the
+atom's scaled probability times its belief's integer row. Divided by its
+sum (geometry._normalized), a column is the posterior, and its sum over the
+scale is the marginal; divided by the prior, state by state, the atom
+columns are the likelihoods of the experiment that induces the
+distribution.
 
 Valuing an experiment needs no posteriors. Observing signal s and acting
 optimally earns max_a u_a . c_s, so E[V] = sum_s max_a u_a . c_s, exactly
@@ -20,13 +23,17 @@ as on the posterior route: a zero column adds max_a 0 = 0, as a dropped
 zero-marginal signal does, and proportional columns share a maximizer, so
 merging them adds their maxima. Each comparison of two sides is one gap,
 the sum over one set of columns minus the sum over the other, and only _gap
-computes it, as integer dot products over geometry._scaled's rows and one
-division.
+computes it: integer dot products of the problem's scaled rows with each
+side's columns, the two sides over one scale, and one division. A problem
+scales its utility matrix on first use and holds the result
+(DecisionProblem._integers), so ranking many experiments for one problem
+scales the matrix once; priors and experiments are scaled on each call.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -37,13 +44,16 @@ from .geometry import (
     ONE, ZERO, Belief, Coords, _belief, _frac, _normalized, _require_prior, _scaled
 )
 
+Columns = tuple[list, int]  # (integer columns, scale): column c is c[k] / scale for each state k
+
 
 def _stochastic_rows(matrix, width: int | None = None) -> tuple[Coords, ...]:
     """The matrix's rows as Fractions, each a probability vector of the same width.
 
     The width is the first row's length unless given. One pass converts and
     checks every row; ValueError names the first fault: no rows, a row of
-    another width, a negative entry, or a row that does not sum to 1.
+    another width, a negative entry, or a row that does not sum to 1. Sign
+    and sum are read off the row over its own denominator.
     """
     rows = []
     for k, values in enumerate(matrix):
@@ -52,9 +62,10 @@ def _stochastic_rows(matrix, width: int | None = None) -> tuple[Coords, ...]:
             width = len(row)
         if len(row) != width:
             raise ValueError(f"row {k} has length {len(row)} where {width} is expected")
-        if any(v < 0 for v in row):
+        (ints,), scale = _scaled((row,))
+        if any(v < 0 for v in ints):
             raise ValueError(f"row {k} has a negative entry")
-        if sum(row) != 1:
+        if sum(ints) != scale:
             raise ValueError(f"row {k} sums to {sum(row)}, not 1")
         rows.append(row)
     if not rows:
@@ -179,50 +190,67 @@ class Order(enum.Enum):
         return {"better": ">", "equal": "=", "worse": "<"}[self.value]
 
 
-def _columns(prior: Belief, experiment: Experiment) -> list[Coords]:
+def _columns(prior: Belief, experiment: Experiment) -> Columns:
     """One joint column pi(theta) P(s | theta) per signal, the unnormalized posterior.
 
-    The prior is one that _require_prior returned, so BoundaryPrior comes
-    first; ShapeMismatch unless the experiment's rows match its states.
+    The columns are the prior's integer row times the likelihood's integer
+    rows, state by state, over the product of the two scales. The prior is
+    one that _require_prior returned, so BoundaryPrior comes first;
+    ShapeMismatch unless the experiment's rows match its states.
     """
     if experiment.n != prior.n:
         raise ShapeMismatch("experiment rows must match the prior's states")
-    weighted = [tuple(p * v for v in row) for p, row in zip(prior.coords, experiment.likelihood)]
-    return list(zip(*weighted))
+    (weights,), prior_scale = _scaled((prior.coords,))
+    rows, scale = _scaled(experiment.likelihood)
+    weighted = [[p * v for v in row] for p, row in zip(weights, rows)]
+    return list(zip(*weighted)), prior_scale * scale
 
 
-def _atom_columns(dist: PosteriorDistribution) -> list[Coords]:
-    """One column p_s x_s per atom: the joint column of the signal inducing it."""
-    return [tuple(prob * c for c in b.coords) for b, prob in dist.atoms]
+def _atom_columns(dist: PosteriorDistribution) -> Columns:
+    """One column p_s x_s per atom, the joint column of the signal inducing it.
+
+    Each atom's probability over the probabilities' one denominator times
+    its belief's row over the beliefs' one denominator.
+    """
+    (probs,), prob_scale = _scaled((tuple(prob for _, prob in dist.atoms),))
+    rows, scale = _scaled([b.coords for b, _ in dist.atoms])
+    return [[p * v for v in row] for p, row in zip(probs, rows)], prob_scale * scale
 
 
 def bayes_split(prior: Belief, experiment: Experiment) -> PosteriorDistribution:
     """The distribution of posterior beliefs the experiment induces at the prior.
 
     Each signal's joint column, divided by its sum, is its posterior, and the
-    sum is its marginal probability. Signals with zero marginal probability
-    are dropped; signals leading to the same posterior are merged. The
-    result's mean is the prior, exactly.
+    sum over the columns' scale is its marginal probability. Signals with
+    zero marginal probability are dropped; signals leading to the same
+    posterior are merged. The result's mean is the prior, exactly.
     """
-    columns = _columns(_require_prior(prior), experiment)
-    return PosteriorDistribution((_normalized(c), sum(c)) for c in columns if any(c))
+    columns, scale = _columns(_require_prior(prior), experiment)
+    return PosteriorDistribution(
+        (_normalized(c), Fraction(sum(c), scale)) for c in columns if any(c)
+    )
 
 
 def experiment_of(prior: Belief, dist: PosteriorDistribution) -> Experiment:
     """The canonical experiment generating the given posterior distribution.
 
     One signal per atom, with P(s | theta) = prob_s * x_s(theta) / prior(theta):
-    the atom columns divided by the prior, state by state. Inverse of
-    bayes_split: splitting the result at the same prior returns the
-    distribution unchanged.
+    the atom columns divided by the prior, state by state, each entry one
+    Fraction of integers over the two scales. Inverse of bayes_split:
+    splitting the result at the same prior returns the distribution
+    unchanged.
     """
     prior = _require_prior(prior)
     if dist.mean != prior:
         raise MeanMismatch(
             f"distribution mean {dist.mean} does not match the prior {prior}"
         )
-    columns = _atom_columns(dist)
-    rows = tuple(tuple(c / m for c in row) for m, row in zip(prior.coords, zip(*columns)))
+    columns, scale = _atom_columns(dist)
+    (weights,), prior_scale = _scaled((prior.coords,))
+    rows = tuple(
+        tuple(Fraction(c * prior_scale, scale * p) for c in row)
+        for p, row in zip(weights, zip(*columns))
+    )
     return Experiment(tuple(f"s{i+1}" for i in range(len(columns))), rows)
 
 
@@ -237,18 +265,24 @@ def garble(experiment: Experiment, garbling: Garbling) -> Experiment:
     return Experiment(labels, _matmul(experiment.likelihood, garbling.matrix))
 
 
-def _gap(utility: tuple[Coords, ...], left: list[Coords], right: list[Coords]) -> Fraction:
+def _gap(rows: tuple[list[list[int]], int], left: Columns, right: Columns) -> Fraction:
     """sum_c max_a u_a . c over the left columns, minus the same sum over the right.
 
-    The rows go over one denominator and the columns, which callers check
-    have one entry per state, over another: every dot product is an integer
-    one, over their product. The max runs over all rows; a dominated row
+    rows is the problem's utility matrix over one scale (_integers or
+    geometry._scaled), and left and right are (integer columns, scale)
+    pairs, which callers check have one entry per state. Every dot product
+    is an integer one; the two sides' sums are brought to the lcm of their
+    scales and divided once. The max runs over all rows; a dominated row
     never exceeds it.
     """
-    rows, row_scale = _scaled(utility)
-    columns, column_scale = _scaled(left + right)
-    best = [max(sum(map(mul, row, column)) for row in rows) for column in columns]
-    return Fraction(sum(best[: len(left)]) - sum(best[len(left) :]), row_scale * column_scale)
+    (utility, row_scale), (left, left_scale), (right, right_scale) = rows, left, right
+    scale = math.lcm(left_scale, right_scale)
+
+    def total(columns) -> int:
+        return sum(max(sum(map(mul, row, c)) for row in utility) for c in columns)
+
+    gap = total(left) * (scale // left_scale) - total(right) * (scale // right_scale)
+    return Fraction(gap, row_scale * scale)
 
 
 def expected_value(dp: DecisionProblem, dist: PosteriorDistribution) -> Fraction:
@@ -258,7 +292,7 @@ def expected_value(dp: DecisionProblem, dist: PosteriorDistribution) -> Fraction
     the unnormalized atoms p_s x_s and no columns at all.
     """
     dp._require_states(dist.mean.n)
-    return _gap(dp.utility, _atom_columns(dist), [])
+    return _gap(dp._integers(), _atom_columns(dist), ([], 1))
 
 
 def value_of_experiment(dp: DecisionProblem, prior: Belief, experiment: Experiment) -> Fraction:
@@ -275,7 +309,7 @@ def value_of_experiment(dp: DecisionProblem, prior: Belief, experiment: Experime
     prior = _require_prior(prior)
     columns = _columns(prior, experiment)
     dp._require_states(prior.n)
-    return _gap(dp.utility, columns, [prior.coords])
+    return _gap(dp._integers(), columns, _scaled((prior.coords,)))
 
 
 def rank(dp: DecisionProblem, prior: Belief, first: Experiment, second: Experiment) -> Order:
@@ -288,7 +322,7 @@ def rank(dp: DecisionProblem, prior: Belief, first: Experiment, second: Experime
     prior = _require_prior(prior)
     columns = _columns(prior, first)
     dp._require_states(prior.n)
-    gap = _gap(dp.utility, columns, _columns(prior, second))
+    gap = _gap(dp._integers(), columns, _columns(prior, second))
     if gap > 0:
         return Order.BETTER
     if gap < 0:

@@ -17,7 +17,7 @@ from infoval.decision import (
     evaluate_value,
     make_problem,
 )
-from infoval.errors import EmptyInput, InconsistentData, MeanMismatch
+from infoval.errors import EmptyInput, InconsistentData, MeanMismatch, ShapeMismatch
 from infoval.geometry import (
     ONE,
     ZERO,
@@ -50,7 +50,6 @@ from infoval.information import (
     Garbling,
     Order,
     PosteriorDistribution,
-    _atom_columns,
     bayes_split,
 )
 
@@ -207,6 +206,57 @@ def rank_by_posteriors(dp: DecisionProblem, prior: Belief, first: Experiment, se
 
 
 # ---------------------------------------------------------------------------
+# the Fraction products and checks that integer rows over one scale replaced
+# on the valuation path: the joint and atom columns, the likelihoods of the
+# recovered experiment and the row-stochastic check
+# ---------------------------------------------------------------------------
+
+
+def columns_by_fractions(prior: Belief, experiment: Experiment) -> list[Coords]:
+    """One joint column pi(theta) P(s | theta) per signal, as Fraction products."""
+    if experiment.n != prior.n:
+        raise ShapeMismatch("experiment rows must match the prior's states")
+    weighted = [tuple(p * v for v in row) for p, row in zip(prior.coords, experiment.likelihood)]
+    return list(zip(*weighted))
+
+
+def atom_columns_by_fractions(dist: PosteriorDistribution) -> list[Coords]:
+    """One column p_s x_s per atom, as Fraction products."""
+    return [tuple(prob * c for c in b.coords) for b, prob in dist.atoms]
+
+
+def experiment_of_by_fractions(prior: Belief, dist: PosteriorDistribution) -> Experiment:
+    """experiment_of with each likelihood entry a Fraction column entry divided by a prior one."""
+    prior = _require_prior(prior)
+    if dist.mean != prior:
+        raise MeanMismatch(
+            f"distribution mean {dist.mean} does not match the prior {prior}"
+        )
+    columns = atom_columns_by_fractions(dist)
+    rows = tuple(tuple(c / m for c in row) for m, row in zip(prior.coords, zip(*columns)))
+    return Experiment(tuple(f"s{i+1}" for i in range(len(columns))), rows)
+
+
+def stochastic_rows_by_fractions(matrix, width: int | None = None) -> tuple[Coords, ...]:
+    """The row-stochastic check with each row's sign and sum read in Fractions."""
+    rows = []
+    for k, values in enumerate(matrix):
+        row = tuple(_frac(v) for v in values)
+        if width is None:
+            width = len(row)
+        if len(row) != width:
+            raise ValueError(f"row {k} has length {len(row)} where {width} is expected")
+        if any(v < 0 for v in row):
+            raise ValueError(f"row {k} has a negative entry")
+        if sum(row) != 1:
+            raise ValueError(f"row {k} sums to {sum(row)}, not 1")
+        rows.append(row)
+    if not rows:
+        raise ValueError("a row-stochastic matrix needs at least one row")
+    return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
 # collapse and split: the mean-preserving contraction and spread the ordinal
 # generators derived their second side with before they wrote both sides
 # directly, kept with the generators built on them as a differential oracle
@@ -355,7 +405,7 @@ def barycenter_by_fractions(points) -> Belief:
 
 def mean_by_fractions(dist: PosteriorDistribution) -> Belief:
     """The mean of a distribution: the sum of its atom columns p_s x_s, in Fractions."""
-    return Belief(tuple(map(sum, zip(*_atom_columns(dist)))))
+    return Belief(tuple(map(sum, zip(*atom_columns_by_fractions(dist)))))
 
 
 def interval_by_fractions(origin: Belief, direction: Coords, poly: Polytope):

@@ -845,6 +845,24 @@ class TestLineInterval:
         got = interior_interval_on_line(origin, direction, poly)
         assert repr(got) == repr(support.interval_by_fractions(origin, direction, poly))
 
+    @pytest.mark.parametrize(
+        "origin, direction",
+        [
+            (belief("1/3", "1/3", "1/3"), (1, -1, 0)),
+            # a zero coordinate the direction leaves alone: its own bound says None
+            (belief(0, "1/2", "1/2"), (0, 1, -1)),
+        ],
+    )
+    @pytest.mark.parametrize("first", [[], [hs([1, 0, 0], 0)]])
+    def test_halfspace_over_other_states_rejected(self, origin, direction, first):
+        # a zip over (1, 0) and three coordinates read the window (-1/3, 1/3)
+        poly = Polytope((*first, hs([1, 0], 0)), (), 3)
+        message = "^3 coordinates where 2 are expected$"
+        with pytest.raises(ShapeMismatch, match=message):
+            poly.contains(origin)
+        with pytest.raises(ShapeMismatch, match=message):
+            interior_interval_on_line(origin, direction, poly)
+
     def test_line_over_other_states_rejected(self):
         simplex = Polytope.from_halfspaces([], 3)
         with pytest.raises(ShapeMismatch):

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
+from operator import mul
 from random import Random
 
 import pytest
@@ -6,14 +10,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import support
-from infoval.decision import make_problem
+from infoval.decision import DecisionProblem, make_problem
 from infoval.errors import BoundaryPrior, MeanMismatch, ShapeMismatch
-from infoval.geometry import ZERO, Belief, belief, uniform_belief
+from infoval.geometry import (
+    ZERO, Belief, _normalized, _require_prior, _scaled, belief, uniform_belief
+)
 from infoval.information import (
     Experiment,
     Garbling,
     Order,
     PosteriorDistribution,
+    _atom_columns,
+    _columns,
+    _gap,
+    _stochastic_rows,
     bayes_split,
     expected_value,
     experiment_of,
@@ -476,6 +486,204 @@ class TestValuationAgainstPosteriors:
         assert _outcome(rank, dp, prior, *experiments) == _outcome(
             support.rank_by_posteriors, dp, prior, *experiments
         )
+
+
+# ---------------------------------------------------------------------------
+# integer columns over one scale against the Fraction products they replaced
+# ---------------------------------------------------------------------------
+
+
+def _fractions_of(columns):
+    """(integer columns, scale) read back as one tuple of Fractions per column."""
+    ints, scale = columns
+    return [tuple(Fraction(v, scale) for v in c) for c in ints]
+
+
+def _gap_by_fractions(utility, left, right):
+    """sum_c max_a u_a . c over the left Fraction columns, minus the same sum over the right."""
+
+    def total(columns):
+        return sum(max(sum(map(mul, row, c)) for row in utility) for c in columns)
+
+    return total(left) - total(right)
+
+
+def _split_by_fractions(prior, experiment):
+    """bayes_split with each marginal the Fraction sum of a Fraction joint column."""
+    columns = support.columns_by_fractions(_require_prior(prior), experiment)
+    return PosteriorDistribution((_normalized(c), sum(c)) for c in columns if any(c))
+
+
+def _shuffled(rng, experiment):
+    """The experiment with its signals, columns and labels alike, in a random order."""
+    order = list(range(experiment.num_signals))
+    rng.shuffle(order)
+    rows = tuple(tuple(row[c] for c in order) for row in experiment.likelihood)
+    return Experiment(tuple(experiment.signal_labels[c] for c in order), rows)
+
+
+class TestIntegerValuationAgainstFractions:
+    @settings(max_examples=150, deadline=None, phases=support.NO_SHRINK)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=6),
+        st.booleans(),
+        experiment_shapes,
+        experiment_shapes,
+    )
+    def test_columns_splits_recoveries_and_gaps_match(self, seed, n, raw, first, second):
+        rng = Random(seed)
+        dp = support.random_problem(rng, n=n, max_actions=32)
+        prior = support.random_interior_prior(rng, n)
+        given_prior = prior.coords if raw else prior
+        experiments = [
+            _shuffled(rng, _awkward_experiment(rng, n + extra_row, signals, zero_column, proportional))
+            for signals, zero_column, proportional, extra_row in (first, second)
+        ]
+        for e in experiments:
+            assert _outcome(lambda: _fractions_of(_columns(_require_prior(given_prior), e))) == (
+                _outcome(support.columns_by_fractions, prior, e)
+            )
+            assert _outcome(bayes_split, given_prior, e) == _outcome(_split_by_fractions, given_prior, e)
+            if e.n != n:
+                continue
+            dist = bayes_split(given_prior, e)
+            assert repr(_fractions_of(_atom_columns(dist))) == repr(
+                support.atom_columns_by_fractions(dist)
+            )
+            for at in (given_prior, support.random_interior_prior(rng, n)):
+                assert _outcome(experiment_of, at, dist) == _outcome(
+                    support.experiment_of_by_fractions, at, dist
+                )
+            # a split's atoms merge proportional joint columns, which share a maximizer
+            assert _gap(dp._integers(), _columns(prior, e), _atom_columns(dist)) == 0
+        if any(e.n != n for e in experiments):
+            return
+        joint = [_columns(prior, e) for e in experiments]
+        atoms = [_atom_columns(bayes_split(prior, e)) for e in experiments]
+        sides = [
+            (joint[0], joint[1]),
+            (joint[0], _scaled((prior.coords,))),
+            (atoms[0], atoms[1]),
+            (atoms[0], ([], 1)),
+            (joint[1], atoms[0]),
+        ]
+        for left, right in sides:
+            got = _gap(dp._integers(), left, right)
+            expected = _gap_by_fractions(dp.utility, _fractions_of(left), _fractions_of(right))
+            assert type(got) is Fraction and got == expected
+
+
+@st.composite
+def faulty_matrices(draw):
+    """Row-stochastic matrices of ints, strings and Fractions, with faults drawn row by row.
+
+    The faults are those TestRowStochastic pins: no rows, a row of another
+    width, a negative entry and a sum other than 1, plus a float entry.
+    """
+    width = draw(st.integers(1, 5))
+    matrix = []
+    for _ in range(draw(st.integers(0, 4))):
+        weights = draw(st.lists(st.integers(0, 6), min_size=width, max_size=width).filter(any))
+        row = [Fraction(w, sum(weights)) for w in weights]
+        fault = draw(st.sampled_from([None, None, "negative", "sum", "short", "long", "float"]))
+        j = draw(st.integers(0, width - 1))
+        if fault == "negative":
+            moved = row[j] + draw(support.fractions(1, 6, 6))
+            row[j] -= moved
+            row[(j + 1) % width] += moved
+        elif fault == "sum":
+            row[j] += draw(support.fractions(1, 6, 6)) * draw(st.sampled_from([-1, 1]))
+        elif fault == "short":
+            del row[j]
+        elif fault == "long":
+            row.append(ZERO)
+        written = []
+        for v in row:
+            form = draw(st.sampled_from(["fraction", "string", "int"]))
+            if form == "string":
+                v = str(v)
+            elif form == "int" and v.denominator == 1:
+                v = int(v)
+            written.append(v)
+        if fault == "float":
+            written[j] = float(row[j])
+        matrix.append(tuple(written))
+    return tuple(matrix)
+
+
+def _row_outcome(call, *args):
+    """_outcome, with the float TypeError as one more outcome to compare."""
+    try:
+        return _outcome(call, *args)
+    except TypeError as exc:
+        return type(exc), str(exc)
+
+
+class TestRowStochasticAgainstFractions:
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_matrices(), st.integers(0, 2))
+    def test_checks_match(self, matrix, labels):
+        labels = tuple(f"s{i + 1}" for i in range(len(matrix[0]) + labels - 1 if matrix else labels))
+        assert _row_outcome(_stochastic_rows, matrix) == _row_outcome(
+            support.stochastic_rows_by_fractions, matrix
+        )
+        assert _row_outcome(lambda: Garbling(matrix).matrix) == _row_outcome(
+            support.stochastic_rows_by_fractions, matrix
+        )
+        assert _row_outcome(lambda: Experiment(labels, matrix).likelihood) == _row_outcome(
+            support.stochastic_rows_by_fractions, matrix, len(labels)
+        )
+
+    @pytest.mark.parametrize("matrix", [(), ((),), ((), ()), ((1, 0), ())])
+    def test_empty_rows_match(self, matrix):
+        assert _row_outcome(_stochastic_rows, matrix) == _row_outcome(
+            support.stochastic_rows_by_fractions, matrix
+        )
+
+
+class TestHeldRows:
+    """DecisionProblem holds its scaled utility rows as Belief holds its hash."""
+
+    @staticmethod
+    def built():
+        dp = make_problem([[1, "1/3", 0], ["1/2", 0, "2/5"], [0, "3/4", "1/6"]])
+        prior = belief("1/6", "1/3", "1/2")
+        e = Experiment(("s1", "s2"), (("1/3", "2/3"), ("3/4", "1/4"), (1, 0)))
+        return dp, prior, e
+
+    def test_held_rows_are_the_scaled_utility(self):
+        dp, prior, e = self.built()
+        value_of_experiment(dp, prior, e)
+        assert dp._integers() == _scaled(dp.utility)
+        assert dp._integers() is dp._integers()
+
+    def test_fields_and_repr_are_unchanged_by_valuation(self):
+        dp, prior, e = self.built()
+        before = repr(dp)
+        value_of_experiment(dp, prior, e)
+        assert repr(dp) == before
+        names = [f.name for f in dataclasses.fields(DecisionProblem)]
+        assert names == ["state_labels", "action_labels", "utility"]
+
+    def test_pickle_bytes_do_not_hold_the_rows(self):
+        dp, prior, e = self.built()
+        before = pickle.dumps(dp)
+        value_of_experiment(dp, prior, e)
+        assert pickle.dumps(dp) == before == pickle.dumps(self.built()[0])
+
+    @pytest.mark.parametrize("valued", [False, True])
+    def test_pickle_and_copy_round_trips_value_alike(self, valued):
+        dp, prior, e = self.built()
+        expected = value_of_experiment(*self.built())
+        if valued:
+            assert value_of_experiment(dp, prior, e) == expected
+        for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+            copied = clone(dp)
+            assert copied == dp and repr(copied) == repr(dp)
+            assert "_ints" not in vars(copied)
+            assert value_of_experiment(copied, prior, e) == expected
+            assert rank(copied, prior, e, Experiment.uninformative(3)) == Order.BETTER
 
 
 class RepeatingRandom(Random):
