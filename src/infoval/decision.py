@@ -24,10 +24,9 @@ from .geometry import (
     Polytope,
     _belief,
     _coords_of,
-    _dedupe_canonical,
+    _facet,
     _frac,
     _integer_row,
-    _lex_order,
     _normalized,
     _rank,
     _scaled,
@@ -53,7 +52,7 @@ class DecisionProblem:
     _ints = None
 
     def __post_init__(self):
-        utility = tuple(tuple(_frac(v) for v in row) for row in self.utility)
+        utility = tuple(map(_coords_of, self.utility))
         object.__setattr__(self, "utility", utility)
         object.__setattr__(self, "state_labels", tuple(self.state_labels))
         object.__setattr__(self, "action_labels", tuple(self.action_labels))
@@ -101,7 +100,7 @@ class DecisionProblem:
 
 
 def make_problem(utility, state_labels=None, action_labels=None) -> DecisionProblem:
-    rows = [tuple(_frac(v) for v in row) for row in utility]
+    rows = [_coords_of(row) for row in utility]
     n = max(map(len, rows), default=0)
     states = tuple(state_labels) if state_labels else tuple(f"t{i+1}" for i in range(n))
     actions = (
@@ -124,7 +123,7 @@ class AffineFn:
     coeffs: Coords
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_frac(v) for v in self.coeffs))
+        object.__setattr__(self, "coeffs", _coords_of(self.coeffs))
 
     def _zip(self, x):
         """Pairs of this function's coefficients with x's, which must be as many."""
@@ -278,10 +277,9 @@ class PiecewiseAffineFn:
             for v in cell.geometry.vertices:
                 row = values.get(v)
                 if row is None:
-                    coords = _coords_of(v)
                     for width in widths:
-                        _coords_of(coords, width)  # the ShapeMismatch piece(v) raises
-                    x = _integer_row(coords)
+                        _coords_of(v, width)  # the ShapeMismatch piece(v) raises
+                    x = _integer_row(v.coords)
                     row = values[v] = [sum(map(mul, r, x)) for r in rows]
                 top = row[i]
                 if max(row) > top:
@@ -329,9 +327,11 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     """One full-dimensional cell per undominated action, plus facet adjacency.
 
     Cell geometry is the exact halfspace intersection
-    {x : u(a,.) . x >= u(b,.) . x for every rival undominated b}, and its
-    vertices are the envelope vertices of one lift where a is optimal. Cells
-    come back ordered by action index. Adjacency comes from
+    {x : u(a,.) . x >= u(b,.) . x for every rival undominated b}, each cut
+    made by geometry._facet from the difference of the two integer payoff
+    rows (DecisionProblem._integers), as hull and adjacency facets are. Its
+    vertices are the envelope vertices of one lift where a is optimal, in
+    Belief order. Cells come back ordered by action index. Adjacency comes from
     Subdivision.from_cells on those cells, as for cells read back from data:
     payoffs tie on a shared face, so its kernel line is u(j,.) - u(i,.) up to
     scale. Each undominated action's row is the only maximizing row on an
@@ -342,14 +342,12 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     n = dp.n
     rays, tight, winners = _lift(dp)
     vertices = [_normalized(ray) for ray in rays]
-    order = _lex_order(vertices)
+    order = sorted(range(len(vertices)), key=vertices.__getitem__)
+    rows, _ = dp._integers()
     cells = []
     for a in winners:
-        halfspaces = _dedupe_canonical(
-            Halfspace(tuple(u - v for u, v in zip(dp.utility[a], dp.utility[b])), ZERO)
-            for b in winners
-            if b != a
-        )
+        cuts = (_facet([x - y for x, y in zip(rows[a], rows[b])]) for b in winners if b != a)
+        halfspaces = tuple(Halfspace(*cut) for cut in dict.fromkeys(cuts))
         corners = tuple(vertices[r] for r in order if r in tight[a])
         cells.append(Cell(a, Polytope(halfspaces, corners, n)))
     sub = Subdivision.from_cells(cells)

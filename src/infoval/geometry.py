@@ -9,11 +9,13 @@ integer rows, which touches only adjacent pairs of extreme rays rather than
 every subset of constraints or points. All exact linear algebra (its seed
 rays, rank and affine dimension, the independent points that seed a hull,
 the kernel line that spans a facet) comes from one fraction-free row
-reduction on integer rows. Canonical halfspaces, and the order of a hull's
-facets, come from one integer routine, _facet. _scaled, which puts rational
-rows over one denominator, is the one home of common-denominator integer
-sums and sort keys: beliefs, barycenters, line windows, membership and the
-value kernels add integers and divide once, and points sort by their rows.
+reduction on integer rows. Every facet halfspace (of a hull, between two
+adjacent cells, between two actions' payoff rows) and the order of a hull's
+facets come from one integer routine, _facet. A raw row becomes exact in one
+place, _coords_of, which rejects floats. _scaled, which puts rational rows
+over one denominator, is the one home of common-denominator integer sums:
+beliefs, barycenters, line windows, membership and the value kernels add
+integers and divide once. Points have one order, Belief's own.
 Each polytope costs one double description, whose zero sets also tell which
 of a hull's points are vertices. Which cells share a facet, on the forward
 and the backward path alike, is read off vertex incidence by one scan,
@@ -53,13 +55,12 @@ def _require_prior(prior, n: int | None = None) -> "Belief":
     return prior
 
 
-def _coords(values) -> Coords:
-    return tuple(_frac(v) for v in values)
-
-
 def _coords_of(point, n: int | None = None) -> Coords:
-    """The coordinates of a Belief or raw tuple, which must number n when n is given."""
-    coords = point.coords if isinstance(point, Belief) else point
+    """A Belief's coordinates, or a raw row made exact by _frac, so a float raises TypeError.
+
+    ShapeMismatch unless there are n coordinates, when n is given.
+    """
+    coords = point.coords if isinstance(point, Belief) else tuple(_frac(v) for v in point)
     if n is not None and len(coords) != n:
         raise ShapeMismatch(f"{len(coords)} coordinates where {n} are expected")
     return coords
@@ -79,7 +80,7 @@ class Belief:
     _hash = None
 
     def __post_init__(self):
-        coords = _coords(self.coords)
+        coords = _coords_of(self.coords)
         object.__setattr__(self, "coords", coords)
         if not coords:
             raise ValueError("belief needs at least one coordinate")
@@ -121,7 +122,7 @@ def _belief(point) -> Belief:
 
 def belief(*values) -> Belief:
     """Shorthand constructor: belief("1/2", "1/2")."""
-    return Belief(_coords(values))
+    return Belief(values)
 
 
 def uniform_belief(n: int) -> Belief:
@@ -151,7 +152,7 @@ class Halfspace:
     _hash = None
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", _coords(self.normal))
+        object.__setattr__(self, "normal", _coords_of(self.normal))
         object.__setattr__(self, "offset", _frac(self.offset))
         if not self.normal:
             raise ValueError("halfspace normal needs at least one coordinate")
@@ -198,7 +199,7 @@ class Polytope:
 
     @classmethod
     def from_halfspaces(cls, halfspaces, n: int) -> "Polytope":
-        hs = _dedupe_canonical(halfspaces)
+        hs = tuple(dict.fromkeys(h.canonical() for h in halfspaces))
         verts = tuple(vertices_of(hs, n))
         return cls(hs, verts, n)
 
@@ -230,15 +231,18 @@ class Polytope:
 
         For a full-dimensional polytope the relative interior is exactly the
         set of points with every stored halfspace strict and every coordinate
-        positive. Each is an integer dot product over the point's scale.
+        positive. Each is an integer dot product over the point's scale. A raw
+        row off the simplex (a negative entry, or a sum other than one) is
+        not contained.
         """
-        coords = point if isinstance(point, Belief) else _coords(point)
-        (x,), scale = _scaled([_coords_of(coords, self.n)])
+        coords = _coords_of(point, self.n)
+        (x,), scale = _scaled([coords])
         floor = 1 if strict else 0  # an integer is > 0 when it is >= 1
-        if any(v < floor for v in x):
+        if any(v < floor for v in x) or sum(x) != scale:
             return False
         for h in self.halfspaces:
-            _coords_of(coords, h.n)  # the ShapeMismatch h.value raises
+            if h.n != self.n:
+                _coords_of(coords, h.n)  # the ShapeMismatch h.value raises
         x.append(-scale)  # so that (normal, offset) . x is scale * (normal . point - offset)
         rows = (_integer_row(h.normal + (h.offset,)) for h in self.halfspaces)
         return all(sum(map(mul, g, x)) >= floor for g in rows)
@@ -257,10 +261,6 @@ def _facet(g) -> tuple[tuple[int, ...], Fraction]:
     return tuple(a // d for a in shifted), Fraction(-low, d)
 
 
-def _dedupe_canonical(halfspaces) -> tuple[Halfspace, ...]:
-    return tuple(dict.fromkeys(h.canonical() for h in halfspaces))
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra: one fraction-free row reduction
 # ---------------------------------------------------------------------------
@@ -275,12 +275,6 @@ def _scaled(rows) -> tuple[list[list[int]], int]:
 def _integer_row(values) -> list[int]:
     """A rational vector scaled by the lcm of its denominators: same direction, integer entries."""
     return _scaled((values,))[0][0]
-
-
-def _lex_order(points) -> list[int]:
-    """The indices of distinct beliefs in sorted order, keyed by their rows over one denominator."""
-    keys, _ = _scaled([p.coords for p in points])
-    return sorted(range(len(points)), key=keys.__getitem__)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -450,7 +444,7 @@ def envelope_rays(rows) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
 
 def dimension(points) -> int:
     """Affine dimension of a point set (0 for a single point)."""
-    pts = [p if isinstance(p, Belief) else _coords(p) for p in points]
+    pts = list(points)
     if not pts:
         raise EmptyInput("dimension of an empty point set is undefined")
     n = len(_coords_of(pts[0]))
@@ -460,7 +454,7 @@ def dimension(points) -> int:
 
 def barycenter(points) -> Belief:
     """Unweighted average of the points, exact."""
-    pts = [p if isinstance(p, Belief) else _coords(p) for p in points]
+    pts = list(points)
     if not pts:
         raise EmptyInput("barycenter of an empty point set is undefined")
     n = len(_coords_of(pts[0]))
@@ -482,17 +476,16 @@ def _hull(points) -> tuple[list[Belief], list[tuple[list[int], int]], list[Halfs
     The facets of the hull are the extreme rays g of the dual cone
     {g : g . p >= 0 for every point p}: on the simplex, g . x >= 0 is the
     facet halfspace (none at n = 1, where g is constant). Double description
-    runs on the distinct points, sorted and scaled to integers, with n
-    affinely independent points first. Returns the sorted points, the rays
-    with their zero sets over the points (in the run's row order), and the
-    canonical facets sorted by _facet's (integer normal, offset). Raw
+    runs on the distinct points, sorted as Beliefs and scaled to integers,
+    with n affinely independent points first. Returns the sorted points, the
+    rays with their zero sets over the points (in the run's row order), and
+    the canonical facets sorted by _facet's (integer normal, offset). Raw
     coordinate tuples are read as beliefs. Raises ValueError when the points
     do not span the simplex.
     """
-    distinct = list(dict.fromkeys(map(_belief, points)))
-    if not distinct:
+    pts = sorted(set(map(_belief, points)))
+    if not pts:
         raise EmptyInput("hull of an empty point set is undefined")
-    pts = [distinct[i] for i in _lex_order(distinct)]
     n = pts[0].n
     rows = [_integer_row(_coords_of(p, n)) for p in pts]
     first, _ = _row_reduce(rows)
@@ -517,17 +510,17 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
     """Every pair of cells that meets in a facet, read off vertex incidence.
 
     The cells are full-dimensional polytopes that meet face to face, as the
-    cells of one subdivision do. Their distinct vertices are sorted once,
-    each kept as its coordinate row scaled to integers, and each cell is
-    checked to be full-dimensional by the rank of its own rows. Cells i < j
-    are adjacent exactly when the kernel of their common rows is a line g,
-    that is, when the common vertices span an (n-2)-face: g . x >= 0 is the
-    facet halfspace, oriented by g's signs on cell j's other vertices, and
-    mixed signs (g does not support cell j) raise ValueError. Returns (i, j,
-    shared face, canonical halfspace) per adjacent pair.
+    cells of one subdivision do. Their distinct vertices are sorted as
+    Beliefs, each kept as its coordinate row scaled to integers, and each
+    cell is checked to be full-dimensional by the rank of its own rows.
+    Cells i < j are adjacent exactly when the kernel of their common rows is
+    a line g, that is, when the common vertices span an (n-2)-face:
+    g . x >= 0 is the facet halfspace, oriented by g's signs on cell j's
+    other vertices, and mixed signs (g does not support cell j) raise
+    ValueError. Returns (i, j, shared face, canonical halfspace) per
+    adjacent pair.
     """
-    distinct = list(dict.fromkeys(v for p in cells for v in p.vertices))
-    vertices = [distinct[r] for r in _lex_order(distinct)]
+    vertices = sorted({v for p in cells for v in p.vertices})
     index = {v: r for r, v in enumerate(vertices)}
     incidence = [frozenset(index[v] for v in p.vertices) for p in cells]
     rows = [_integer_row(v.coords) for v in vertices]
@@ -573,18 +566,22 @@ def interior_interval_on_line(origin: Belief, direction: Coords, poly: Polytope)
 
     Returns an exact (lo, hi) pair with lo < hi, or None when the line misses
     the relative interior. The direction must sum to zero so the line stays
-    in the simplex's affine hull. Each coordinate and halfspace bounds t by
-    -alpha/beta, kept as an integer pair over the line's and its own scale.
-    A halfspace over other states raises the ShapeMismatch that
-    Polytope.contains raises.
+    in the simplex's affine hull: ValueError otherwise. Each coordinate and
+    halfspace bounds t by -alpha/beta, kept as an integer pair over the
+    line's and its own scale. A halfspace over other states raises the
+    ShapeMismatch that Polytope.contains raises, before the direction's sum
+    is checked.
     """
-    points = [p if isinstance(p, Belief) else _coords(p) for p in (origin, direction)]
-    (coords, direction), scale = _scaled([_coords_of(p, poly.n) for p in points])
+    rows = [_coords_of(p, poly.n) for p in (origin, direction)]
+    (coords, direction), scale = _scaled(rows)
     conditions = list(zip(coords, direction))
     for h in poly.halfspaces:
-        _coords_of(coords, h.n)  # the ShapeMismatch Polytope.contains raises
+        if h.n != poly.n:
+            _coords_of(rows[0], h.n)  # the ShapeMismatch Polytope.contains raises
         *g, c = _integer_row(h.normal + (h.offset,))
         conditions.append((sum(map(mul, g, coords)) - c * scale, sum(map(mul, g, direction))))
+    if sum(direction):
+        raise ValueError(f"the direction must sum to zero, got {Fraction(sum(direction), scale)}")
     lo = hi = None
     for alpha, beta in conditions:
         if beta == 0:

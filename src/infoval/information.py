@@ -41,7 +41,7 @@ from operator import mul
 from .decision import DecisionProblem
 from .errors import MeanMismatch, ShapeMismatch
 from .geometry import (
-    ONE, ZERO, Belief, Coords, _belief, _frac, _normalized, _require_prior, _scaled
+    ONE, ZERO, Belief, Coords, _belief, _coords_of, _frac, _normalized, _require_prior, _scaled
 )
 
 Columns = tuple[list, int]  # (integer columns, scale): column c is c[k] / scale for each state k
@@ -57,7 +57,7 @@ def _stochastic_rows(matrix, width: int | None = None) -> tuple[Coords, ...]:
     """
     rows = []
     for k, values in enumerate(matrix):
-        row = tuple(_frac(v) for v in values)
+        row = _coords_of(values)
         if width is None:
             width = len(row)
         if len(row) != width:
@@ -141,8 +141,10 @@ class PosteriorDistribution:
 
     Atoms with identical beliefs are merged and the list is sorted by belief,
     so equal distributions compare equal syntactically. A raw coordinate
-    tuple is read as a Belief. The mean, the sum of the atom columns, is cached;
-    it and the total are integer sums over common denominators.
+    tuple is read as a Belief. The mean, the sum of the atom columns
+    (_atom_columns), is cached. The probabilities' total is read off the same
+    columns: each belief sums to one, so the columns' entries total the
+    columns' scale exactly when the probabilities sum to one.
     """
 
     atoms: tuple[tuple[Belief, Fraction], ...]
@@ -162,13 +164,12 @@ class PosteriorDistribution:
             merged[belief_point] = merged.get(belief_point, ZERO) + prob
         if not merged:
             raise ValueError("a posterior distribution needs positive mass")
-        (probs,), scale = _scaled((tuple(merged.values()),))
-        if sum(probs) != scale:
-            raise ValueError(f"atom probabilities must sum to 1, got {sum(merged.values())}")
         object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
-        rows, row_scale = _scaled([b.coords for b in merged])
-        mean = (Fraction(sum(map(mul, probs, c)), scale * row_scale) for c in zip(*rows))
-        object.__setattr__(self, "mean", Belief(tuple(mean)))
+        columns, scale = _atom_columns(self)
+        totals = [sum(c) for c in zip(*columns)]
+        if sum(totals) != scale:
+            raise ValueError(f"atom probabilities must sum to 1, got {sum(merged.values())}")
+        object.__setattr__(self, "mean", Belief(tuple(Fraction(t, scale) for t in totals)))
 
     @property
     def support(self) -> tuple[Belief, ...]:

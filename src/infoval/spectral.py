@@ -19,7 +19,6 @@ from .geometry import (
     Belief,
     Coords,
     _coords_of,
-    _frac,
     _normalized,
     _require_prior,
 )
@@ -40,7 +39,7 @@ class SpectralElement:
     rays: tuple[Coords, ...]
 
     def __post_init__(self):
-        rays = tuple(tuple(_frac(v) for v in ray) for ray in self.rays)
+        rays = tuple(map(_coords_of, self.rays))
         if not rays:
             raise ValueError("a spectral element needs at least one ray")
         if len({len(ray) for ray in rays}) > 1:

@@ -26,7 +26,6 @@ from infoval.geometry import (
     Halfspace,
     Polytope,
     _coords_of,
-    _dedupe_canonical,
     _frac,
     _hull,
     _integer_row,
@@ -552,7 +551,7 @@ def vertices_by_brute_force(halfspaces, n: int) -> list[Belief]:
     system is solved exactly, and feasible solutions are kept. Deduplicated
     and sorted lexicographically; the empty list means an empty intersection.
     """
-    hs = _dedupe_canonical(halfspaces)
+    hs = tuple(dict.fromkeys(h.canonical() for h in halfspaces))
     rows: list[tuple[tuple[int, ...], int]] = [_int_row(h.normal, h.offset) for h in hs]
     for theta in range(n):
         unit = tuple(1 if i == theta else 0 for i in range(n))

@@ -1,20 +1,36 @@
-"""Source-level contract of the library.
+"""Contract of the library, read off its source and its public callables.
 
 Every public function returns an exact object or raises a typed error from
 infoval.errors: no bare RuntimeError and no assert (which vanishes under
 python -O and raises AssertionError otherwise). Every number is exact, so
-no float literal appears in the source. The forward geometry comes from one
-lifted double description, so no library module imports the exact LP in
-linprog.py, which stays only as a test oracle. No module imports a name it
-never reads, so code deleted from a module takes its imports with it, and
-no private function, class or method goes unreferenced, so code that loses
-its last caller is deleted with it.
+no float literal appears in the source, and every public callable that
+takes a point or a row rejects a float entry. The forward geometry comes
+from one lifted double description, so no library module imports the
+exact LP in linprog.py, which stays only as a test oracle. No module
+imports a name it never reads, so code deleted from a module takes its
+imports with it, and no private function, class or method goes
+unreferenced, so code that loses its last caller is deleted with it.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from infoval.decision import AffineFn, DecisionProblem, make_problem, value_function
+from infoval.geometry import (
+    Belief,
+    Halfspace,
+    Polytope,
+    barycenter,
+    belief,
+    dimension,
+    interior_interval_on_line,
+)
+from infoval.information import Experiment
+from infoval.spectral import SpectralElement
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "infoval").glob("*.py"))
 
@@ -196,3 +212,39 @@ def test_scanner_catches_each_kind():
         "from infoval import linprog as lp\nfrom .geometry import vertices_of\nimport math\n"
     )
     assert _linprog_imports(ast.parse(source)) == [1, 2, 3, 4]
+
+
+HALF = Fraction(1, 2)
+SIMPLEX = Polytope.from_halfspaces([], 2)
+VALUE = value_function(make_problem([[1, 0], [0, 1]]))
+
+# every public callable that takes a point or a row, each given one float entry
+FLOAT_CALLS = {
+    "Halfspace.value": lambda: Halfspace((1, 0), 0).value((0.5, HALF)),
+    "AffineFn.__call__": lambda: AffineFn((1, 2))((0.5, HALF)),
+    "AffineFn.__add__": lambda: AffineFn((1, 2)) + SimpleNamespace(coeffs=(0.5, 1)),
+    "AffineFn.__sub__": lambda: AffineFn((1, 2)) - SimpleNamespace(coeffs=(0.5, 1)),
+    "PiecewiseAffineFn.__call__": lambda: VALUE((0.5, HALF)),
+    "Polytope.contains": lambda: SIMPLEX.contains((0.5, HALF)),
+    "Polytope.contains-strict": lambda: SIMPLEX.contains((0.5, HALF), strict=True),
+    "barycenter": lambda: barycenter([belief(1, 0), (0.5, HALF)]),
+    "dimension": lambda: dimension([belief(1, 0), (0.5, HALF)]),
+    "interior_interval_on_line": lambda: interior_interval_on_line(
+        belief(HALF, HALF), (0.5, -HALF), SIMPLEX
+    ),
+    "DecisionProblem.payoff": lambda: make_problem([[1, 0]]).payoff(0, (0.5, HALF)),
+    "Belief": lambda: Belief((0.5, HALF)),
+    "belief": lambda: belief(0.5, HALF),
+    "Halfspace": lambda: Halfspace((0.5, 0), 0),
+    "AffineFn": lambda: AffineFn((0.5, 1)),
+    "DecisionProblem": lambda: DecisionProblem(("t1", "t2"), ("a1",), ((0.5, 1),)),
+    "make_problem": lambda: make_problem([[1, 0], [0.5, 1]]),
+    "Experiment": lambda: Experiment(("s1",), ((1,), (1.0,))),
+    "SpectralElement": lambda: SpectralElement(0, ((1, 0.5),)),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_CALLS.values(), ids=FLOAT_CALLS.keys())
+def test_float_entry_rejected(call):
+    with pytest.raises(TypeError, match="^floating point values are not allowed"):
+        call()

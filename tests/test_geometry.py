@@ -14,7 +14,7 @@ from infoval.geometry import (
     Belief,
     Halfspace,
     Polytope,
-    _coords,
+    _coords_of,
     _extreme_rays,
     _facet,
     _integer_row,
@@ -370,6 +370,13 @@ class TestContains:
         # no halfspace is stored, so only the coordinate check can say no
         simplex = Polytope.from_halfspaces([], 2)
         assert not simplex.contains((Fraction(-1, 2), Fraction(3, 2)), strict=strict)
+
+    @pytest.mark.parametrize("point", [(2, 2), (Fraction(1, 2), Fraction(1, 4))])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_point_off_the_simplex_outside(self, point, strict):
+        # nonnegative rows summing to 4 and to 3/4, and no halfspace stored to say no
+        simplex = Polytope.from_halfspaces([], 2)
+        assert not simplex.contains(point, strict=strict)
 
 
 class TestFacetBetween:
@@ -735,7 +742,7 @@ class TestBruteForceOracle:
         """Rank and kernel line of the row reduction, on the rows scaled to
         integers, against Fraction elimination on the rational rows."""
         n = len(rows[0])
-        ints = [_integer_row(_coords(row)) for row in rows]
+        ints = [_integer_row(_coords_of(row)) for row in rows]
         assert len(_row_reduce(ints)[0]) == support.rank_by_fractions(rows)
         ray = _kernel_ray(ints, n)
         assert (None if ray is None else tuple(ray)) == support._unique_kernel_vector(rows, n)
@@ -869,3 +876,23 @@ class TestLineInterval:
             interior_interval_on_line(belief("1/3", "1/3", "1/3"), (1, -1), simplex)
         with pytest.raises(ShapeMismatch):
             interior_interval_on_line(belief("1/2", "1/2"), (1, -1, 0), simplex)
+
+    def test_direction_off_the_simplex_rejected(self):
+        # (1, -2) leaves the plane sum(x) = 1: the window (-1/2, 1/4) was read off it
+        simplex = Polytope.from_halfspaces([], 2)
+        with pytest.raises(ValueError, match="^the direction must sum to zero, got -1$"):
+            interior_interval_on_line(belief("1/2", "1/2"), (1, -2), simplex)
+
+    @pytest.mark.parametrize(
+        "direction, halfspaces, error",
+        [
+            ((1, -2, 0), [], ShapeMismatch),
+            ((0.5, -2), [], TypeError),
+            ((1, -2), [hs([1, 0, 0], 0)], ShapeMismatch),
+        ],
+    )
+    def test_direction_sum_checked_last(self, direction, halfspaces, error):
+        # the shape and float checks keep their place ahead of the new sum check
+        poly = Polytope(tuple(halfspaces), (), 2)
+        with pytest.raises(error):
+            interior_interval_on_line(belief("1/2", "1/2"), direction, poly)
