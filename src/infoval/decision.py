@@ -25,11 +25,12 @@ from .geometry import (
     _belief,
     _coords_of,
     _facet,
+    _facet_halfspace,
     _frac,
-    _integer_row,
     _normalized,
     _rank,
     _scaled,
+    _scaled_points,
     adjacent_facets,
     envelope_rays,
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
@@ -256,7 +257,7 @@ class PiecewiseAffineFn:
     other piece at each vertex of that cell, and so on the whole cell: the
     function is the pointwise maximum of its pieces. It compares integer dot
     products: the rows scaled by the lcm of all their denominators, each
-    vertex by the lcm of its own. Adjacent pieces then
+    vertex by its held row over the lcm of its own. Adjacent pieces then
     agree on their shared facet, because every shared face this library
     builds (geometry.adjacent_facets) is spanned by vertices common to both
     cells, where each piece dominates the other.
@@ -279,7 +280,7 @@ class PiecewiseAffineFn:
                 if row is None:
                     for width in widths:
                         _coords_of(v, width)  # the ShapeMismatch piece(v) raises
-                    x = _integer_row(v.coords)
+                    (x,), _ = _scaled_points([v])
                     row = values[v] = [sum(map(mul, r, x)) for r in rows]
                 top = row[i]
                 if max(row) > top:
@@ -347,7 +348,7 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     cells = []
     for a in winners:
         cuts = (_facet([x - y for x, y in zip(rows[a], rows[b])]) for b in winners if b != a)
-        halfspaces = tuple(Halfspace(*cut) for cut in dict.fromkeys(cuts))
+        halfspaces = tuple(_facet_halfspace(*cut) for cut in dict.fromkeys(cuts))
         corners = tuple(vertices[r] for r in order if r in tight[a])
         cells.append(Cell(a, Polytope(halfspaces, corners, n)))
     sub = Subdivision.from_cells(cells)

@@ -14,8 +14,11 @@ adjacent cells, between two actions' payoff rows) and the order of a hull's
 facets come from one integer routine, _facet. A raw row becomes exact in one
 place, _coords_of, which rejects floats. _scaled, which puts rational rows
 over one denominator, is the one home of common-denominator integer sums:
-beliefs, barycenters, line windows, membership and the value kernels add
-integers and divide once. Points have one order, Belief's own.
+barycenters, line windows, membership and the value kernels add integers
+and divide once. A point is scaled once, when it is built: a Belief holds
+its integer row, which its equality and its order (the one order of points)
+read and _scaled_points brings to a common scale. Beliefs and facets built
+from integers in hand are checked once, on those integers.
 Each polytope costs one double description, whose zero sets also tell which
 of a hull's points are vertices. Which cells share a facet, on the forward
 and the backward path alike, is read off vertex incidence by one scan,
@@ -72,23 +75,38 @@ class Belief:
 
     Coordinates must be nonnegative rationals summing to one. Instances are
     immutable, hashable, and ordered lexicographically by coordinates, which
-    gives every vertex listing in this library a canonical order. The hash
-    is cached on first use outside the fields, and left out of pickles.
+    gives every vertex listing in this library a canonical order. Each holds
+    its integer row over the lcm of its denominators (_integers), formed
+    when the belief is checked; equality, order and sums read it. The row
+    and the hash are held outside the fields, left out of pickles and
+    copies, and formed again on first use.
     """
 
     coords: Coords
     _hash = None
+    _ints = None
 
     def __post_init__(self):
         coords = _coords_of(self.coords)
         object.__setattr__(self, "coords", coords)
-        if not coords:
-            raise ValueError("belief needs at least one coordinate")
         (row,), scale = _scaled((coords,))
+        self._hold(tuple(row), scale)
+
+    def _hold(self, row: tuple[int, ...], scale: int) -> None:
+        """Check that row / scale is a probability vector, then hold the pair."""
+        if not row:
+            raise ValueError("belief needs at least one coordinate")
         if min(row) < 0:
-            raise ValueError(f"belief has a negative coordinate: {coords}")
+            raise ValueError(f"belief has a negative coordinate: {self.coords}")
         if sum(row) != scale:
-            raise ValueError(f"belief coordinates must sum to 1, got {sum(coords)}")
+            raise ValueError(f"belief coordinates must sum to 1, got {sum(self.coords)}")
+        object.__setattr__(self, "_ints", (row, scale))
+
+    def _integers(self) -> tuple[tuple[int, ...], int]:
+        """(row, scale) with coords[k] == row[k] / scale, scale the lcm of the denominators."""
+        if self._ints is None:
+            self.__post_init__()  # a clone's: pickles and copies leave the pair out
+        return self._ints
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -98,6 +116,18 @@ class Belief:
     def __getstate__(self) -> dict:
         return {"coords": self.coords}
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Belief:
+            return NotImplemented
+        return self._integers() == other._integers()
+
+    def __lt__(self, other: "Belief") -> bool:
+        """The order of the coordinate tuples: row_a * scale_b against row_b * scale_a."""
+        (a, s), (b, t) = self._integers(), other._integers()
+        if s == t:
+            return a < b
+        return [x * t for x in a] < [y * s for y in b]
+
     @property
     def n(self) -> int:
         return len(self.coords)
@@ -105,14 +135,25 @@ class Belief:
     def __getitem__(self, idx: int) -> Fraction:
         return self.coords[idx]
 
-    def __lt__(self, other: "Belief") -> bool:
-        return self.coords < other.coords
-
     def is_interior(self) -> bool:
-        return all(c > 0 for c in self.coords)
+        return all(self._integers()[0])
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+def _exact_belief(row, scale: int) -> Belief:
+    """The Belief row / scale, scale positive, with Belief's checks run once, on the integers.
+
+    Divided by its gcd, the pair is the one Belief holds: the row over the
+    lcm of the coordinates' denominators.
+    """
+    g = math.gcd(scale, *row)
+    row, scale = tuple(v // g for v in row), scale // g
+    point = object.__new__(Belief)
+    object.__setattr__(point, "coords", tuple(Fraction(v, scale) for v in row))
+    point._hold(row, scale)
+    return point
 
 
 def _belief(point) -> Belief:
@@ -132,8 +173,7 @@ def uniform_belief(n: int) -> Belief:
 def _normalized(column) -> Belief:
     """The belief proportional to a nonnegative int or Fraction column with a positive sum."""
     row = _integer_row(column)
-    total = sum(row)
-    return Belief(tuple(Fraction(c, total) for c in row))
+    return _exact_belief(row, sum(row))
 
 
 @dataclass(frozen=True)
@@ -177,11 +217,25 @@ class Halfspace:
 
     def canonical(self) -> "Halfspace":
         """_facet of (normal - offset) . x >= 0, the same cut, scaled to integers."""
-        return Halfspace(*_facet(_integer_row(self.as_affine_coords())))
+        return _facet_halfspace(*_facet(_integer_row(self.as_affine_coords())))
 
     def as_affine_coords(self) -> Coords:
         """Coefficients of x -> normal . x - offset as a pure linear form on the simplex."""
         return tuple(a - self.offset for a in self.normal)
+
+
+def _facet_halfspace(normal: tuple[int, ...], offset: Fraction) -> Halfspace:
+    """The Halfspace of one of _facet's (primitive integer normal, offset) pairs.
+
+    Halfspace's own check, once, on the integers: _facet's normal has least
+    entry 0, so it is constant on the simplex exactly when it is zero.
+    """
+    if not any(normal):
+        raise ValueError("halfspace normal is constant on the simplex (degenerate)")
+    h = object.__new__(Halfspace)
+    object.__setattr__(h, "normal", tuple(map(Fraction, normal)))
+    object.__setattr__(h, "offset", offset)
+    return h
 
 
 @dataclass(frozen=True)
@@ -235,15 +289,14 @@ class Polytope:
         row off the simplex (a negative entry, or a sum other than one) is
         not contained.
         """
-        coords = _coords_of(point, self.n)
-        (x,), scale = _scaled([coords])
+        (x,), scale = _scaled_points([point], self.n)
         floor = 1 if strict else 0  # an integer is > 0 when it is >= 1
         if any(v < floor for v in x) or sum(x) != scale:
             return False
         for h in self.halfspaces:
             if h.n != self.n:
-                _coords_of(coords, h.n)  # the ShapeMismatch h.value raises
-        x.append(-scale)  # so that (normal, offset) . x is scale * (normal . point - offset)
+                _coords_of(point, h.n)  # the ShapeMismatch h.value raises
+        x = [*x, -scale]  # so that (normal, offset) . x is scale * (normal . point - offset)
         rows = (_integer_row(h.normal + (h.offset,)) for h in self.halfspaces)
         return all(sum(map(mul, g, x)) >= floor for g in rows)
 
@@ -270,6 +323,23 @@ def _scaled(rows) -> tuple[list[list[int]], int]:
     """(ints, scale) with rows[i][k] == ints[i][k] / scale, scale the lcm of all denominators."""
     scale = math.lcm(*[v.denominator for row in rows for v in row])
     return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
+
+
+def _scaled_points(points, n: int | None = None) -> tuple[list, int]:
+    """_scaled of the points' coordinates, a Belief's read off its held row (do not mutate).
+
+    Each point passes _coords_of's float and shape checks.
+    """
+    pairs = []
+    for p in points:
+        coords = _coords_of(p, n)
+        if isinstance(p, Belief):
+            pairs.append(p._integers())
+        else:
+            (row,), scale = _scaled((coords,))
+            pairs.append((row, scale))
+    scale = math.lcm(*[s for _, s in pairs])
+    return [row if s == scale else [v * (scale // s) for v in row] for row, s in pairs], scale
 
 
 def _integer_row(values) -> list[int]:
@@ -443,13 +513,16 @@ def envelope_rays(rows) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
 
 
 def dimension(points) -> int:
-    """Affine dimension of a point set (0 for a single point)."""
+    """Affine dimension of a point set (0 for a single point), on the simplex or off it.
+
+    One less than the rank of the rows with a column of ones appended, here
+    the integer rows with their scale.
+    """
     pts = list(points)
     if not pts:
         raise EmptyInput("dimension of an empty point set is undefined")
-    n = len(_coords_of(pts[0]))
-    # beliefs lie on the hyperplane sum(x) = 1, which misses the origin
-    return _rank(_scaled([_coords_of(p, n) for p in pts])[0]) - 1
+    rows, scale = _scaled_points(pts, len(_coords_of(pts[0])))
+    return _rank([[*row, scale] for row in rows]) - 1
 
 
 def barycenter(points) -> Belief:
@@ -457,10 +530,8 @@ def barycenter(points) -> Belief:
     pts = list(points)
     if not pts:
         raise EmptyInput("barycenter of an empty point set is undefined")
-    n = len(_coords_of(pts[0]))
-    rows, scale = _scaled([_coords_of(p, n) for p in pts])
-    count = len(pts) * scale
-    return Belief(tuple(Fraction(sum(column), count) for column in zip(*rows)))
+    rows, scale = _scaled_points(pts, len(_coords_of(pts[0])))
+    return _exact_belief([sum(column) for column in zip(*rows)], len(pts) * scale)
 
 
 def interior_point(poly: Polytope) -> Belief:
@@ -487,13 +558,15 @@ def _hull(points) -> tuple[list[Belief], list[tuple[list[int], int]], list[Halfs
     if not pts:
         raise EmptyInput("hull of an empty point set is undefined")
     n = pts[0].n
-    rows = [_integer_row(_coords_of(p, n)) for p in pts]
+    for p in pts:
+        _coords_of(p, n)  # ShapeMismatch unless every point is over n states
+    rows = [p._integers()[0] for p in pts]
     first, _ = _row_reduce(rows)
     if len(first) != n:
         raise ValueError("the point set does not span the simplex, so its hull has no interior")
     order = first + [i for i in range(len(pts)) if i not in first]
     rays = _extreme_rays([rows[i] for i in order], n)
-    facets = [Halfspace(*key) for key in sorted(_facet(ray) for ray, _ in rays if n > 1)]
+    facets = [_facet_halfspace(*key) for key in sorted(_facet(ray) for ray, _ in rays if n > 1)]
     return pts, rays, facets
 
 
@@ -523,7 +596,7 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
     vertices = sorted({v for p in cells for v in p.vertices})
     index = {v: r for r, v in enumerate(vertices)}
     incidence = [frozenset(index[v] for v in p.vertices) for p in cells]
-    rows = [_integer_row(v.coords) for v in vertices]
+    rows = [v._integers()[0] for v in vertices]
     for p, own in zip(cells, incidence):
         if not own or _rank([rows[r] for r in own]) != p.n:
             raise ValueError("facets are found only between full-dimensional cells")
@@ -541,7 +614,7 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
             g = [-a for a in g]
         halfspaces = tuple(dict.fromkeys(cells[i].halfspaces + cells[j].halfspaces))
         shared = Polytope(halfspaces, tuple(vertices[r] for r in sorted(common)), n)
-        out.append((i, j, shared, Halfspace(*_facet(g))))
+        out.append((i, j, shared, _facet_halfspace(*_facet(g))))
     return out
 
 
@@ -565,21 +638,23 @@ def interior_interval_on_line(origin: Belief, direction: Coords, poly: Polytope)
     """Open parameter interval {t : origin + t*direction in relint(poly)}.
 
     Returns an exact (lo, hi) pair with lo < hi, or None when the line misses
-    the relative interior. The direction must sum to zero so the line stays
-    in the simplex's affine hull: ValueError otherwise. Each coordinate and
+    the relative interior. The origin must be a point of the simplex, and the
+    direction must sum to zero so the line stays in the simplex's affine
+    hull: ValueError otherwise, the origin checked first. Each coordinate and
     halfspace bounds t by -alpha/beta, kept as an integer pair over the
     line's and its own scale. A halfspace over other states raises the
-    ShapeMismatch that Polytope.contains raises, before the direction's sum
-    is checked.
+    ShapeMismatch that Polytope.contains raises, before either value check.
     """
-    rows = [_coords_of(p, poly.n) for p in (origin, direction)]
-    (coords, direction), scale = _scaled(rows)
+    (coords, direction), scale = _scaled_points((origin, direction), poly.n)
     conditions = list(zip(coords, direction))
     for h in poly.halfspaces:
         if h.n != poly.n:
-            _coords_of(rows[0], h.n)  # the ShapeMismatch Polytope.contains raises
+            _coords_of(origin, h.n)  # the ShapeMismatch Polytope.contains raises
         *g, c = _integer_row(h.normal + (h.offset,))
         conditions.append((sum(map(mul, g, coords)) - c * scale, sum(map(mul, g, direction))))
+    if min(coords) < 0 or sum(coords) != scale:
+        point = ", ".join(str(Fraction(v, scale)) for v in coords)
+        raise ValueError(f"the origin must be a point of the simplex, got ({point})")
     if sum(direction):
         raise ValueError(f"the direction must sum to zero, got {Fraction(sum(direction), scale)}")
     lo = hi = None

@@ -27,7 +27,8 @@ computes it: integer dot products of the problem's scaled rows with each
 side's columns, the two sides over one scale, and one division. A problem
 scales its utility matrix on first use and holds the result
 (DecisionProblem._integers), so ranking many experiments for one problem
-scales the matrix once; priors and experiments are scaled on each call.
+scales the matrix once. A prior, as every belief, holds its integer row
+from when it was built; experiments are scaled on each call.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from operator import mul
 from .decision import DecisionProblem
 from .errors import MeanMismatch, ShapeMismatch
 from .geometry import (
-    ONE, ZERO, Belief, Coords, _belief, _coords_of, _frac, _normalized, _require_prior, _scaled
+    ONE, ZERO, Belief, Coords, _belief, _coords_of, _exact_belief, _frac, _normalized,
+    _require_prior, _scaled, _scaled_points,
 )
 
 Columns = tuple[list, int]  # (integer columns, scale): column c is c[k] / scale for each state k
@@ -169,7 +171,7 @@ class PosteriorDistribution:
         totals = [sum(c) for c in zip(*columns)]
         if sum(totals) != scale:
             raise ValueError(f"atom probabilities must sum to 1, got {sum(merged.values())}")
-        object.__setattr__(self, "mean", Belief(tuple(Fraction(t, scale) for t in totals)))
+        object.__setattr__(self, "mean", _exact_belief(totals, scale))
 
     @property
     def support(self) -> tuple[Belief, ...]:
@@ -201,7 +203,7 @@ def _columns(prior: Belief, experiment: Experiment) -> Columns:
     """
     if experiment.n != prior.n:
         raise ShapeMismatch("experiment rows must match the prior's states")
-    (weights,), prior_scale = _scaled((prior.coords,))
+    (weights,), prior_scale = _scaled_points([prior])
     rows, scale = _scaled(experiment.likelihood)
     weighted = [[p * v for v in row] for p, row in zip(weights, rows)]
     return list(zip(*weighted)), prior_scale * scale
@@ -214,7 +216,7 @@ def _atom_columns(dist: PosteriorDistribution) -> Columns:
     its belief's row over the beliefs' one denominator.
     """
     (probs,), prob_scale = _scaled((tuple(prob for _, prob in dist.atoms),))
-    rows, scale = _scaled([b.coords for b, _ in dist.atoms])
+    rows, scale = _scaled_points([b for b, _ in dist.atoms])
     return [[p * v for v in row] for p, row in zip(probs, rows)], prob_scale * scale
 
 
@@ -239,7 +241,9 @@ def experiment_of(prior: Belief, dist: PosteriorDistribution) -> Experiment:
     the atom columns divided by the prior, state by state, each entry one
     Fraction of integers over the two scales. Inverse of bayes_split:
     splitting the result at the same prior returns the distribution
-    unchanged.
+    unchanged. The rows are nonnegative, and each sums to one because the
+    distribution's mean is the prior, so the Experiment is built without
+    Experiment's second scan of its rows.
     """
     prior = _require_prior(prior)
     if dist.mean != prior:
@@ -247,12 +251,15 @@ def experiment_of(prior: Belief, dist: PosteriorDistribution) -> Experiment:
             f"distribution mean {dist.mean} does not match the prior {prior}"
         )
     columns, scale = _atom_columns(dist)
-    (weights,), prior_scale = _scaled((prior.coords,))
+    (weights,), prior_scale = _scaled_points([prior])
     rows = tuple(
         tuple(Fraction(c * prior_scale, scale * p) for c in row)
         for p, row in zip(weights, zip(*columns))
     )
-    return Experiment(tuple(f"s{i+1}" for i in range(len(columns))), rows)
+    experiment = object.__new__(Experiment)
+    object.__setattr__(experiment, "signal_labels", tuple(f"s{i+1}" for i in range(len(columns))))
+    object.__setattr__(experiment, "likelihood", rows)
+    return experiment
 
 
 def garble(experiment: Experiment, garbling: Garbling) -> Experiment:
@@ -310,7 +317,7 @@ def value_of_experiment(dp: DecisionProblem, prior: Belief, experiment: Experime
     prior = _require_prior(prior)
     columns = _columns(prior, experiment)
     dp._require_states(prior.n)
-    return _gap(dp._integers(), columns, _scaled((prior.coords,)))
+    return _gap(dp._integers(), columns, _scaled_points([prior]))
 
 
 def rank(dp: DecisionProblem, prior: Belief, first: Experiment, second: Experiment) -> Order:

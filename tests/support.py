@@ -32,6 +32,7 @@ from infoval.geometry import (
     _kernel_ray,
     _rank,
     _require_prior,
+    _scaled,
     barycenter,
     dimension,
     hull_halfspaces,
@@ -400,6 +401,25 @@ def barycenter_by_fractions(points) -> Belief:
     n = len(_coords_of(pts[0]))
     columns = zip(*(_coords_of(p, n) for p in pts))
     return Belief(tuple(Fraction(sum(column), len(pts)) for column in columns))
+
+
+def held_pair_by_scaling(point: Belief) -> tuple[tuple[int, ...], int]:
+    """The (row, scale) a Belief holds, formed by _scaled of its coordinates, as on each use before."""
+    (row,), scale = _scaled((point.coords,))
+    return tuple(row), scale
+
+
+def normalized_by_fractions(column) -> Belief:
+    """_normalized as Fraction(entry, sum) per coordinate, checked by Belief's constructor."""
+    row = _integer_row(column)
+    total = sum(row)
+    return Belief(tuple(Fraction(c, total) for c in row))
+
+
+def dimension_by_differences(points) -> int:
+    """Affine dimension of a point set as the rank of the differences p - p0, in Fractions."""
+    rows = [_coords_of(p) for p in points]
+    return rank_by_fractions([tuple(a - b for a, b in zip(p, rows[0])) for p in rows[1:]])
 
 
 def mean_by_fractions(dist: PosteriorDistribution) -> Belief:

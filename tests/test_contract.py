@@ -9,7 +9,9 @@ from one lifted double description, so no library module imports the
 exact LP in linprog.py, which stays only as a test oracle. No module
 imports a name it never reads, so code deleted from a module takes its
 imports with it, and no private function, class or method goes
-unreferenced, so code that loses its last caller is deleted with it.
+unreferenced, so code that loses its last caller is deleted with it. A
+belief's integer row has one home, the Belief itself: no library code
+scales a .coords attribute through _scaled or _integer_row outside it.
 """
 
 import ast
@@ -61,6 +63,34 @@ def _linprog_imports(tree: ast.AST) -> list[int]:
         else:
             continue
         if any("linprog" in name.split(".") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def _coords_scalings(tree: ast.AST) -> list[int]:
+    """Lines outside class Belief where _scaled or _integer_row takes a .coords attribute.
+
+    A Belief holds its integer row (Belief._integers), so scaling a belief's
+    coordinates anywhere else forms that row again.
+    """
+    held = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "Belief":
+            held |= {id(sub) for sub in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in held:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ("_scaled", "_integer_row"):
+            continue
+        arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
+        if any(
+            isinstance(sub, ast.Attribute) and sub.attr == "coords"
+            for argument in arguments
+            for sub in ast.walk(argument)
+        ):
             found.append(node.lineno)
     return found
 
@@ -158,6 +188,28 @@ def test_library_does_not_import_linprog(path):
 )
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_beliefs_are_scaled_only_by_their_held_row(path):
+    assert _coords_scalings(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_coords_scaling_scanner_catches_each_kind():
+    source = (
+        "class Belief:\n"
+        "    def _integers(self):\n"
+        "        return _scaled((self.coords,))\n"
+        "def direct(b):\n"
+        "    return _scaled((b.coords,))\n"
+        "def row(b):\n"
+        "    return _integer_row(b.coords)\n"
+        "def module(points):\n"
+        "    return geometry._scaled(rows=[p.coords for p in points])\n"
+        "def allowed(b, column, fn):\n"
+        "    return _scaled((column,)), _integer_row(fn.coeffs), _coords_of(b.coords)\n"
+    )
+    assert _coords_scalings(ast.parse(source)) == [5, 7, 9]
 
 
 def test_no_unreferenced_private_code():

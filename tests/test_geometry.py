@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from infoval.geometry import (
     _coords_of,
     _extreme_rays,
     _facet,
+    _facet_halfspace,
     _integer_row,
     _kernel_ray,
+    _normalized,
     _row_reduce,
     barycenter,
     belief,
@@ -29,6 +32,7 @@ from infoval.geometry import (
     interior_point,
     vertices_of,
 )
+from infoval.information import PosteriorDistribution
 
 
 def hs(normal, offset):
@@ -105,6 +109,79 @@ class TestBeliefHash:
             assert repr(clone) == repr(a)
 
 
+@st.composite
+def built_beliefs(draw, n: int) -> tuple[Belief, Belief | None]:
+    """(belief, oracle) for a belief built one of the library's ways, over n states.
+
+    The oracle is the same belief built through Fractions and Belief's own
+    checks, or None for a plain Belief or a clone, which the pair check alone
+    covers. _normalized columns are ints or Fractions.
+    """
+    how = draw(st.sampled_from(["Belief", "normalized", "barycenter", "mean", "pickle", "copy"]))
+    if how == "normalized":
+        entries = support.fractions(0, 30, 9) | st.integers(0, 30)
+        column = draw(st.lists(entries, min_size=n, max_size=n).filter(any))
+        return _normalized(column), support.normalized_by_fractions(column)
+    points = draw(st.lists(support.mixed_beliefs(n), min_size=1, max_size=4))
+    if how == "barycenter":
+        return barycenter(points), support.barycenter_by_fractions(points)
+    if how == "mean":
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
+        dist = PosteriorDistribution(
+            (p, Fraction(w, sum(weights))) for p, w in zip(points, weights)
+        )
+        return dist.mean, support.mean_by_fractions(dist)
+    clone = {"Belief": lambda b: b, "pickle": lambda b: pickle.loads(pickle.dumps(b)),
+             "copy": copy.copy}[how]
+    return clone(points[0]), None
+
+
+class TestHeldRowAgainstScaling:
+    """Each Belief's held (row, scale) against _scaled of its coordinates.
+
+    Equality and order read the held rows; they must agree with the
+    comparisons of the coordinate tuples they replaced, beliefs over
+    different numbers of states included.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2), st.data())
+    def test_pairs_equality_and_order_match_the_coordinates(self, n, other, data):
+        a, oracle_a = data.draw(built_beliefs(n))
+        b, oracle_b = data.draw(built_beliefs(n if other else n + 1))
+        for point, oracle in ((a, oracle_a), (b, oracle_b)):
+            assert point._integers() == support.held_pair_by_scaling(point)
+            if oracle is not None:
+                assert repr(point) == repr(oracle)
+            for clone in (Belief(point.coords), copy.deepcopy(point)):
+                assert clone == point and not clone < point and not point < clone
+        assert (a == b) == (a.coords == b.coords)
+        assert (a < b) == (a.coords < b.coords)
+        assert (b < a) == (b.coords < a.coords)
+
+    def test_rows_are_held_from_construction_and_formed_again_on_clones(self):
+        a = belief("1/6", "1/3", "1/2")
+        assert vars(a)["_ints"] == ((1, 2, 3), 6)
+        for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert "_ints" not in vars(clone)
+            assert clone._integers() == ((1, 2, 3), 6) and "_ints" in vars(clone)
+
+    @pytest.mark.parametrize(
+        "row, scale, message",
+        [
+            ((), 1, "^belief needs at least one coordinate$"),
+            ((3, -1), 2, "^belief has a negative coordinate: "
+             + re.escape("(Fraction(3, 2), Fraction(-1, 2))") + "$"),
+            ((1, 1), 3, "^belief coordinates must sum to 1, got 2/3$"),
+        ],
+    )
+    def test_integer_maker_keeps_the_checks_and_messages(self, row, scale, message):
+        with pytest.raises(ValueError, match=message):
+            geometry._exact_belief(row, scale)
+        with pytest.raises(ValueError, match=message):
+            Belief(tuple(Fraction(v, scale) for v in row))
+
+
 class TestHalfspaceHash:
     def test_equal_halfspaces_built_apart_hash_equal_and_find_each_other(self):
         a = hs([1, 0, "1/2"], "1/3")
@@ -147,6 +224,22 @@ rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 class TestCanonicalAgainstFractions:
     """_facet and Halfspace.canonical against the Fraction canonical they replaced, by repr."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-60, 60), min_size=2, max_size=8))
+    @example([0, 0, 1])
+    def test_facet_maker_matches_the_public_constructor(self, g):
+        assume(len(set(g)) > 1)
+        made, built = _facet_halfspace(*_facet(g)), Halfspace(*_facet(g))
+        assert repr(made) == repr(built) and made == built and hash(made) == hash(built)
+        assert pickle.dumps(made) == pickle.dumps(built)
+
+    def test_facet_maker_rejects_a_zero_normal_as_the_constructor_does(self):
+        message = r"^halfspace normal is constant on the simplex \(degenerate\)$"
+        with pytest.raises(ValueError, match=message):
+            _facet_halfspace((0, 0), Fraction(1))
+        with pytest.raises(ValueError, match=message):
+            Halfspace((0, 0), 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-60, 60), min_size=2, max_size=8))
@@ -267,6 +360,23 @@ class TestDimension:
     def test_raw_float_rejected(self, points):
         with pytest.raises(TypeError, match="floating point"):
             dimension(points)
+
+    def test_points_off_the_simplex(self):
+        # two distinct points on the line x1 = x2 through the origin: a rank of 1 read 0
+        assert dimension([(2, 2), (3, 3)]) == 1
+        assert dimension([(0, 0), (1, 0), (0, 1)]) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(support.fractions(-6, 6, 4), min_size=n, max_size=n).map(tuple)
+            | support.mixed_beliefs(n),
+            min_size=1,
+            max_size=5,
+        )
+    ))
+    def test_matches_the_rank_of_differences(self, points):
+        assert dimension(points) == support.dimension_by_differences(points)
 
 
 class TestBarycenter:
@@ -876,6 +986,27 @@ class TestLineInterval:
             interior_interval_on_line(belief("1/3", "1/3", "1/3"), (1, -1), simplex)
         with pytest.raises(ShapeMismatch):
             interior_interval_on_line(belief("1/2", "1/2"), (1, -1, 0), simplex)
+
+    @pytest.mark.parametrize(
+        "origin, shown",
+        [
+            # the raw origin (2, 2) read the window (-2, 2)
+            ((2, 2), "(2, 2)"),
+            ((2, -1), "(2, -1)"),
+            (("1/2", "1/3"), "(1/2, 1/3)"),
+        ],
+    )
+    def test_origin_off_the_simplex_rejected(self, origin, shown):
+        simplex = Polytope.from_halfspaces([], 2)
+        message = "^the origin must be a point of the simplex, got " + re.escape(shown) + "$"
+        with pytest.raises(ValueError, match=message):
+            interior_interval_on_line(origin, (1, -1), simplex)
+
+    def test_raw_origin_on_the_simplex_matches_its_belief(self):
+        poly = Polytope.from_halfspaces([hs([1, -1], 0)], 2)
+        direction = (Fraction(1, 4), Fraction(-1, 4))
+        expected = interior_interval_on_line(belief("1/4", "3/4"), direction, poly)
+        assert interior_interval_on_line(("1/4", "3/4"), direction, poly) == expected
 
     def test_direction_off_the_simplex_rejected(self):
         # (1, -2) leaves the plane sum(x) = 1: the window (-1/2, 1/4) was read off it

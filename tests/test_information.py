@@ -96,6 +96,19 @@ class TestExperimentOf:
         with pytest.raises(MeanMismatch):
             experiment_of(uniform_belief(2), dist)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=6))
+    def test_recovered_experiment_passes_the_public_checks(self, seed, n):
+        # experiment_of builds its Experiment without the row scan; the scan accepts it unchanged
+        rng = Random(seed)
+        prior = support.random_interior_prior(rng, n)
+        dist = bayes_split(prior, support.random_experiment(rng, n, rng.randint(1, 5)))
+        got = experiment_of(prior, dist)
+        checked = Experiment(got.signal_labels, got.likelihood)
+        assert got == checked and repr(got) == repr(checked)
+        assert got == support.experiment_of_by_fractions(prior, dist)
+        assert pickle.dumps(got) == pickle.dumps(checked)
+
 
 def _experiment(rows):
     return Experiment(("s1", "s2"), rows)
