@@ -95,6 +95,8 @@ class DecisionProblem:
             raise ShapeMismatch(f"belief over {k} states for a problem with {self.n} states")
 
     def payoff(self, action: int, x: Belief | Coords) -> Fraction:
+        if action not in range(self.num_actions):
+            raise ShapeMismatch(f"action {action} is not one of the {self.num_actions} actions")
         x = _belief(x)
         self._require_states(x.n)
         return sum(u * c for u, c in zip(self.utility[action], x.coords))
@@ -163,8 +165,8 @@ class Cell:
 class AdjacentPair:
     """Two cells meeting in a common facet, with the separating halfspace.
 
-    The halfspace is tight on the facet and, by the convention that
-    geometry.adjacent_facets stores, holds on cell j, the larger index.
+    The halfspace is tight on the facet and holds on cell j, the larger
+    index; the shared face is cell i cut by it (geometry.adjacent_facets).
     """
 
     i: int
@@ -205,8 +207,7 @@ class Subdivision:
 
         Raises MalformedData when there is no cell or the graph is disconnected.
         """
-        if not self.cells:
-            raise MalformedData("a subdivision needs at least one cell")
+        self.n  # MalformedData when there is no cell
         edges = _breadth_first(((pair.i, pair.j) for pair in self.adjacency), 0)
         if len(edges) != len(self.cells) - 1:
             raise MalformedData("adjacency graph is disconnected")
@@ -268,6 +269,7 @@ class PiecewiseAffineFn:
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
+        self.subdivision.n  # MalformedData when the subdivision has no cell
         cells = self.subdivision.cells
         if len(self.pieces) != len(cells):
             raise ValueError("need exactly one affine piece per cell")
@@ -289,6 +291,19 @@ class PiecewiseAffineFn:
 
     def __call__(self, x) -> Fraction:
         return max(piece(x) for piece in self.pieces)
+
+
+def equal_up_to_affine(first: PiecewiseAffineFn, second: PiecewiseAffineFn) -> AffineFn | None:
+    """The affine function phi with second = first + phi, if one exists.
+
+    The cells are matched by geometry (match_cells); coefficients are unique on
+    the simplex, so every matched pair of pieces must differ by the same tuple.
+    """
+    matching = first.subdivision.match_cells(second.subdivision)
+    if matching is None:
+        return None
+    shifts = {second.pieces[k] - first.pieces[i] for i, k in matching}
+    return shifts.pop() if len(shifts) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -375,23 +390,14 @@ def value_function(dp: DecisionProblem) -> PiecewiseAffineFn:
 def equal_up_to_state_transfer(dp1: DecisionProblem, dp2: DecisionProblem):
     """Witness that dp2 is dp1 plus a state-dependent payoff, on undominated actions.
 
-    Matches the cells of both subdivisions by exact geometric equality; when a
-    bijection exists and every matched pair of utility rows differs by one and
-    the same per-state vector, returns (relabeling, transfer) where relabeling
-    maps dp1's undominated action indices to dp2's. Otherwise returns None.
+    (relabeling, transfer): transfer is equal_up_to_affine of the two value
+    functions, and relabeling maps dp1's undominated action indices to dp2's
+    through the cells match_cells pairs. None when there is no such transfer.
     """
-    if dp1.n != dp2.n:
+    first, second = value_function(dp1), value_function(dp2)
+    transfer = equal_up_to_affine(first, second)
+    if transfer is None:
         return None
-    sub1 = compute_subdivision(dp1)
-    sub2 = compute_subdivision(dp2)
-    matching = sub1.match_cells(sub2)
-    if matching is None:
-        return None
-    pairs = [(sub1.cells[i].action_index, sub2.cells[k].action_index) for i, k in matching]
-    transfers = {
-        tuple(u2 - u1 for u1, u2 in zip(dp1.utility[a1], dp2.utility[a2]))
-        for a1, a2 in pairs
-    }
-    if len(transfers) != 1:
-        return None
-    return dict(pairs), AffineFn(transfers.pop())
+    cells1, cells2 = first.subdivision.cells, second.subdivision.cells
+    matching = first.subdivision.match_cells(second.subdivision)
+    return {cells1[i].action_index: cells2[k].action_index for i, k in matching}, transfer

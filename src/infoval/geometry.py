@@ -22,7 +22,8 @@ from integers in hand are checked once, on those integers.
 Each polytope costs one double description, whose zero sets also tell which
 of a hull's points are vertices. Which cells share a facet, on the forward
 and the backward path alike, is read off vertex incidence by one scan,
-adjacent_facets, which indexes the cells' vertices itself.
+adjacent_facets; a shared face is one cell cut by the facet halfspace that
+holds on the other.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class Belief:
     immutable, hashable, and ordered lexicographically by coordinates, which
     gives every vertex listing in this library a canonical order. Each holds
     its integer row over the lcm of its denominators (_integers), formed
-    when the belief is checked; equality, order and sums read it. The row
-    and the hash are held outside the fields, left out of pickles and
+    when the belief is checked; equality, order, hash and sums read it. The
+    row and the hash are held outside the fields, left out of pickles and
     copies, and formed again on first use.
     """
 
@@ -110,7 +111,7 @@ class Belief:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.coords,)))
+            object.__setattr__(self, "_hash", hash(self._integers()))
         return self._hash
 
     def __getstate__(self) -> dict:
@@ -184,12 +185,12 @@ class Halfspace:
     coordinates sum to one, and positive rescaling changes nothing either.
     canonical() quotients both freedoms out: it shifts the smallest normal
     coordinate to zero and scales the normal to a primitive integer vector.
-    The hash is cached as Belief's is, outside the fields and the pickles.
+    Equality, hash and pickling are the dataclass's own: a shared face holds
+    one cell's halfspaces and its facet's, so no two lists are merged.
     """
 
     normal: Coords
     offset: Fraction
-    _hash = None
 
     def __post_init__(self):
         object.__setattr__(self, "normal", _coords_of(self.normal))
@@ -198,14 +199,6 @@ class Halfspace:
             raise ValueError("halfspace normal needs at least one coordinate")
         if all(a == self.normal[0] for a in self.normal):
             raise ValueError("halfspace normal is constant on the simplex (degenerate)")
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.normal, self.offset)))
-        return self._hash
-
-    def __getstate__(self) -> dict:
-        return {"normal": self.normal, "offset": self.offset}
 
     @property
     def n(self) -> int:
@@ -501,6 +494,8 @@ def envelope_rays(rows) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
     row the indices of the rays on which it attains the envelope: those whose
     zero set holds the row's lifted index n + a.
     """
+    if not rows:
+        raise EmptyInput("the upper envelope of no rows is undefined")
     n = len(rows[0])
     lifted = [[int(i == j) for j in range(n + 1)] for i in range(n)]
     lifted += [_integer_row([-v for v in row] + [ONE]) for row in rows]
@@ -591,7 +586,8 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
     g . x >= 0 is the facet halfspace, oriented by g's signs on cell j's
     other vertices, and mixed signs (g does not support cell j) raise
     ValueError. Returns (i, j, shared face, canonical halfspace) per
-    adjacent pair.
+    adjacent pair. The shared face is cell i cut by that halfspace, which is
+    exactly the face of the common vertices: cell i lies on its other side.
     """
     vertices = sorted({v for p in cells for v in p.vertices})
     index = {v: r for r, v in enumerate(vertices)}
@@ -612,9 +608,9 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
             raise ValueError(f"the hyperplane cells {i} and {j} share does not support cell {j}")
         if max(sides) <= 0:
             g = [-a for a in g]
-        halfspaces = tuple(dict.fromkeys(cells[i].halfspaces + cells[j].halfspaces))
-        shared = Polytope(halfspaces, tuple(vertices[r] for r in sorted(common)), n)
-        out.append((i, j, shared, _facet_halfspace(*_facet(g))))
+        facet = _facet_halfspace(*_facet(g))
+        face = tuple(vertices[r] for r in sorted(common))
+        out.append((i, j, Polytope((*cells[i].halfspaces, facet), face, n), facet))
     return out
 
 

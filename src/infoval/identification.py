@@ -30,6 +30,7 @@ from .decision import (
     Subdivision,
     _breadth_first,
     compute_subdivision,
+    equal_up_to_affine,  # noqa: F401  (its home is decision, beside PiecewiseAffineFn)
 )
 from .errors import InconsistentData, MalformedData, SingularSolve
 from .geometry import (
@@ -524,18 +525,3 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
                 f"implies {predicted}"
             )
     return fn
-
-
-def equal_up_to_affine(first: PiecewiseAffineFn, second: PiecewiseAffineFn) -> AffineFn | None:
-    """The affine function phi with second = first + phi, if one exists.
-
-    Requires the two subdivisions to have identical cell geometry; the cells
-    are matched by geometry, and all matched piece differences must be one
-    and the same affine function (the coefficient representation on the
-    simplex is unique, so this is plain tuple equality).
-    """
-    matching = first.subdivision.match_cells(second.subdivision)
-    if matching is None:
-        return None
-    shifts = {second.pieces[k] - first.pieces[i] for i, k in matching}
-    return shifts.pop() if len(shifts) == 1 else None

@@ -799,7 +799,7 @@ def facet_between_pair(p1: Polytope, p2: Polytope):
     if max(sides) <= 0:
         w = [-a for a in w]
     h = canonical_by_fractions(Halfspace(tuple(w), ZERO))
-    shared = Polytope(tuple(dict.fromkeys(p1.halfspaces + p2.halfspaces)), tuple(common), n)
+    shared = Polytope((*p1.halfspaces, h), tuple(common), n)
     return shared, h
 
 

@@ -21,8 +21,15 @@ from infoval.decision import (
     undominated_actions,
     value_function,
 )
-from infoval.errors import InconsistentData, NonpositiveScale, ShapeMismatch
-from infoval.geometry import Polytope, belief, dimension, interior_point, uniform_belief
+from infoval.errors import InconsistentData, MalformedData, NonpositiveScale, ShapeMismatch
+from infoval.geometry import (
+    Polytope,
+    belief,
+    dimension,
+    interior_point,
+    uniform_belief,
+    vertices_of,
+)
 from infoval.identification import (
     equal_up_to_affine,
     extract_subdivision,
@@ -115,6 +122,12 @@ class TestEvaluateValue:
         dp = make_problem([[1, 0], [0, 1]])
         with pytest.raises(ShapeMismatch):
             dp.payoff(0, belief("1/3", "1/3", "1/3"))
+
+    @pytest.mark.parametrize("action", [-1, 2])
+    def test_payoff_of_an_action_out_of_range_rejected(self, action):
+        dp = make_problem([[1, 0], [0, 3]])
+        with pytest.raises(ShapeMismatch, match=f"^action {action} is not one of the 2 actions$"):
+            dp.payoff(action, belief("1/2", "1/2"))
 
     def test_payoff_reads_a_raw_tuple_as_a_belief(self):
         dp = make_problem([[1, 0], [0, 1]])
@@ -257,6 +270,20 @@ class TestAdjacencyAgainstPairwiseScan:
         self.check(sub.cells)
         data = generate_identification(dp, support.random_interior_prior(rng, dp.n))
         self.check(extract_subdivision(data).cells)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        payoff_problems(small_fractions, st.integers(2, 5), max_actions=8)
+        | payoff_problems(st.sampled_from([0, 1, 2]), st.integers(2, 5), max_actions=8),
+        st.randoms(use_true_random=False),
+    )
+    def test_shared_face_halfspaces_cut_out_its_vertices(self, dp, rng):
+        # a shared face is cell i cut by the facet halfspace that holds on cell j
+        data = generate_identification(dp, support.random_interior_prior(rng, dp.n))
+        for sub in (compute_subdivision(dp), extract_subdivision(data)):
+            for pair in sub.adjacency:
+                assert pair.shared.halfspaces[-1] == pair.halfspace
+                assert vertices_of(pair.shared.halfspaces, dp.n) == list(pair.shared.vertices)
 
     def test_overlapping_cells_rejected_by_both(self):
         edge = [belief(1, 0, 0), belief(0, "1/2", "1/2")]
@@ -520,6 +547,10 @@ class TestValueFunction:
         sub = compute_subdivision(support.safe_or_bet_problem())
         with pytest.raises(ValueError, match="one affine piece per cell"):
             PiecewiseAffineFn(sub, (AffineFn((0, 0)),))
+
+    def test_subdivision_without_cells_rejected(self):
+        with pytest.raises(MalformedData, match="^a subdivision needs at least one cell$"):
+            PiecewiseAffineFn(Subdivision((), ()), ())
 
     def test_envelope_matches_evaluate_value(self):
         rng = Random(29)

@@ -26,6 +26,7 @@ from infoval.geometry import (
     barycenter,
     belief,
     dimension,
+    envelope_rays,
     facet_between,
     hull_halfspaces,
     interior_interval_on_line,
@@ -89,7 +90,7 @@ class TestBeliefHash:
     def test_hash_is_the_coordinates_and_does_not_change(self):
         a = belief("1/4", "1/4", "1/2")
         first = hash(a)
-        assert first == hash((a.coords,))
+        assert first == hash(a._integers())
         assert [hash(a) for _ in range(3)] == [first] * 3
 
     def test_repr_and_fields_are_the_coordinates_alone(self):
@@ -607,6 +608,10 @@ class TestHull:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             hull_halfspaces([])
+
+    def test_envelope_of_no_rows_rejected(self):
+        with pytest.raises(EmptyInput, match="^the upper envelope of no rows is undefined$"):
+            envelope_rays([])
 
     def test_hull_of_raw_tuple_first(self):
         got = hull_halfspaces([(Fraction(1, 4), Fraction(3, 4)), belief("3/4", "1/4")])

@@ -132,7 +132,7 @@ def _outputs() -> dict[str, list[str]]:
 
 DIGESTS = {
     "bayes_split": "3a8f01dfc8165b68e2dcec5c3c25b7ef0478feca46f62a422cb4fd2c48c1c555",
-    "compute_subdivision": "1029e248e66c4283fb29b51069a277dea25f402021426986ea63d308c8e593e1",
+    "compute_subdivision": "7bbb3d001e30c297c4c95998d2e64337858d9332d6c4f1c0de0e30e4c8c85506",
     "expected_value": "65e8b042b823d5b8c36f0a99472254d021916df23119cc1fd4752cbf1abd8fde",
     "experiment_of": "40d0223a1c51e0c1e5e96bd15c742cf8ae2795c1c2668ffc5afbb87b3ffde70c",
     "generate_identification": "8bb25f3637fbc1f6dfd41cdb3d0a8c62d138bb730a6db24d2ea3019e697c7799",
@@ -140,7 +140,7 @@ DIGESTS = {
         "dbbd31959d95886c1a9c22b91f227cb42a139d88af39e4854e7f6577d4e59787"
     ),
     "rank": "1fb48a4523e30784771e7f901f4afdc635684b90fde99dfb01ce33fcc4d3f35b",
-    "reconstruct_value": "2460ab481bb715e3f0ffc48f332df2f425557b20fdce3e3c3f808a0d562e9b30",
+    "reconstruct_value": "ce4268decace943942dca695d78f80be69f821c2491bbb91c5570499c9839793",
     "spectral": "2393a74c7c404ea41054942d05fd6f8d08342d9ed77869adeb838369c7ac8652",
     "undominated_actions": "693724469a7271788c60e3fa2d503ea98097a6c1006249b5cd02836e232f7d1f",
     "value_of_experiment": "b59a5120f9ccd61b73c5d0ddb44a1cc1e553defaa89b45fd5bffbfff6772c168",
