@@ -16,6 +16,7 @@ from .errors import (
     NonpositiveScale,
     ShapeMismatch,
     SingularSolve,
+    UnreadableEntry,
 )
 from .geometry import (
     Belief,

@@ -4,9 +4,9 @@ A decision problem is a finite utility matrix over states and actions. Its
 value function is the upper envelope of the actions' affine payoff lines,
 and projecting that envelope onto the simplex subdivides it into cells, one
 per action that is strictly optimal somewhere; one lift of the payoff rows
-gives all of them. This module computes those objects exactly and decides
-when two problems differ only by an action-independent, state-dependent
-payoff.
+the problem holds over one denominator gives all of them (_lift). This
+module computes those objects exactly and decides when two problems differ
+only by an action-independent, state-dependent payoff.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .geometry import (
     Polytope,
     _belief,
     _coords_of,
+    _extreme_rays,
     _facet,
     _facet_halfspace,
     _frac,
@@ -32,7 +33,6 @@ from .geometry import (
     _scaled,
     _scaled_points,
     adjacent_facets,
-    envelope_rays,
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
 )
 
@@ -214,20 +214,16 @@ class Subdivision:
         return edges
 
     def match_cells(self, other: "Subdivision") -> list[tuple[int, int]] | None:
-        """Pairs (i, k) of cell i here and cell k of other with the same vertex set.
+        """Pairs (i, k) of cell i here and cell k of other with equal Belief vertex tuples.
 
         None unless the cells of both sides correspond one to one.
         """
-        mine = [_vertex_key(cell) for cell in self.cells]
-        theirs = [_vertex_key(cell) for cell in other.cells]
+        mine = [cell.geometry.vertices for cell in self.cells]
+        theirs = [cell.geometry.vertices for cell in other.cells]
         if sorted(mine) != sorted(theirs):
             return None
         lookup = {key: k for k, key in enumerate(theirs)}
         return [(i, lookup[key]) for i, key in enumerate(mine)]
-
-
-def _vertex_key(cell: Cell) -> tuple[Coords, ...]:
-    return tuple(v.coords for v in cell.geometry.vertices)
 
 
 def _breadth_first(links, root: int) -> list[tuple[int, int]]:
@@ -316,14 +312,29 @@ def evaluate_value(dp: DecisionProblem, x: Belief) -> Fraction:
     return max(dp.payoff(a, x) for a in range(dp.num_actions))
 
 
-def _lift(dp: DecisionProblem) -> tuple[list[tuple[int, ...]], list[frozenset[int]], list[int]]:
-    """dp's envelope rays, each action's tight rays, and the undominated actions."""
-    rays, tight = envelope_rays(dp.utility)
-    first: dict[Coords, int] = {}
-    for a, row in enumerate(dp.utility):
-        first.setdefault(row, a)
-    lowest = list(first.values())  # lowest index per distinct row, ascending
-    winners = [a for a in lowest if _rank([rays[r] for r in tight[a]]) == dp.n]
+def _lift(dp: DecisionProblem) -> tuple[list[list[int]], list[frozenset[int]], list[int]]:
+    """dp's envelope rays, each action's tight rays, and the undominated actions.
+
+    One double description on the cone {(x, z) : x >= 0, scale * z >= rows[a] . x}
+    over the problem's integer rows (dp._integers), with rows (e_i, 0), then
+    (-rows[a], scale). Every extreme ray but the dropped vertical one lies on
+    the envelope above a vertex of the subdivision; action a is tight on the
+    rays whose zero set holds its row n + a. Of equal rows, the first counts.
+    """
+    n = dp.n
+    rows, scale = dp._integers()
+    lifted = [[int(i == j) for j in range(n + 1)] for i in range(n)]
+    lifted += [[-v for v in row] + [scale] for row in rows]
+    found = [(ray[:n], zeros) for ray, zeros in _extreme_rays(lifted, n + 1) if any(ray[:n])]
+    rays = [ray for ray, _ in found]
+    tight = [
+        frozenset(r for r, (_, zeros) in enumerate(found) if zeros >> (n + a) & 1)
+        for a in range(len(rows))
+    ]
+    winners = [
+        a for a, row in enumerate(rows)
+        if row not in rows[:a] and _rank([rays[r] for r in tight[a]]) == n
+    ]
     return rays, tight, winners
 
 

@@ -5,6 +5,10 @@ class EmptyInput(ValueError):
     """An operation that needs at least one point received none."""
 
 
+class UnreadableEntry(ValueError, TypeError):
+    """An entry that no Fraction can be read from, such as "1/0", "x" or None."""
+
+
 class EmptyPolytope(ValueError):
     """The polytope has no points, so no interior point exists."""
 

@@ -3,10 +3,11 @@
 Everything here runs on arbitrary-precision rationals; no floating point.
 Points live on the simplex {x >= 0, sum(x) = 1} and polytopes are stored as
 halfspace intersections (implicitly cut with the simplex) together with their
-exact vertex sets. Vertices, hull facets and the vertices of an upper
-envelope all come from one incremental double-description routine on
-integer rows, which touches only adjacent pairs of extreme rays rather than
-every subset of constraints or points. All exact linear algebra (its seed
+exact vertex sets. Vertices and hull facets come from one incremental
+double-description routine on integer rows, which touches only adjacent
+pairs of extreme rays rather than every subset of constraints or points;
+decision._lift runs the same routine on a problem's lifted payoff rows to
+find the vertices of its upper envelope. All exact linear algebra (its seed
 rays, rank and affine dimension, the independent points that seed a hull,
 the kernel line that spans a facet) comes from one fraction-free row
 reduction on integer rows. Every facet halfspace (of a hull, between two
@@ -34,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .errors import BoundaryPrior, EmptyInput, EmptyPolytope, ShapeMismatch
+from .errors import BoundaryPrior, EmptyInput, EmptyPolytope, ShapeMismatch, UnreadableEntry
 
 Coords = tuple[Fraction, ...]
 
@@ -43,11 +44,15 @@ ONE = Fraction(1)
 
 
 def _frac(value) -> Fraction:
+    """The entry as a Fraction: TypeError for a float, UnreadableEntry for anything unreadable."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("floating point values are not allowed; pass Fraction, int or str")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise UnreadableEntry(f"cannot read {value!r} as an exact rational") from exc
 
 
 def _require_prior(prior, n: int | None = None) -> "Belief":
@@ -483,30 +488,6 @@ def vertices_of(halfspaces, n: int) -> list[Belief]:
     return sorted(_normalized(ray) for ray, _ in _extreme_rays(rows, n))
 
 
-def envelope_rays(rows) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
-    """The vertices of the upper envelope x -> max_a rows[a] . x over the simplex.
-
-    One lift: double description on the cone {(x, z) : x >= 0, z >= rows[a] . x}
-    with rows (e_i, 0), then (-L*rows[a], L) with L the lcm of the row's
-    denominators. Every extreme ray but the dropped vertical one lies on the
-    envelope above a vertex of the regular subdivision the rows induce.
-    Returns the rays' x-parts, vertices once divided by their sums, and per
-    row the indices of the rays on which it attains the envelope: those whose
-    zero set holds the row's lifted index n + a.
-    """
-    if not rows:
-        raise EmptyInput("the upper envelope of no rows is undefined")
-    n = len(rows[0])
-    lifted = [[int(i == j) for j in range(n + 1)] for i in range(n)]
-    lifted += [_integer_row([-v for v in row] + [ONE]) for row in rows]
-    rays = [(ray, zeros) for ray, zeros in _extreme_rays(lifted, n + 1) if any(ray[:n])]
-    tight = [
-        frozenset(r for r, (_, zeros) in enumerate(rays) if zeros >> (n + a) & 1)
-        for a in range(len(rows))
-    ]
-    return [tuple(ray[:n]) for ray, _ in rays], tight
-
-
 def dimension(points) -> int:
     """Affine dimension of a point set (0 for a single point), on the simplex or off it.
 
@@ -577,18 +558,20 @@ def hull_halfspaces(points) -> list[Halfspace]:
 def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
     """Every pair of cells that meets in a facet, read off vertex incidence.
 
-    The cells are full-dimensional polytopes that meet face to face, as the
-    cells of one subdivision do. Their distinct vertices are sorted as
-    Beliefs, each kept as its coordinate row scaled to integers, and each
-    cell is checked to be full-dimensional by the rank of its own rows.
-    Cells i < j are adjacent exactly when the kernel of their common rows is
-    a line g, that is, when the common vertices span an (n-2)-face:
-    g . x >= 0 is the facet halfspace, oriented by g's signs on cell j's
-    other vertices, and mixed signs (g does not support cell j) raise
-    ValueError. Returns (i, j, shared face, canonical halfspace) per
+    The cells are full-dimensional polytopes over one number of states
+    (ShapeMismatch otherwise) that meet face to face, as the cells of one
+    subdivision do. Their distinct vertices are sorted as Beliefs, each kept
+    as its integer row, and each cell is checked to be full-dimensional by
+    the rank of its own rows. Cells i < j are adjacent exactly when the
+    kernel of their common rows is a line g, that is, when the common
+    vertices span an (n-2)-face: g . x >= 0 is the facet halfspace, oriented
+    by g's signs on cell j's other vertices, and mixed signs (g does not
+    support cell j) raise ValueError. Returns (i, j, shared face, canonical halfspace) per
     adjacent pair. The shared face is cell i cut by that halfspace, which is
     exactly the face of the common vertices: cell i lies on its other side.
     """
+    if len({p.n for p in cells}) > 1:
+        raise ShapeMismatch("facets are found only between cells over the same states")
     vertices = sorted({v for p in cells for v in p.vertices})
     index = {v: r for r, v in enumerate(vertices)}
     incidence = [frozenset(index[v] for v in p.vertices) for p in cells]

@@ -109,35 +109,6 @@ class Experiment:
 
 
 @dataclass(frozen=True)
-class Garbling:
-    """Row-stochastic post-processing of signals."""
-
-    matrix: tuple[Coords, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _stochastic_rows(self.matrix))
-
-    @property
-    def num_inputs(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def num_outputs(self) -> int:
-        return len(self.matrix[0])
-
-    def compose(self, other: "Garbling") -> "Garbling":
-        if self.num_outputs != other.num_inputs:
-            raise ShapeMismatch("garbling shapes do not compose")
-        return Garbling(_matmul(self.matrix, other.matrix))
-
-
-def _matmul(left, right) -> tuple[Coords, ...]:
-    """The exact product of two matrices held as tuples of rows of matching shapes."""
-    columns = list(zip(*right))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in columns) for row in left)
-
-
-@dataclass(frozen=True)
 class PosteriorDistribution:
     """A finitely supported distribution over beliefs, in canonical form.
 
@@ -262,15 +233,19 @@ def experiment_of(prior: Belief, dist: PosteriorDistribution) -> Experiment:
     return experiment
 
 
-def garble(experiment: Experiment, garbling: Garbling) -> Experiment:
-    """Post-process signals through a row-stochastic map: likelihood @ matrix."""
-    if experiment.num_signals != garbling.num_inputs:
-        raise ShapeMismatch(
-            f"experiment emits {experiment.num_signals} signals but the garbling "
-            f"expects {garbling.num_inputs}"
-        )
-    labels = tuple(f"g{i+1}" for i in range(garbling.num_outputs))
-    return Experiment(labels, _matmul(experiment.likelihood, garbling.matrix))
+def garble(experiment: Experiment, matrix) -> Experiment:
+    """The experiment's signals passed through a garbling: likelihood @ matrix.
+
+    A garbling is a row-stochastic matrix with one row per signal (Blackwell
+    1953), checked once by _stochastic_rows, then ShapeMismatch unless its
+    rows match the signals. Composing two garblings is garbling twice.
+    """
+    rows = _stochastic_rows(matrix)
+    if len(rows) != experiment.num_signals:
+        raise ShapeMismatch(f"{len(rows)} garbling rows for {experiment.num_signals} signals")
+    columns = list(zip(*rows))
+    likelihood = [[sum(map(mul, row, col)) for col in columns] for row in experiment.likelihood]
+    return Experiment(tuple(f"g{i+1}" for i in range(len(columns))), likelihood)
 
 
 def _gap(rows: tuple[list[list[int]], int], left: Columns, right: Columns) -> Fraction:

@@ -118,16 +118,19 @@ def transport_problem(dp: DecisionProblem, prior: Belief, target: Belief) -> Dec
 
 @dataclass(frozen=True)
 class RankedExperiment:
-    """A pairwise ranking of two experiments, tagged like its source statement."""
+    """A ranking of two experiments, tagged like its source statement.
+
+    relation, Order.EQUAL or Order.BETTER, is what rank(dp, prior, lhs, rhs) must return.
+    """
 
     lhs: Experiment
     rhs: Experiment
-    relation: str
+    relation: Order
     tag: CellAffine | PairNonAffine
 
     def __post_init__(self):
-        if self.relation not in ("indifferent", "preferred"):
-            raise ValueError("relation must be 'indifferent' or 'preferred'")
+        if self.relation not in (Order.EQUAL, Order.BETTER):
+            raise ValueError(f"relation must be Order.EQUAL or Order.BETTER, got {self.relation!r}")
 
 
 def ranked_experiments_of(data: IdentificationData) -> list[RankedExperiment]:
@@ -144,22 +147,14 @@ def ranked_experiments_of(data: IdentificationData) -> list[RankedExperiment]:
             RankedExperiment(
                 experiment_of(prior, statement.lhs),
                 experiment_of(prior, statement.rhs),
-                "indifferent" if statement.relation == "eq" else "preferred",
+                Order.EQUAL if statement.relation == "eq" else Order.BETTER,
                 statement.tag,
             )
         )
     return out
 
 
-def satisfies_ranked(
-    dp: DecisionProblem, prior: Belief, collection: list[RankedExperiment]
-) -> bool:
+def satisfies_ranked(dp: DecisionProblem, prior: Belief, ranked: list[RankedExperiment]) -> bool:
     """Whether the problem at this prior ranks every pair as stated."""
     prior = _require_prior(prior)
-    for ranked in collection:
-        order = rank(dp, prior, ranked.lhs, ranked.rhs)
-        if ranked.relation == "indifferent" and order is not Order.EQUAL:
-            return False
-        if ranked.relation == "preferred" and order is not Order.BETTER:
-            return False
-    return True
+    return all(rank(dp, prior, r.lhs, r.rhs) is r.relation for r in ranked)

@@ -47,7 +47,6 @@ from infoval.identification import (
 )
 from infoval.information import (
     Experiment,
-    Garbling,
     Order,
     PosteriorDistribution,
     bayes_split,
@@ -160,7 +159,8 @@ def random_experiment(rng: Random, n: int, signals: int | None = None) -> Experi
     return Experiment(tuple(f"s{i+1}" for i in range(signals)), tuple(rows))
 
 
-def random_garbling(rng: Random, rows: int, cols: int | None = None) -> Garbling:
+def random_garbling(rng: Random, rows: int, cols: int | None = None) -> tuple[Coords, ...]:
+    """A random row-stochastic matrix with the given number of rows: a garbling for garble."""
     if cols is None:
         cols = rng.randint(1, 4)
     out = []
@@ -170,7 +170,7 @@ def random_garbling(rng: Random, rows: int, cols: int | None = None) -> Garbling
             weights[rng.randrange(cols)] = 1
         total = sum(weights)
         out.append(tuple(Fraction(w, total) for w in weights))
-    return Garbling(tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ scales a .coords attribute through _scaled or _integer_row outside it.
 """
 
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ from types import SimpleNamespace
 import pytest
 
 from infoval.decision import AffineFn, DecisionProblem, make_problem, value_function
+from infoval.errors import UnreadableEntry
 from infoval.geometry import (
     Belief,
     Halfspace,
@@ -31,7 +33,7 @@ from infoval.geometry import (
     dimension,
     interior_interval_on_line,
 )
-from infoval.information import Experiment
+from infoval.information import Experiment, PosteriorDistribution
 from infoval.spectral import SpectralElement
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "infoval").glob("*.py"))
@@ -300,3 +302,22 @@ FLOAT_CALLS = {
 def test_float_entry_rejected(call):
     with pytest.raises(TypeError, match="^floating point values are not allowed"):
         call()
+
+
+# every public constructor that reads an entry, each given one that no Fraction reads
+ENTRY_CALLS = {
+    "Belief": lambda entry: Belief((entry, HALF)),
+    "make_problem": lambda entry: make_problem([[1, 0], [entry, 1]]),
+    "Experiment": lambda entry: Experiment(("s1",), ((1,), (entry,))),
+    "Halfspace": lambda entry: Halfspace((1, 0), entry),
+    "PosteriorDistribution": lambda entry: PosteriorDistribution([(belief(1, 0), entry)]),
+}
+
+
+@pytest.mark.parametrize("entry", ["1/0", "x", None])
+@pytest.mark.parametrize("call", ENTRY_CALLS.values(), ids=ENTRY_CALLS.keys())
+def test_unreadable_entry_rejected(call, entry):
+    # one typed error, still caught by `except ValueError` and by `except TypeError`
+    with pytest.raises(UnreadableEntry, match=f"^cannot read {re.escape(repr(entry))} as"):
+        call(entry)
+    assert issubclass(UnreadableEntry, ValueError) and issubclass(UnreadableEntry, TypeError)

@@ -285,6 +285,12 @@ class TestAdjacencyAgainstPairwiseScan:
                 assert pair.shared.halfspaces[-1] == pair.halfspace
                 assert vertices_of(pair.shared.halfspaces, dp.n) == list(pair.shared.vertices)
 
+    def test_cells_over_different_state_counts_rejected(self):
+        line = Polytope.from_halfspaces([], 2)
+        triangle = Polytope.from_halfspaces([], 3)
+        with pytest.raises(ShapeMismatch, match="over the same states"):
+            Subdivision.from_cells((Cell(0, line), Cell(1, triangle)))
+
     def test_overlapping_cells_rejected_by_both(self):
         edge = [belief(1, 0, 0), belief(0, "1/2", "1/2")]
         a = Polytope.from_vertices(edge + [belief(0, 0, 1)])

@@ -23,10 +23,10 @@ from infoval.geometry import (
     _kernel_ray,
     _normalized,
     _row_reduce,
+    adjacent_facets,
     barycenter,
     belief,
     dimension,
-    envelope_rays,
     facet_between,
     hull_halfspaces,
     interior_interval_on_line,
@@ -64,6 +64,11 @@ class TestBelief:
 
     def test_lexicographic_order(self):
         assert belief("0", "1") < belief("1/2", "1/2") < belief("1", "0")
+
+    def test_not_equal_to_its_coordinate_tuple(self):
+        # Belief.__eq__ returns NotImplemented, so either operand order compares unequal
+        assert Belief((1, 0)) != (1, 0)
+        assert (1, 0) != Belief((1, 0))
 
     def test_rejects_no_coordinates(self):
         with pytest.raises(ValueError, match="at least one coordinate"):
@@ -536,6 +541,13 @@ class TestFacetBetween:
         with pytest.raises(ValueError, match="full-dimensional"):
             facet_between(full, edge)
 
+    def test_cells_over_different_state_counts_rejected(self):
+        line = Polytope.from_halfspaces([hs([1, -1], 0)], 2)
+        triangle = Polytope.from_halfspaces([hs([1, -1, 0], 0)], 3)
+        for call in (lambda: facet_between(line, triangle), lambda: adjacent_facets([line, triangle])):
+            with pytest.raises(ShapeMismatch, match="over the same states"):
+                call()
+
     def test_cell_straddling_the_shared_hyperplane_rejected(self):
         # both cells have the edge from (1, 0, 0) to (0, 1/2, 1/2) on the line
         # x2 = x3, but the second cell has vertices on both sides of it
@@ -608,10 +620,6 @@ class TestHull:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             hull_halfspaces([])
-
-    def test_envelope_of_no_rows_rejected(self):
-        with pytest.raises(EmptyInput, match="^the upper envelope of no rows is undefined$"):
-            envelope_rays([])
 
     def test_hull_of_raw_tuple_first(self):
         got = hull_halfspaces([(Fraction(1, 4), Fraction(3, 4)), belief("3/4", "1/4")])

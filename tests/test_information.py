@@ -17,7 +17,6 @@ from infoval.geometry import (
 )
 from infoval.information import (
     Experiment,
-    Garbling,
     Order,
     PosteriorDistribution,
     _atom_columns,
@@ -114,10 +113,14 @@ def _experiment(rows):
     return Experiment(("s1", "s2"), rows)
 
 
-class TestRowStochastic:
-    """Experiment and Garbling share one row-stochastic check."""
+def _garbled(rows):
+    return garble(Experiment.fully_revealing(2), rows)
 
-    @pytest.mark.parametrize("build", [_experiment, Garbling])
+
+class TestRowStochastic:
+    """Experiment and garble, on its garbling matrix, share one row-stochastic check."""
+
+    @pytest.mark.parametrize("build", [_experiment, _garbled])
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -136,30 +139,32 @@ class TestRowStochastic:
             Experiment(("s1",), ((1, 0), (0, 1)))
 
     def test_compose(self):
-        swap = Garbling(((0, 1), (1, 0)))
-        assert swap.compose(swap) == Garbling(((1, 0), (0, 1)))
-        with pytest.raises(ShapeMismatch, match="do not compose"):
-            swap.compose(Garbling(((1,),)))
+        # composing two garblings is garbling twice; the second must fit the first's outputs
+        swap = ((0, 1), (1, 0))
+        swapped = garble(SYMMETRIC_NOISY, swap)
+        assert garble(swapped, swap).likelihood == SYMMETRIC_NOISY.likelihood
+        with pytest.raises(ShapeMismatch, match="^1 garbling rows for 2 signals$"):
+            garble(swapped, ((1,),))
 
 
 class TestGarble:
     def test_identity(self):
-        g = Garbling(((1, 0), (0, 1)))
+        g = ((1, 0), (0, 1))
         assert garble(SYMMETRIC_NOISY, g).likelihood == SYMMETRIC_NOISY.likelihood
 
     def test_total_noise(self):
-        g = Garbling((("1/2", "1/2"), ("1/2", "1/2")))
+        g = (("1/2", "1/2"), ("1/2", "1/2"))
         got = garble(SYMMETRIC_NOISY, g)
         assert got.likelihood[0] == got.likelihood[1]
 
     def test_left_identity(self):
-        g = Garbling((("3/4", "1/4"), ("1/4", "3/4")))
+        g = (("3/4", "1/4"), ("1/4", "3/4"))
         got = garble(Experiment.fully_revealing(2), g)
-        assert got.likelihood == g.matrix
+        assert got.likelihood == _stochastic_rows(g)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            garble(Experiment.uninformative(2), Garbling(((1, 0), (0, 1))))
+            garble(Experiment.uninformative(2), ((1, 0), (0, 1)))
 
 
 class TestPosteriorDistribution:
@@ -251,7 +256,7 @@ class TestValues:
 
     def test_value_of_garbled_identity(self):
         dp = support.two_peak_problem()
-        g = Garbling((("3/4", "1/4"), ("1/4", "3/4")))
+        g = (("3/4", "1/4"), ("1/4", "3/4"))
         noisy = garble(Experiment.fully_revealing(2), g)
         assert value_of_experiment(dp, uniform_belief(2), noisy) == Fraction(1, 4)
 
@@ -641,7 +646,9 @@ class TestRowStochasticAgainstFractions:
         assert _row_outcome(_stochastic_rows, matrix) == _row_outcome(
             support.stochastic_rows_by_fractions, matrix
         )
-        assert _row_outcome(lambda: Garbling(matrix).matrix) == _row_outcome(
+        # garble checks its matrix first; garbling full revelation then returns it
+        full = Experiment.fully_revealing(max(len(matrix), 1))
+        assert _row_outcome(lambda: garble(full, matrix).likelihood) == _row_outcome(
             support.stochastic_rows_by_fractions, matrix
         )
         assert _row_outcome(lambda: Experiment(labels, matrix).likelihood) == _row_outcome(
@@ -761,9 +768,11 @@ def test_garbling_composition():
         n = rng.choice([2, 3])
         pi = support.random_experiment(rng, n)
         g1 = support.random_garbling(rng, pi.num_signals)
-        g2 = support.random_garbling(rng, g1.num_outputs)
+        outputs = tuple(f"s{i + 1}" for i in range(len(g1[0])))
+        g2 = support.random_garbling(rng, len(outputs))
         lhs = garble(garble(pi, g1), g2)
-        rhs = garble(pi, g1.compose(g2))
+        # g1 @ g2 is g1, its rows read as an experiment's, garbled by g2
+        rhs = garble(pi, garble(Experiment(outputs, g1), g2).likelihood)
         assert lhs.likelihood == rhs.likelihood
 
 

@@ -8,7 +8,7 @@ from infoval.decision import compute_subdivision, scale_problem
 from infoval.errors import BoundaryPrior, ShapeMismatch
 from infoval.geometry import belief, uniform_belief
 from infoval.identification import CellAffine, PairNonAffine, generate_identification
-from infoval.information import Experiment, value_of_experiment
+from infoval.information import Experiment, Order, value_of_experiment
 from infoval.spectral import (
     RankedExperiment,
     SpectralElement,
@@ -227,11 +227,11 @@ class TestRankedExperiments:
         ranked = ranked_experiments_of(data)
         assert len(ranked) == len(data.ordinal)
         affine = ranked[0]
-        assert affine.relation == "indifferent"
+        assert affine.relation is Order.EQUAL
         assert affine.lhs.num_signals == 3
         assert affine.rhs.num_signals == 2
         strict = ranked[-1]
-        assert strict.relation == "preferred"
+        assert strict.relation is Order.BETTER
         assert strict.lhs.num_signals == 2
         assert strict.rhs.num_signals == 1
 
@@ -264,8 +264,9 @@ class TestRankedExperiments:
 
     def test_unknown_relation_rejected(self):
         none = Experiment.uninformative(2)
-        with pytest.raises(ValueError, match="relation must be"):
-            RankedExperiment(none, none, "better", CellAffine(0))
+        for relation in ("indifferent", "better", Order.WORSE):
+            with pytest.raises(ValueError, match="relation must be Order.EQUAL or Order.BETTER"):
+                RankedExperiment(none, none, relation, CellAffine(0))
 
     def test_each_relation_can_fail(self):
         # full information is worth 1/2 here, so it is neither equal to nor worse than none
@@ -273,8 +274,8 @@ class TestRankedExperiments:
         full, none = Experiment.fully_revealing(2), Experiment.uninformative(2)
         tag = PairNonAffine(0, 1)
         for ranked in (
-            RankedExperiment(full, none, "indifferent", tag),
-            RankedExperiment(none, full, "preferred", tag),
+            RankedExperiment(full, none, Order.EQUAL, tag),
+            RankedExperiment(none, full, Order.BETTER, tag),
         ):
             assert not satisfies_ranked(dp, uniform_belief(2), [ranked])
 
@@ -288,7 +289,7 @@ class TestRankedExperiments:
         assert not satisfies_ranked(rival, prior, ranked)
 
     def test_within_cell_experiment_is_worthless_even_garbled(self):
-        from infoval.information import Garbling, bayes_split, garble
+        from infoval.information import bayes_split, garble
 
         dp = support.safe_or_bet_problem()
         prior = belief("1/4", "3/4")  # interior of the betting cell
@@ -300,5 +301,5 @@ class TestRankedExperiments:
         split = [b.coords[1] for b, _ in bayes_split(prior, pi).atoms]
         assert all(v >= Fraction(1, 2) for v in split)
         assert value_of_experiment(dp, prior, pi) == 0
-        g = Garbling((("1/2", "1/2"), ("1/2", "1/2")))
+        g = (("1/2", "1/2"), ("1/2", "1/2"))
         assert value_of_experiment(dp, prior, garble(pi, g)) == 0
