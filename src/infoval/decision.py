@@ -24,11 +24,11 @@ from .geometry import (
     Polytope,
     _belief,
     _coords_of,
+    _exact_belief,
     _extreme_rays,
     _facet,
     _facet_halfspace,
     _frac,
-    _normalized,
     _rank,
     _scaled,
     _scaled_points,
@@ -368,7 +368,7 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     """
     n = dp.n
     rays, tight, winners = _lift(dp)
-    vertices = [_normalized(ray) for ray in rays]
+    vertices = [_exact_belief(ray, sum(ray)) for ray in rays]
     order = sorted(range(len(vertices)), key=vertices.__getitem__)
     rows, _ = dp._integers()
     cells = []

@@ -19,7 +19,9 @@ barycenters, line windows, membership and the value kernels add integers
 and divide once. A point is scaled once, when it is built: a Belief holds
 its integer row, which its equality and its order (the one order of points)
 read and _scaled_points brings to a common scale. Beliefs and facets built
-from integers in hand are checked once, on those integers.
+from integers in hand are checked once, on those integers. A polytope
+holds its interior point, the vertex barycenter, from the first time it is
+asked for, outside its fields and its pickles as a Belief holds its row.
 Each polytope costs one double description, whose zero sets also tell which
 of a hull's points are vertices. Which cells share a facet, on the forward
 and the backward path alike, is read off vertex incidence by one scan,
@@ -128,7 +130,12 @@ class Belief:
         return self._integers() == other._integers()
 
     def __lt__(self, other: "Belief") -> bool:
-        """The order of the coordinate tuples: row_a * scale_b against row_b * scale_a."""
+        """The order of the coordinate tuples: row_a * scale_b against row_b * scale_a.
+
+        NotImplemented for a non-Belief, as in __eq__, so Python raises TypeError.
+        """
+        if other.__class__ is not Belief:
+            return NotImplemented
         (a, s), (b, t) = self._integers(), other._integers()
         if s == t:
             return a < b
@@ -242,12 +249,18 @@ class Polytope:
 
     The stored vertices are always the full, deduplicated, lexicographically
     sorted list of extreme points of (halfspaces cut with the simplex).
-    An empty vertex tuple means the intersection is empty.
+    An empty vertex tuple means the intersection is empty. The interior
+    point (interior_point) is formed on first use and held outside the
+    fields and the pickles, as a Belief holds its integer row.
     """
 
     halfspaces: tuple[Halfspace, ...]
     vertices: tuple[Belief, ...]
     n: int
+    _center = None
+
+    def __getstate__(self) -> dict:
+        return {"halfspaces": self.halfspaces, "vertices": self.vertices, "n": self.n}
 
     @classmethod
     def from_halfspaces(cls, halfspaces, n: int) -> "Polytope":
@@ -444,7 +457,7 @@ def _extreme_rays(rows: list[list[int]], n: int) -> list[tuple[list[int], int]]:
         pos: list[tuple[list[int], int, int]] = []
         neg: list[tuple[list[int], int, int]] = []
         for ray, zeros in rays:
-            s = sum(a * b for a, b in zip(row, ray))
+            s = sum(map(mul, row, ray))
             if s > 0:
                 kept.append((ray, zeros))
                 pos.append((ray, zeros, s))
@@ -511,10 +524,16 @@ def barycenter(points) -> Belief:
 
 
 def interior_point(poly: Polytope) -> Belief:
-    """A deterministic relative-interior point: the barycenter of the vertices."""
-    if poly.is_empty():
-        raise EmptyPolytope("polytope has no points")
-    return barycenter(poly.vertices)
+    """A deterministic relative-interior point: the barycenter of the vertices.
+
+    Formed on the first call and held by the polytope, so a cell or a shared
+    face that several witnesses start from is averaged once.
+    """
+    if poly._center is None:
+        if poly.is_empty():
+            raise EmptyPolytope("polytope has no points")
+        object.__setattr__(poly, "_center", barycenter(poly.vertices))
+    return poly._center
 
 
 def _hull(points) -> tuple[list[Belief], list[tuple[list[int], int]], list[Halfspace]]:
@@ -530,7 +549,7 @@ def _hull(points) -> tuple[list[Belief], list[tuple[list[int], int]], list[Halfs
     coordinate tuples are read as beliefs. Raises ValueError when the points
     do not span the simplex.
     """
-    pts = sorted(set(map(_belief, points)))
+    pts = sorted(dict.fromkeys(map(_belief, points)))
     if not pts:
         raise EmptyInput("hull of an empty point set is undefined")
     n = pts[0].n
@@ -560,22 +579,26 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
 
     The cells are full-dimensional polytopes over one number of states
     (ShapeMismatch otherwise) that meet face to face, as the cells of one
-    subdivision do. Their distinct vertices are sorted as Beliefs, each kept
-    as its integer row, and each cell is checked to be full-dimensional by
-    the rank of its own rows. Cells i < j are adjacent exactly when the
-    kernel of their common rows is a line g, that is, when the common
-    vertices span an (n-2)-face: g . x >= 0 is the facet halfspace, oriented
-    by g's signs on cell j's other vertices, and mixed signs (g does not
-    support cell j) raise ValueError. Returns (i, j, shared face, canonical halfspace) per
-    adjacent pair. The shared face is cell i cut by that halfspace, which is
-    exactly the face of the common vertices: cell i lies on its other side.
+    subdivision do. Their distinct vertices are indexed in the order first
+    seen, each kept as its integer row, and each cell is checked to be
+    full-dimensional by the rank of its own rows. Cells i < j are adjacent
+    exactly when the kernel of their common rows is a line g, that is, when
+    the common vertices span an (n-2)-face; the kernel does not depend on
+    the order of the rows. g . x >= 0 is the facet halfspace, oriented by
+    g's signs on cell j's other vertices, and mixed signs (g does not
+    support cell j) raise ValueError. Returns (i, j, shared face, canonical
+    halfspace) per adjacent pair. The shared face is cell i cut by that
+    halfspace, which is exactly the face of the common vertices: cell i lies
+    on its other side. Its vertices are cell i's own, in cell i's order.
     """
     if len({p.n for p in cells}) > 1:
         raise ShapeMismatch("facets are found only between cells over the same states")
-    vertices = sorted({v for p in cells for v in p.vertices})
-    index = {v: r for r, v in enumerate(vertices)}
+    index: dict[Belief, int] = {}
+    for p in cells:
+        for v in p.vertices:
+            index.setdefault(v, len(index))
     incidence = [frozenset(index[v] for v in p.vertices) for p in cells]
-    rows = [v._integers()[0] for v in vertices]
+    rows = [v._integers()[0] for v in index]
     for p, own in zip(cells, incidence):
         if not own or _rank([rows[r] for r in own]) != p.n:
             raise ValueError("facets are found only between full-dimensional cells")
@@ -586,13 +609,13 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
         g = _kernel_ray([rows[r] for r in common], n) if len(common) >= n - 1 else None
         if g is None:
             continue
-        sides = [sum(a * b for a, b in zip(g, rows[r])) for r in incidence[j] - common]
+        sides = [sum(map(mul, g, rows[r])) for r in incidence[j] - common]
         if min(sides) < 0 < max(sides):
             raise ValueError(f"the hyperplane cells {i} and {j} share does not support cell {j}")
         if max(sides) <= 0:
             g = [-a for a in g]
         facet = _facet_halfspace(*_facet(g))
-        face = tuple(vertices[r] for r in sorted(common))
+        face = tuple(v for v in cells[i].vertices if index[v] in common)
         out.append((i, j, Polytope((*cells[i].halfspaces, facet), face, n), facet))
     return out
 
@@ -606,11 +629,6 @@ def facet_between(p1: Polytope, p2: Polytope):
 # ---------------------------------------------------------------------------
 # small affine helpers used by the construction code
 # ---------------------------------------------------------------------------
-
-
-def point_on_line(origin: Belief, direction: Coords, t: Fraction) -> Coords:
-    """Raw coordinates of origin + t * direction (direction sums to zero)."""
-    return tuple(o + t * d for o, d in zip(origin.coords, direction))
 
 
 def interior_interval_on_line(origin: Belief, direction: Coords, poly: Polytope):

@@ -15,10 +15,17 @@ finite collection of statements about posterior distributions:
 The backward direction reads the cell geometry out of the equalities and
 rebuilds the value function, up to an affine function, from the utility
 differences.
+
+Witness points are formed from the integer rows their beliefs hold: a
+residual is one integer row from the prior's and the anchor's, a point on a
+line is the origin's row plus t times the direction's, over one scale, and
+each becomes a Belief once. The interior point of a cell or of a shared
+face is held by its polytope, so each is averaged once per subdivision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +46,7 @@ from .geometry import (
     Belief,
     Polytope,
     _coords_of,
+    _exact_belief,
     _frac,
     _normalized,
     _require_prior,
@@ -47,7 +55,6 @@ from .geometry import (
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
     interior_interval_on_line,
     interior_point,
-    point_on_line,
 )
 from .information import PosteriorDistribution, _atom_columns, _gap
 
@@ -153,18 +160,21 @@ def _residual_point(prior: Belief, anchor: Belief, forbidden: set) -> tuple[Beli
     The residual must be interior to the simplex and distinct from every
     forbidden point. It is interior exactly when lam is below prior/anchor
     in every state the anchor charges; that bound is at most 1, as both sum
-    to one. Unless the anchor is the prior, the residual moves with lam, so
+    to one. With the held rows (p, s) of the prior and (a, t) of the anchor,
+    the first k is the bit length of the largest floor(a_i*s / (p_i*t)), as
+    in _halvings, and the residual is the row p*t*2**k - a*s made a belief
+    once. Unless the anchor is the prior, the residual moves with lam, so
     each forbidden point costs at most one more halving. An anchor that is
     the prior and forbidden comes only from a degenerate hand-built cell,
     which raises MalformedData.
     """
-    bound = min(m / a for m, a in zip(prior.coords, anchor.coords) if a > 0)
-    first = _halvings(ONE, bound)
+    (p, s), (a, t) = prior._integers(), anchor._integers()
+    first = max((x * s) // (m * t) for m, x in zip(p, a) if x).bit_length()
     for k in range(first, first + len(forbidden) + 1):
-        lam = Fraction(1, 2**k)
-        residual = _normalized([m - lam * a for m, a in zip(prior.coords, anchor.coords)])
+        row = [(m * t << k) - x * s for m, x in zip(p, a)]
+        residual = _exact_belief(row, sum(row))
         if residual not in forbidden:
-            return residual, lam
+            return residual, Fraction(1, 2**k)
     raise MalformedData("every residual falls on a point of the cell; is the cell degenerate?")
 
 
@@ -183,7 +193,7 @@ def gen_affineness_equalities(sub: Subdivision, prior: Belief) -> list[OrderedEx
     statements = []
     for index, cell in enumerate(sub.cells):
         extremes = cell.geometry.vertices
-        center = barycenter(extremes)
+        center = interior_point(cell.geometry)
         residual, lam = _residual_point(prior, center, set(extremes))
         k = len(extremes)
         spread = PosteriorDistribution([(v, lam / k) for v in extremes] + [(residual, 1 - lam)])
@@ -192,6 +202,24 @@ def gen_affineness_equalities(sub: Subdivision, prior: Belief) -> list[OrderedEx
             OrderedExpectation(spread, collapsed, "eq", CellAffine(index))
         )
     return statements
+
+
+def _direction(head: Belief, tail: Belief) -> tuple[list[int], int]:
+    """(d, e) with head - tail == d / e: the two held rows over the lcm of their scales."""
+    (a, s), (b, t) = head._integers(), tail._integers()
+    e = math.lcm(s, t)
+    return [x * (e // s) - y * (e // t) for x, y in zip(a, b)], e
+
+
+def _on_line(origin: Belief, direction: tuple[list[int], int], t: Fraction) -> Belief:
+    """The belief origin + t * d/e, a point of the simplex, from one integer row.
+
+    With the origin's held row (o, s) and t = p/q, that is the row
+    o*q*e + p*s*d over s*q*e, made a belief once.
+    """
+    (o, s), (d, e) = origin._integers(), direction
+    p, q = t.numerator, t.denominator
+    return _exact_belief([x * q * e + p * s * y for x, y in zip(o, d)], s * q * e)
 
 
 def _point_into_cell(
@@ -207,12 +235,13 @@ def _point_into_cell(
     """
     facet_center = interior_point(shared)
     x_i = interior_point(start)
-    direction = tuple(c - s for s, c in zip(x_i.coords, facet_center.coords))
-    window = interior_interval_on_line(facet_center, direction, target)
+    direction = _direction(facet_center, x_i)
+    d, e = direction
+    window = interior_interval_on_line(facet_center, [Fraction(v, e) for v in d], target)
     if window is not None and window[1] > 0:
         t = Fraction(1, 2 ** _halvings(ONE, window[1]))
         if window[0] < t:
-            return facet_center, x_i, Belief(point_on_line(facet_center, direction, t)), t
+            return facet_center, x_i, _on_line(facet_center, direction, t), t
     raise MalformedData("the line across a shared facet misses the neighboring cell")
 
 
@@ -324,20 +353,20 @@ def _binary_difference(sub: Subdivision, prior: Belief, parent: int, child: int)
     x_j is the anchor that reconstruct_value reads back.
     """
     pair = sub.pair(parent, child)
-    facet_center = interior_point(pair.shared)
     if pair.halfspace.value(prior) != 0:
-        direction = tuple(f - m for m, f in zip(prior.coords, facet_center.coords))
+        target = interior_point(pair.shared)
     else:
         target = interior_point(sub.cells[child].geometry)
-        direction = tuple(t - m for m, t in zip(prior.coords, target.coords))
-    interval_i = interior_interval_on_line(prior, direction, sub.cells[parent].geometry)
-    interval_j = interior_interval_on_line(prior, direction, sub.cells[child].geometry)
+    d, e = _direction(target, prior)
+    line = [Fraction(v, e) for v in d]
+    interval_i = interior_interval_on_line(prior, line, sub.cells[parent].geometry)
+    interval_j = interior_interval_on_line(prior, line, sub.cells[child].geometry)
     if interval_i is None or interval_j is None:
         return None
     (lo_i, hi_i), (lo_j, hi_j) = interval_i, interval_j
     if not hi_i > 0 > lo_j:
         # negating the direction and t reaches the same points
-        direction = tuple(-d for d in direction)
+        d = [-v for v in d]
         (lo_i, hi_i), (lo_j, hi_j) = (-hi_i, -lo_i), (-hi_j, -lo_j)
         if not hi_i > 0 > lo_j:
             return None
@@ -356,9 +385,9 @@ def _binary_difference(sub: Subdivision, prior: Belief, parent: int, child: int)
 
     p = t_i / (t_i - t_j)
     q = t_hat / (t_hat - t_j)
-    x_i = Belief(point_on_line(prior, direction, t_i))
-    x_hat = Belief(point_on_line(prior, direction, t_hat))
-    x_j = Belief(point_on_line(prior, direction, t_j))
+    x_i = _on_line(prior, (d, e), t_i)
+    x_hat = _on_line(prior, (d, e), t_hat)
+    x_j = _on_line(prior, (d, e), t_j)
     lhs = PosteriorDistribution([(x_j, p), (x_i, 1 - p)])
     rhs = PosteriorDistribution([(x_j, q), (x_hat, 1 - q)])
     return lhs, rhs

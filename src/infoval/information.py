@@ -28,7 +28,8 @@ side's columns, the two sides over one scale, and one division. A problem
 scales its utility matrix on first use and holds the result
 (DecisionProblem._integers), so ranking many experiments for one problem
 scales the matrix once. A prior, as every belief, holds its integer row
-from when it was built; experiments are scaled on each call.
+from when it was built, and an experiment holds the integer rows its
+constructor's check formed (Experiment._integers).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from .decision import DecisionProblem
 from .errors import MeanMismatch, ShapeMismatch
@@ -49,15 +50,19 @@ from .geometry import (
 Columns = tuple[list, int]  # (integer columns, scale): column c is c[k] / scale for each state k
 
 
-def _stochastic_rows(matrix, width: int | None = None) -> tuple[Coords, ...]:
+def _stochastic_rows(
+    matrix, width: int | None = None
+) -> tuple[tuple[Coords, ...], tuple[list[list[int]], int]]:
     """The matrix's rows as Fractions, each a probability vector of the same width.
 
     The width is the first row's length unless given. One pass converts and
     checks every row; ValueError names the first fault: no rows, a row of
     another width, a negative entry, or a row that does not sum to 1. Sign
-    and sum are read off the row over its own denominator.
+    and sum are read off the row over its own denominator, and those integer
+    rows, brought to the lcm of their denominators, are returned as well:
+    (rows, (integer rows, scale)), the pair geometry._scaled forms.
     """
-    rows = []
+    rows, held = [], []
     for k, values in enumerate(matrix):
         row = _coords_of(values)
         if width is None:
@@ -70,22 +75,41 @@ def _stochastic_rows(matrix, width: int | None = None) -> tuple[Coords, ...]:
         if sum(ints) != scale:
             raise ValueError(f"row {k} sums to {sum(row)}, not 1")
         rows.append(row)
+        held.append((ints, scale))
     if not rows:
         raise ValueError("a row-stochastic matrix needs at least one row")
-    return tuple(rows)
+    scale = math.lcm(*[s for _, s in held])
+    return tuple(rows), ([[v * (scale // s) for v in ints] for ints, s in held], scale)
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """A row-stochastic likelihood matrix: row theta gives P(signal | theta)."""
+    """A row-stochastic likelihood matrix: row theta gives P(signal | theta).
+
+    The rows over one denominator (_integers), which every valuation reads,
+    are the ones the constructor's check formed. They are held outside the
+    fields and the pickles, as DecisionProblem holds its utility rows, and
+    formed again on first use where they are not held.
+    """
 
     signal_labels: tuple[str, ...]
     likelihood: tuple[Coords, ...]
+    _ints = None
 
     def __post_init__(self):
         object.__setattr__(self, "signal_labels", tuple(self.signal_labels))
-        rows = _stochastic_rows(self.likelihood, len(self.signal_labels))
+        rows, held = _stochastic_rows(self.likelihood, len(self.signal_labels))
         object.__setattr__(self, "likelihood", rows)
+        object.__setattr__(self, "_ints", held)
+
+    def __getstate__(self) -> dict:
+        return {"signal_labels": self.signal_labels, "likelihood": self.likelihood}
+
+    def _integers(self) -> tuple[list[list[int]], int]:
+        """(rows, scale) with likelihood[k][s] == rows[k][s] / scale, scale the lcm."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", _scaled(self.likelihood))
+        return self._ints
 
     @property
     def n(self) -> int:
@@ -130,14 +154,15 @@ class PosteriorDistribution:
         merged: dict[Belief, Fraction] = {}
         for belief_point, prob in atoms:
             prob = _frac(prob)
-            if prob < 0:
+            if prob.numerator < 0:
                 raise ValueError("atom probabilities must be nonnegative")
-            if prob == 0:
+            if not prob.numerator:
                 continue
             merged[belief_point] = merged.get(belief_point, ZERO) + prob
         if not merged:
             raise ValueError("a posterior distribution needs positive mass")
-        object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
+        # the beliefs are distinct, so sorting by them alone is the order of the atoms
+        object.__setattr__(self, "atoms", tuple(sorted(merged.items(), key=itemgetter(0))))
         columns, scale = _atom_columns(self)
         totals = [sum(c) for c in zip(*columns)]
         if sum(totals) != scale:
@@ -175,7 +200,7 @@ def _columns(prior: Belief, experiment: Experiment) -> Columns:
     if experiment.n != prior.n:
         raise ShapeMismatch("experiment rows must match the prior's states")
     (weights,), prior_scale = _scaled_points([prior])
-    rows, scale = _scaled(experiment.likelihood)
+    rows, scale = experiment._integers()
     weighted = [[p * v for v in row] for p, row in zip(weights, rows)]
     return list(zip(*weighted)), prior_scale * scale
 
@@ -214,7 +239,7 @@ def experiment_of(prior: Belief, dist: PosteriorDistribution) -> Experiment:
     splitting the result at the same prior returns the distribution
     unchanged. The rows are nonnegative, and each sums to one because the
     distribution's mean is the prior, so the Experiment is built without
-    Experiment's second scan of its rows.
+    Experiment's second scan of its rows; its integer rows form on first use.
     """
     prior = _require_prior(prior)
     if dist.mean != prior:
@@ -240,7 +265,7 @@ def garble(experiment: Experiment, matrix) -> Experiment:
     1953), checked once by _stochastic_rows, then ShapeMismatch unless its
     rows match the signals. Composing two garblings is garbling twice.
     """
-    rows = _stochastic_rows(matrix)
+    rows, _ = _stochastic_rows(matrix)
     if len(rows) != experiment.num_signals:
         raise ShapeMismatch(f"{len(rows)} garbling rows for {experiment.num_signals} signals")
     columns = list(zip(*rows))

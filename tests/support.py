@@ -17,7 +17,13 @@ from infoval.decision import (
     evaluate_value,
     make_problem,
 )
-from infoval.errors import EmptyInput, InconsistentData, MeanMismatch, ShapeMismatch
+from infoval.errors import (
+    EmptyInput,
+    InconsistentData,
+    MalformedData,
+    MeanMismatch,
+    ShapeMismatch,
+)
 from infoval.geometry import (
     ONE,
     ZERO,
@@ -75,6 +81,29 @@ def halvings_by_search(d: Fraction, b: Fraction) -> int:
         d = d / 2
         k += 1
     return k
+
+
+def residual_point_by_fractions(prior: Belief, anchor: Belief, forbidden: set):
+    """_residual_point with the bound and each residual coordinate in Fractions.
+
+    The bound is min prior/anchor over the states the anchor charges, its
+    halving count comes from the search, and each residual is
+    prior - lam*anchor normalized.
+    """
+    bound = min(m / a for m, a in zip(prior.coords, anchor.coords) if a > 0)
+    first = halvings_by_search(ONE, bound)
+    for k in range(first, first + len(forbidden) + 1):
+        lam = Fraction(1, 2**k)
+        column = [m - lam * a for m, a in zip(prior.coords, anchor.coords)]
+        residual = normalized_by_fractions(column)
+        if residual not in forbidden:
+            return residual, lam
+    raise MalformedData("every residual falls on a point of the cell; is the cell degenerate?")
+
+
+def point_on_line(origin: Belief, direction: Coords, t: Fraction) -> Coords:
+    """Raw coordinates of origin + t * direction (direction sums to zero), in Fractions."""
+    return tuple(o + t * d for o, d in zip(origin.coords, direction))
 
 
 def grid_beliefs(n: int, steps: int) -> list[Belief]:

@@ -11,7 +11,10 @@ imports a name it never reads, so code deleted from a module takes its
 imports with it, and no private function, class or method goes
 unreferenced, so code that loses its last caller is deleted with it. A
 belief's integer row has one home, the Belief itself: no library code
-scales a .coords attribute through _scaled or _integer_row outside it.
+scales a .coords attribute through _scaled or _integer_row outside it. The
+library runs on Python 3.10 to 3.13, so it uses no private name of the
+fractions module, such as Fraction(n, d, _normalize=False), which is gone
+from 3.12.
 """
 
 import ast
@@ -95,6 +98,28 @@ def _coords_scalings(tree: ast.AST) -> list[int]:
         ):
             found.append(node.lineno)
     return found
+
+
+PRIVATE_FRACTIONS = ("_normalize", "_from_coprime_ints", "_numerator", "_denominator")
+
+
+def _private_fractions(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each keyword, attribute or name that is private API of fractions.Fraction."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword):
+            name = node.arg
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in PRIVATE_FRACTIONS:
+            found.append((node.lineno, name))
+    return sorted(found)
 
 
 def _annotation_strings(tree: ast.AST):
@@ -195,6 +220,28 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_beliefs_are_scaled_only_by_their_held_row(path):
     assert _coords_scalings(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_private_fractions_api(path):
+    assert _private_fractions(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_private_fractions_scanner_catches_each_kind():
+    source = (
+        "from fractions import Fraction, _from_coprime_ints\n"
+        "a = Fraction(1, 2, _normalize=False)\n"
+        "b = Fraction._from_coprime_ints(1, 2)\n"
+        "c = a._numerator + a._denominator\n"
+        "d = Fraction(a.numerator, a.denominator) + _denominators(a)\n"
+    )
+    assert _private_fractions(ast.parse(source)) == [
+        (1, "_from_coprime_ints"),
+        (2, "_normalize"),
+        (3, "_from_coprime_ints"),
+        (4, "_denominator"),
+        (4, "_numerator"),
+    ]
 
 
 def test_coords_scaling_scanner_catches_each_kind():

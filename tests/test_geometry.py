@@ -70,6 +70,13 @@ class TestBelief:
         assert Belief((1, 0)) != (1, 0)
         assert (1, 0) != Belief((1, 0))
 
+    def test_not_ordered_against_its_coordinate_tuple(self):
+        # Belief.__lt__ returns NotImplemented, so Python raises its own TypeError
+        with pytest.raises(TypeError, match="not supported between instances"):
+            Belief((1, 0)) < (1, 0)
+        with pytest.raises(TypeError, match="not supported between instances"):
+            (1, 0) > Belief((1, 0))
+
     def test_rejects_no_coordinates(self):
         with pytest.raises(ValueError, match="at least one coordinate"):
             Belief(())
@@ -457,6 +464,35 @@ class TestInteriorPoint:
         )
         with pytest.raises(EmptyPolytope):
             interior_point(poly)
+        with pytest.raises(EmptyPolytope):
+            interior_point(poly)
+
+    def test_held_after_the_first_call(self, monkeypatch):
+        poly = Polytope.from_halfspaces([hs([1, -1, 0], 0), hs([1, 0, -1], 0)], 3)
+        calls = []
+
+        def counted(points):
+            calls.append(points)
+            return barycenter(points)
+
+        monkeypatch.setattr(geometry, "barycenter", counted)
+        assert interior_point(poly) is interior_point(poly)
+        assert calls == [poly.vertices]
+
+    def test_repr_eq_hash_and_pickle_are_unchanged_by_the_held_point(self):
+        poly = Polytope.from_halfspaces([hs([1, -1, 0], 0), hs([1, 0, -1], 0)], 3)
+        fresh = Polytope.from_halfspaces([hs([1, -1, 0], 0), hs([1, 0, -1], 0)], 3)
+        before = repr(poly), hash(poly), pickle.dumps(poly)
+        center = interior_point(poly)
+        assert (repr(poly), hash(poly), pickle.dumps(poly)) == before
+        assert before == (repr(fresh), hash(fresh), pickle.dumps(fresh))
+        assert poly == fresh and fresh == poly
+        names = [field.name for field in dataclasses.fields(Polytope)]
+        assert names == ["halfspaces", "vertices", "n"]
+        for clone in (lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy):
+            copied = clone(poly)
+            assert copied == poly and "_center" not in vars(copied)
+            assert interior_point(copied) == center
 
 
 class TestContains:

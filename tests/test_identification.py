@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import support
+from infoval import geometry
 from infoval.decision import (
     AdjacentPair,
     AffineFn,
@@ -38,7 +39,10 @@ from infoval.identification import (
     generate_identification,
     reconstruct_value,
     satisfies_ordinal,
+    _direction,
     _halvings,
+    _on_line,
+    _residual_point,
 )
 from infoval.information import PosteriorDistribution, expected_value
 from infoval.spectral import spectral_of
@@ -739,6 +743,82 @@ class TestClosedFormWitnesses:
         data = generate_identification(dp, Belief((tiny, 1 - tiny)))
         assert satisfies_ordinal(dp, data)
         assert equal_up_to_affine(reconstruct_value(data), value_function(dp)) is not None
+
+
+def _outcome(call, *args):
+    """What call returns, or the type and message of the MalformedData it raises."""
+    try:
+        return call(*args)
+    except MalformedData as exc:
+        return type(exc), str(exc)
+
+
+class TestWitnessesAgainstFractions:
+    """The integer witness kernels against the Fraction arithmetic they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(2, 5))
+    def test_residual_point(self, data, n):
+        prior = data.draw(support.mixed_beliefs(n).filter(Belief.is_interior))
+        anchor = data.draw(support.mixed_beliefs(n) | st.just(prior))
+        # the residuals of the first halvings, so that forbidding them forces more
+        residuals = []
+        for _ in range(3):
+            found = _outcome(support.residual_point_by_fractions, prior, anchor, set(residuals))
+            if not isinstance(found[0], Belief):
+                break
+            residuals.append(found[0])
+        others = data.draw(st.lists(support.mixed_beliefs(n), max_size=2))
+        forbidden = {b for b in residuals + [prior, anchor] + others if data.draw(st.booleans())}
+        got = _outcome(_residual_point, prior, anchor, forbidden)
+        expected = _outcome(support.residual_point_by_fractions, prior, anchor, forbidden)
+        assert got == expected and repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("prior", [uniform_belief(2), belief("1/7", "2/7", "4/7")])
+    def test_residual_at_a_forbidden_prior_is_malformed(self, prior):
+        for residual in (_residual_point, support.residual_point_by_fractions):
+            with pytest.raises(MalformedData, match="every residual falls on a point of the cell"):
+                residual(prior, prior, {prior})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(2, 5))
+    def test_point_on_line(self, data, n):
+        origin, head = data.draw(support.mixed_beliefs(n)), data.draw(support.mixed_beliefs(n))
+        t = data.draw(support.fractions(-16, 16, 16))
+        direction = _direction(head, origin)
+        d, e = direction
+        line = tuple(Fraction(v, e) for v in d)
+        assert line == tuple(h - o for h, o in zip(head.coords, origin.coords))
+        expected = support.point_on_line(origin, line, t)
+        assume(min(expected) >= 0)
+        got = _on_line(origin, direction, t)
+        assert got == Belief(expected) and repr(got) == repr(Belief(expected))
+
+
+class TestCentersOnce:
+    """generate_identification averages each cell and each shared face once."""
+
+    @pytest.mark.parametrize(
+        "dp",
+        [
+            support.two_peak_problem(),
+            support.safe_or_bet_problem(),
+            support.guess_the_state_problem(),
+            *(support.random_problem(Random(seed), n=2 + seed % 4, max_actions=6) for seed in range(6)),
+        ],
+    )
+    def test_one_barycenter_per_cell_and_shared_face(self, dp, monkeypatch):
+        averaged = []
+
+        def counted(points):
+            averaged.append(points)
+            return barycenter(points)
+
+        monkeypatch.setattr(geometry, "barycenter", counted)
+        generate_identification(dp, uniform_belief(dp.n), include_all_edges=True)
+        sub = compute_subdivision(dp)
+        faces = [cell.geometry for cell in sub.cells] + [pair.shared for pair in sub.adjacency]
+        assert sorted(averaged) == sorted(face.vertices for face in faces)
 
 
 def spanning_tree_of(sub, prior):
