@@ -589,7 +589,7 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
     support cell j) raise ValueError. Returns (i, j, shared face, canonical
     halfspace) per adjacent pair. The shared face is cell i cut by that
     halfspace, which is exactly the face of the common vertices: cell i lies
-    on its other side. Its vertices are cell i's own, in cell i's order.
+    on its other side. Its vertices are cell i's own, sorted as Beliefs.
     """
     if len({p.n for p in cells}) > 1:
         raise ShapeMismatch("facets are found only between cells over the same states")
@@ -615,7 +615,7 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
         if max(sides) <= 0:
             g = [-a for a in g]
         facet = _facet_halfspace(*_facet(g))
-        face = tuple(v for v in cells[i].vertices if index[v] in common)
+        face = tuple(sorted(v for v in cells[i].vertices if index[v] in common))
         out.append((i, j, Polytope((*cells[i].halfspaces, facet), face, n), facet))
     return out
 
@@ -637,23 +637,34 @@ def interior_interval_on_line(origin: Belief, direction: Coords, poly: Polytope)
     Returns an exact (lo, hi) pair with lo < hi, or None when the line misses
     the relative interior. The origin must be a point of the simplex, and the
     direction must sum to zero so the line stays in the simplex's affine
-    hull: ValueError otherwise, the origin checked first. Each coordinate and
-    halfspace bounds t by -alpha/beta, kept as an integer pair over the
-    line's and its own scale. A halfspace over other states raises the
-    ShapeMismatch that Polytope.contains raises, before either value check.
+    hull: ValueError otherwise, the origin checked first. A halfspace over
+    other states raises the ShapeMismatch that Polytope.contains raises,
+    before either value check. The window itself is _line_window's.
     """
     (coords, direction), scale = _scaled_points((origin, direction), poly.n)
-    conditions = list(zip(coords, direction))
     for h in poly.halfspaces:
         if h.n != poly.n:
             _coords_of(origin, h.n)  # the ShapeMismatch Polytope.contains raises
-        *g, c = _integer_row(h.normal + (h.offset,))
-        conditions.append((sum(map(mul, g, coords)) - c * scale, sum(map(mul, g, direction))))
     if min(coords) < 0 or sum(coords) != scale:
         point = ", ".join(str(Fraction(v, scale)) for v in coords)
         raise ValueError(f"the origin must be a point of the simplex, got ({point})")
     if sum(direction):
         raise ValueError(f"the direction must sum to zero, got {Fraction(sum(direction), scale)}")
+    return _line_window(coords, direction, scale, poly)
+
+
+def _line_window(origin: list[int], direction: list[int], scale: int, poly: Polytope):
+    """interior_interval_on_line of the line (origin + t*direction) / scale, unchecked.
+
+    Both rows are integers over the one scale, the origin a point of the
+    simplex and the direction summing to zero, and every halfspace is over
+    poly.n states. Each coordinate and halfspace bounds t by -alpha/beta,
+    kept as an integer pair over the line's and its own scale.
+    """
+    conditions = list(zip(origin, direction))
+    for h in poly.halfspaces:
+        *g, c = _integer_row(h.normal + (h.offset,))
+        conditions.append((sum(map(mul, g, origin)) - c * scale, sum(map(mul, g, direction))))
     lo = hi = None
     for alpha, beta in conditions:
         if beta == 0:

@@ -17,10 +17,12 @@ rebuilds the value function, up to an affine function, from the utility
 differences.
 
 Witness points are formed from the integer rows their beliefs hold: a
-residual is one integer row from the prior's and the anchor's, a point on a
-line is the origin's row plus t times the direction's, over one scale, and
-each becomes a Belief once. The interior point of a cell or of a shared
-face is held by its polytope, so each is averaged once per subdivision.
+residual is one integer row from the prior's and the anchor's, and a line
+is held as its origin's and its direction's rows over one scale, from
+which its windows in the cells are read and each point on it is formed as
+one row. Each point becomes a Belief once. The interior point of a cell or
+of a shared face is held by its polytope, so each is averaged once per
+subdivision.
 """
 
 from __future__ import annotations
@@ -48,12 +50,12 @@ from .geometry import (
     _coords_of,
     _exact_belief,
     _frac,
+    _line_window,
     _normalized,
     _require_prior,
     _scaled,
     barycenter,
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
-    interior_interval_on_line,
     interior_point,
 )
 from .information import PosteriorDistribution, _atom_columns, _gap
@@ -204,22 +206,26 @@ def gen_affineness_equalities(sub: Subdivision, prior: Belief) -> list[OrderedEx
     return statements
 
 
-def _direction(head: Belief, tail: Belief) -> tuple[list[int], int]:
-    """(d, e) with head - tail == d / e: the two held rows over the lcm of their scales."""
-    (a, s), (b, t) = head._integers(), tail._integers()
-    e = math.lcm(s, t)
-    return [x * (e // s) - y * (e // t) for x, y in zip(a, b)], e
+def _line(origin: Belief, toward: Belief) -> tuple[list[int], list[int], int]:
+    """(o, d, e): origin == o/e and toward - origin == d/e, the held rows over one scale.
 
-
-def _on_line(origin: Belief, direction: tuple[list[int], int], t: Fraction) -> Belief:
-    """The belief origin + t * d/e, a point of the simplex, from one integer row.
-
-    With the origin's held row (o, s) and t = p/q, that is the row
-    o*q*e + p*s*d over s*q*e, made a belief once.
+    e is the lcm of the two beliefs' scales; _line_window reads the line as
+    it is, and _on_line makes its points.
     """
-    (o, s), (d, e) = origin._integers(), direction
+    (a, s), (b, t) = origin._integers(), toward._integers()
+    e = math.lcm(s, t)
+    o = [x * (e // s) for x in a]
+    return o, [y * (e // t) - x for x, y in zip(o, b)], e
+
+
+def _on_line(line: tuple[list[int], list[int], int], t: Fraction) -> Belief:
+    """The belief (o + t*d) / e of the line (o, d, e), a point of the simplex.
+
+    With t = p/q, that is the row o*q + p*d over e*q, made a belief once.
+    """
+    o, d, e = line
     p, q = t.numerator, t.denominator
-    return _exact_belief([x * q * e + p * s * y for x, y in zip(o, d)], s * q * e)
+    return _exact_belief([x * q + p * y for x, y in zip(o, d)], e * q)
 
 
 def _point_into_cell(
@@ -235,13 +241,13 @@ def _point_into_cell(
     """
     facet_center = interior_point(shared)
     x_i = interior_point(start)
-    direction = _direction(facet_center, x_i)
-    d, e = direction
-    window = interior_interval_on_line(facet_center, [Fraction(v, e) for v in d], target)
+    o, d, e = _line(facet_center, x_i)
+    line = o, [-v for v in d], e  # away from x_i
+    window = _line_window(*line, target)
     if window is not None and window[1] > 0:
         t = Fraction(1, 2 ** _halvings(ONE, window[1]))
         if window[0] < t:
-            return facet_center, x_i, _on_line(facet_center, direction, t), t
+            return facet_center, x_i, _on_line(line, t), t
     raise MalformedData("the line across a shared facet misses the neighboring cell")
 
 
@@ -357,10 +363,9 @@ def _binary_difference(sub: Subdivision, prior: Belief, parent: int, child: int)
         target = interior_point(pair.shared)
     else:
         target = interior_point(sub.cells[child].geometry)
-    d, e = _direction(target, prior)
-    line = [Fraction(v, e) for v in d]
-    interval_i = interior_interval_on_line(prior, line, sub.cells[parent].geometry)
-    interval_j = interior_interval_on_line(prior, line, sub.cells[child].geometry)
+    o, d, e = _line(prior, target)
+    interval_i = _line_window(o, d, e, sub.cells[parent].geometry)
+    interval_j = _line_window(o, d, e, sub.cells[child].geometry)
     if interval_i is None or interval_j is None:
         return None
     (lo_i, hi_i), (lo_j, hi_j) = interval_i, interval_j
@@ -385,9 +390,9 @@ def _binary_difference(sub: Subdivision, prior: Belief, parent: int, child: int)
 
     p = t_i / (t_i - t_j)
     q = t_hat / (t_hat - t_j)
-    x_i = _on_line(prior, (d, e), t_i)
-    x_hat = _on_line(prior, (d, e), t_hat)
-    x_j = _on_line(prior, (d, e), t_j)
+    x_i = _on_line((o, d, e), t_i)
+    x_hat = _on_line((o, d, e), t_hat)
+    x_j = _on_line((o, d, e), t_j)
     lhs = PosteriorDistribution([(x_j, p), (x_i, 1 - p)])
     rhs = PosteriorDistribution([(x_j, q), (x_hat, 1 - q)])
     return lhs, rhs

@@ -28,8 +28,8 @@ side's columns, the two sides over one scale, and one division. A problem
 scales its utility matrix on first use and holds the result
 (DecisionProblem._integers), so ranking many experiments for one problem
 scales the matrix once. A prior, as every belief, holds its integer row
-from when it was built, and an experiment holds the integer rows its
-constructor's check formed (Experiment._integers).
+from when it was built, and an experiment scales its likelihood on first
+use and holds the result (Experiment._integers).
 """
 
 from __future__ import annotations
@@ -50,19 +50,15 @@ from .geometry import (
 Columns = tuple[list, int]  # (integer columns, scale): column c is c[k] / scale for each state k
 
 
-def _stochastic_rows(
-    matrix, width: int | None = None
-) -> tuple[tuple[Coords, ...], tuple[list[list[int]], int]]:
+def _stochastic_rows(matrix, width: int | None = None) -> tuple[Coords, ...]:
     """The matrix's rows as Fractions, each a probability vector of the same width.
 
     The width is the first row's length unless given. One pass converts and
     checks every row; ValueError names the first fault: no rows, a row of
     another width, a negative entry, or a row that does not sum to 1. Sign
-    and sum are read off the row over its own denominator, and those integer
-    rows, brought to the lcm of their denominators, are returned as well:
-    (rows, (integer rows, scale)), the pair geometry._scaled forms.
+    and sum are read off the row over its own denominator.
     """
-    rows, held = [], []
+    rows = []
     for k, values in enumerate(matrix):
         row = _coords_of(values)
         if width is None:
@@ -75,11 +71,9 @@ def _stochastic_rows(
         if sum(ints) != scale:
             raise ValueError(f"row {k} sums to {sum(row)}, not 1")
         rows.append(row)
-        held.append((ints, scale))
     if not rows:
         raise ValueError("a row-stochastic matrix needs at least one row")
-    scale = math.lcm(*[s for _, s in held])
-    return tuple(rows), ([[v * (scale // s) for v in ints] for ints, s in held], scale)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -87,9 +81,8 @@ class Experiment:
     """A row-stochastic likelihood matrix: row theta gives P(signal | theta).
 
     The rows over one denominator (_integers), which every valuation reads,
-    are the ones the constructor's check formed. They are held outside the
-    fields and the pickles, as DecisionProblem holds its utility rows, and
-    formed again on first use where they are not held.
+    are formed on first use and held outside the fields and the pickles, as
+    DecisionProblem holds its utility rows.
     """
 
     signal_labels: tuple[str, ...]
@@ -98,9 +91,8 @@ class Experiment:
 
     def __post_init__(self):
         object.__setattr__(self, "signal_labels", tuple(self.signal_labels))
-        rows, held = _stochastic_rows(self.likelihood, len(self.signal_labels))
+        rows = _stochastic_rows(self.likelihood, len(self.signal_labels))
         object.__setattr__(self, "likelihood", rows)
-        object.__setattr__(self, "_ints", held)
 
     def __getstate__(self) -> dict:
         return {"signal_labels": self.signal_labels, "likelihood": self.likelihood}
@@ -239,7 +231,7 @@ def experiment_of(prior: Belief, dist: PosteriorDistribution) -> Experiment:
     splitting the result at the same prior returns the distribution
     unchanged. The rows are nonnegative, and each sums to one because the
     distribution's mean is the prior, so the Experiment is built without
-    Experiment's second scan of its rows; its integer rows form on first use.
+    Experiment's second scan of its rows.
     """
     prior = _require_prior(prior)
     if dist.mean != prior:
@@ -265,7 +257,7 @@ def garble(experiment: Experiment, matrix) -> Experiment:
     1953), checked once by _stochastic_rows, then ShapeMismatch unless its
     rows match the signals. Composing two garblings is garbling twice.
     """
-    rows, _ = _stochastic_rows(matrix)
+    rows = _stochastic_rows(matrix)
     if len(rows) != experiment.num_signals:
         raise ShapeMismatch(f"{len(rows)} garbling rows for {experiment.num_signals} signals")
     columns = list(zip(*rows))

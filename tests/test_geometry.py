@@ -566,6 +566,17 @@ class TestFacetBetween:
         shared, _ = got
         assert dimension(shared.vertices) == 1
 
+    def test_shared_face_of_a_hand_built_cell_is_sorted(self):
+        # Polytope keeps a hand-built cell's vertices in the order given
+        a = Polytope.from_halfspaces([hs([1, -1, 0], 0), hs([1, 0, -1], 0)], 3)
+        b = Polytope.from_halfspaces([hs([-1, 1, 0], 0), hs([0, 1, -1], 0)], 3)
+        backwards = Polytope(a.halfspaces, a.vertices[::-1], 3)
+        shared, h = facet_between(backwards, b)
+        assert len(shared.vertices) == 2
+        assert list(shared.vertices) == sorted(shared.vertices)
+        assert shared == Polytope.from_halfspaces(shared.halfspaces, 3)
+        assert (shared, h) == facet_between(a, b)
+
     def test_disjoint_cells(self):
         a = Polytope.from_halfspaces([hs([1, 0], "2/3")], 2)
         b = Polytope.from_halfspaces([hs([-1, 0], "-1/3")], 2)

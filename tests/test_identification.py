@@ -24,7 +24,16 @@ from infoval.errors import (
     ShapeMismatch,
     SingularSolve,
 )
-from infoval.geometry import Belief, Polytope, barycenter, belief, interior_point, uniform_belief
+from infoval.geometry import (
+    Belief,
+    Halfspace,
+    Polytope,
+    _line_window,
+    barycenter,
+    belief,
+    interior_point,
+    uniform_belief,
+)
 from infoval.identification import (
     CellAffine,
     IdentificationData,
@@ -39,8 +48,8 @@ from infoval.identification import (
     generate_identification,
     reconstruct_value,
     satisfies_ordinal,
-    _direction,
     _halvings,
+    _line,
     _on_line,
     _residual_point,
 )
@@ -783,15 +792,23 @@ class TestWitnessesAgainstFractions:
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(2, 5))
     def test_point_on_line(self, data, n):
-        origin, head = data.draw(support.mixed_beliefs(n)), data.draw(support.mixed_beliefs(n))
+        origin, toward = data.draw(support.mixed_beliefs(n)), data.draw(support.mixed_beliefs(n))
         t = data.draw(support.fractions(-16, 16, 16))
-        direction = _direction(head, origin)
-        d, e = direction
-        line = tuple(Fraction(v, e) for v in d)
-        assert line == tuple(h - o for h, o in zip(head.coords, origin.coords))
-        expected = support.point_on_line(origin, line, t)
+        line = _line(origin, toward)
+        o, d, e = line
+        direction = tuple(Fraction(v, e) for v in d)
+        assert tuple(Fraction(v, e) for v in o) == origin.coords
+        assert direction == tuple(h - x for h, x in zip(toward.coords, origin.coords))
+        normals = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(
+            lambda g: len(set(g)) > 1
+        )
+        cuts = data.draw(st.lists(st.tuples(normals, support.fractions(-1, 1, 6)), max_size=3))
+        poly = Polytope(tuple(Halfspace(tuple(g), c) for g, c in cuts), (), n)
+        window = _line_window(*line, poly)
+        assert window == support.interval_by_fractions(origin, direction, poly)
+        expected = support.point_on_line(origin, direction, t)
         assume(min(expected) >= 0)
-        got = _on_line(origin, direction, t)
+        got = _on_line(line, t)
         assert got == Belief(expected) and repr(got) == repr(Belief(expected))
 
 

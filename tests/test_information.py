@@ -160,7 +160,7 @@ class TestGarble:
     def test_left_identity(self):
         g = (("3/4", "1/4"), ("1/4", "3/4"))
         got = garble(Experiment.fully_revealing(2), g)
-        assert got.likelihood == _stochastic_rows(g)[0]
+        assert got.likelihood == _stochastic_rows(g)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -630,13 +630,6 @@ def faulty_matrices(draw):
     return tuple(matrix)
 
 
-def _checked_rows(matrix, width=None):
-    """The rows _stochastic_rows returns, its held integer pair checked against _scaled."""
-    rows, held = _stochastic_rows(matrix, width)
-    assert held == _scaled(rows)
-    return rows
-
-
 def _row_outcome(call, *args):
     """_outcome, with the float TypeError as one more outcome to compare."""
     try:
@@ -650,7 +643,7 @@ class TestRowStochasticAgainstFractions:
     @given(faulty_matrices(), st.integers(0, 2))
     def test_checks_match(self, matrix, labels):
         labels = tuple(f"s{i + 1}" for i in range(len(matrix[0]) + labels - 1 if matrix else labels))
-        assert _row_outcome(_checked_rows, matrix) == _row_outcome(
+        assert _row_outcome(_stochastic_rows, matrix) == _row_outcome(
             support.stochastic_rows_by_fractions, matrix
         )
         # garble checks its matrix first; garbling full revelation then returns it
@@ -664,7 +657,7 @@ class TestRowStochasticAgainstFractions:
 
     @pytest.mark.parametrize("matrix", [(), ((),), ((), ()), ((1, 0), ())])
     def test_empty_rows_match(self, matrix):
-        assert _row_outcome(_checked_rows, matrix) == _row_outcome(
+        assert _row_outcome(_stochastic_rows, matrix) == _row_outcome(
             support.stochastic_rows_by_fractions, matrix
         )
 
@@ -714,21 +707,20 @@ class TestHeldRows:
 
 
 class TestHeldLikelihood:
-    """An Experiment holds the integer rows its constructor's check formed."""
+    """An Experiment scales its likelihood on first use and holds the rows."""
 
     @staticmethod
     def built() -> Experiment:
         return Experiment(("s1", "s2"), (("1/3", "2/3"), ("3/4", "1/4"), (1, 0)))
 
-    def test_held_from_construction_and_read_by_valuation(self):
+    def test_formed_on_first_use_and_held(self):
         dp, prior, e = make_problem([[1, 0, 0], [0, 1, 1]]), uniform_belief(3), self.built()
-        assert vars(e)["_ints"] == _scaled(e.likelihood)
-        held = e._integers()
+        assert "_ints" not in vars(e)
+        value_of_experiment(dp, prior, e)
+        held = vars(e)["_ints"]
+        assert held == _scaled(e.likelihood)
         value_of_experiment(dp, prior, e)
         assert e._integers() is held
-        assert garble(e, ((1, 0), ("1/2", "1/2")))._integers() == _scaled(
-            garble(e, ((1, 0), ("1/2", "1/2"))).likelihood
-        )
 
     def test_recovered_experiment_forms_its_rows_on_first_use(self):
         prior = belief("1/6", "1/3", "1/2")
