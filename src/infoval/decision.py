@@ -4,15 +4,16 @@ A decision problem is a finite utility matrix over states and actions. Its
 value function is the upper envelope of the actions' affine payoff lines,
 and projecting that envelope onto the simplex subdivides it into cells, one
 per action that is strictly optimal somewhere; one lift of the payoff rows
-the problem holds over one denominator gives all of them (_lift). This
-module computes those objects exactly and decides when two problems differ
-only by an action-independent, state-dependent payoff.
+the problem holds over one denominator gives the cells and their adjacency
+(_lift). This module computes those objects exactly and decides when two
+problems differ only by an action-independent, state-dependent payoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 from .errors import InconsistentData, MalformedData, NonpositiveScale, ShapeMismatch
@@ -29,7 +30,6 @@ from .geometry import (
     _facet,
     _facet_halfspace,
     _frac,
-    _rank,
     _scaled,
     _scaled_points,
     adjacent_facets,
@@ -166,7 +166,8 @@ class AdjacentPair:
     """Two cells meeting in a common facet, with the separating halfspace.
 
     The halfspace is tight on the facet and holds on cell j, the larger
-    index; the shared face is cell i cut by it (geometry.adjacent_facets).
+    index; the shared face is cell i cut by it, whether a lift
+    (compute_subdivision) or vertex incidence (Subdivision.from_cells) found it.
     """
 
     i: int
@@ -187,7 +188,7 @@ class Subdivision:
 
     @classmethod
     def from_cells(cls, cells) -> "Subdivision":
-        """The subdivision of the cells, with facets from geometry.adjacent_facets."""
+        """The subdivision of cells given by their vertices, with geometry.adjacent_facets."""
         cells = tuple(cells)
         found = adjacent_facets([cell.geometry for cell in cells])
         return cls(cells, tuple(AdjacentPair(*pair) for pair in found))
@@ -256,8 +257,8 @@ class PiecewiseAffineFn:
     products: the rows scaled by the lcm of all their denominators, each
     vertex by its held row over the lcm of its own. Adjacent pieces then
     agree on their shared facet, because every shared face this library
-    builds (geometry.adjacent_facets) is spanned by vertices common to both
-    cells, where each piece dominates the other.
+    builds (compute_subdivision, geometry.adjacent_facets) is spanned by
+    vertices common to both cells, where each piece dominates the other.
     """
 
     subdivision: Subdivision
@@ -313,36 +314,40 @@ def evaluate_value(dp: DecisionProblem, x: Belief) -> Fraction:
 
 
 def _lift(dp: DecisionProblem) -> tuple[list[list[int]], list[frozenset[int]], list[int]]:
-    """dp's envelope rays, each action's tight rays, and the undominated actions.
+    """dp's lifted extreme rays, each lifted row's set of them, and the undominated actions.
 
     One double description on the cone {(x, z) : x >= 0, scale * z >= rows[a] . x}
     over the problem's integer rows (dp._integers), with rows (e_i, 0), then
-    (-rows[a], scale). Every extreme ray but the dropped vertical one lies on
-    the envelope above a vertex of the subdivision; action a is tight on the
-    rays whose zero set holds its row n + a. Of equal rows, the first counts.
+    (-rows[a], scale). The rays come back as their x parts: the vertical
+    ray's is zero, and every other lies on the envelope above a vertex of
+    the subdivision. Row k's set is the rays its zero set holds, the whole
+    face of row k: the n coordinate rows' hold the vertical ray, and action
+    a's, row n + a, the rays where a is optimal. The cone is pointed, so a
+    face is fixed by its rays (Ziegler, Lectures on Polytopes, ch. 2), and
+    action a is undominated exactly when its row cuts a facet: it repeats no
+    earlier row, and its set is non-empty and strictly inside no other.
     """
     n = dp.n
     rows, scale = dp._integers()
     lifted = [[int(i == j) for j in range(n + 1)] for i in range(n)]
     lifted += [[-v for v in row] + [scale] for row in rows]
-    found = [(ray[:n], zeros) for ray, zeros in _extreme_rays(lifted, n + 1) if any(ray[:n])]
-    rays = [ray for ray, _ in found]
-    tight = [
-        frozenset(r for r, (_, zeros) in enumerate(found) if zeros >> (n + a) & 1)
-        for a in range(len(rows))
+    found = _extreme_rays(lifted, n + 1)
+    sets = [
+        frozenset(r for r, (_, zeros) in enumerate(found) if zeros >> k & 1)
+        for k in range(len(lifted))
     ]
     winners = [
         a for a, row in enumerate(rows)
-        if row not in rows[:a] and _rank([rays[r] for r in tight[a]]) == n
+        if row not in rows[:a] and sets[n + a] and not any(sets[n + a] < s for s in sets)
     ]
-    return rays, tight, winners
+    return [ray[:n] for ray, _ in found], sets, winners
 
 
 def undominated_actions(dp: DecisionProblem) -> frozenset[int]:
     """Actions that are strictly better than every rival at some belief.
 
     Read off one lift of the payoff rows: an action is undominated exactly
-    when the envelope vertices where it is optimal span R^n, so that it is
+    when its lifted row cuts a facet of the lifted cone, so that it is
     optimal on a full-dimensional region, where distinct rows tie only on
     hyperplanes. Actions optimal only on ties count as dominated, as do all
     but the lowest index of equal rows.
@@ -357,27 +362,40 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     {x : u(a,.) . x >= u(b,.) . x for every rival undominated b}, each cut
     made by geometry._facet from the difference of the two integer payoff
     rows (DecisionProblem._integers), as hull and adjacency facets are. Its
-    vertices are the envelope vertices of one lift where a is optimal, in
-    Belief order. Cells come back ordered by action index. Adjacency comes from
-    Subdivision.from_cells on those cells, as for cells read back from data:
-    payoffs tie on a shared face, so its kernel line is u(j,.) - u(i,.) up to
-    scale. Each undominated action's row is the only maximizing row on an
-    open set, so its cell is full-dimensional and that row is uniquely
-    optimal inside; the cells tile the simplex, so their adjacency graph is
-    connected, which the spanning tree confirms. Equal rows share one cell.
+    vertices are the envelope vertices of one lift (_lift) where a is
+    optimal, in Belief order. Cells come back ordered by action index. A
+    ridge of the lifted cone lies in exactly two facets and a smaller face
+    in at least three, so winners a < b share a facet exactly when only
+    their two facet rows (of the coordinate rows and the winners') hold all
+    their common rays: the dual of geometry._extreme_rays' adjacency test.
+    Payoffs tie there, so the halfspace is _facet of u(b,.) - u(a,.); the
+    shared face is cell a cut by it, with the common rays as vertices. Each
+    undominated action's row is the only maximizing row on an open set, so
+    its cell is full-dimensional and that row is uniquely optimal inside;
+    the cells tile the simplex, so their adjacency graph is connected, which
+    the spanning tree confirms. Equal rows share one cell.
     """
     n = dp.n
-    rays, tight, winners = _lift(dp)
-    vertices = [_exact_belief(ray, sum(ray)) for ray in rays]
-    order = sorted(range(len(vertices)), key=vertices.__getitem__)
+    rays, sets, winners = _lift(dp)
+    vertices = {r: _exact_belief(ray, sum(ray)) for r, ray in enumerate(rays) if any(ray)}
+    order = sorted(vertices, key=vertices.__getitem__)
     rows, _ = dp._integers()
     cells = []
     for a in winners:
         cuts = (_facet([x - y for x, y in zip(rows[a], rows[b])]) for b in winners if b != a)
         halfspaces = tuple(_facet_halfspace(*cut) for cut in dict.fromkeys(cuts))
-        corners = tuple(vertices[r] for r in order if r in tight[a])
+        corners = tuple(vertices[r] for r in order if r in sets[n + a])
         cells.append(Cell(a, Polytope(halfspaces, corners, n)))
-    sub = Subdivision.from_cells(cells)
+    facets = sets[:n] + [sets[n + a] for a in winners]
+    adjacency = []
+    for (i, a), (j, b) in combinations(enumerate(winners), 2):
+        common = sets[n + a] & sets[n + b]
+        if sum(common <= s for s in facets) == 2:
+            facet = _facet_halfspace(*_facet([y - x for x, y in zip(rows[a], rows[b])]))
+            face = tuple(vertices[r] for r in order if r in common)
+            shared = Polytope((*cells[i].geometry.halfspaces, facet), face, n)
+            adjacency.append(AdjacentPair(i, j, shared, facet))
+    sub = Subdivision(tuple(cells), tuple(adjacency))
     sub.spanning_tree()  # raises MalformedData if the graph is disconnected
     return sub
 

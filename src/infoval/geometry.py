@@ -7,26 +7,28 @@ exact vertex sets. Vertices and hull facets come from one incremental
 double-description routine on integer rows, which touches only adjacent
 pairs of extreme rays rather than every subset of constraints or points;
 decision._lift runs the same routine on a problem's lifted payoff rows to
-find the vertices of its upper envelope. All exact linear algebra (its seed
-rays, rank and affine dimension, the independent points that seed a hull,
-the kernel line that spans a facet) comes from one fraction-free row
-reduction on integer rows. Every facet halfspace (of a hull, between two
-adjacent cells, between two actions' payoff rows) and the order of a hull's
-facets come from one integer routine, _facet. A raw row becomes exact in one
+find the vertices of its upper envelope and the faces they lie on. All
+exact linear algebra (its seed rays, rank and affine dimension, the
+independent points that seed a hull, the kernel line that spans a facet)
+comes from one fraction-free row reduction on integer rows. Every facet
+halfspace (of a hull, between two adjacent cells, between two actions'
+payoff rows) and the order of a hull's facets come from one integer
+routine, _facet. A raw row becomes exact in one
 place, _coords_of, which rejects floats. _scaled, which puts rational rows
 over one denominator, is the one home of common-denominator integer sums:
 barycenters, line windows, membership and the value kernels add integers
 and divide once. A point is scaled once, when it is built: a Belief holds
 its integer row, which its equality and its order (the one order of points)
-read and _scaled_points brings to a common scale. Beliefs and facets built
-from integers in hand are checked once, on those integers. A polytope
-holds its interior point, the vertex barycenter, from the first time it is
-asked for, outside its fields and its pickles as a Belief holds its row.
-Each polytope costs one double description, whose zero sets also tell which
-of a hull's points are vertices. Which cells share a facet, on the forward
-and the backward path alike, is read off vertex incidence by one scan,
-adjacent_facets; a shared face is one cell cut by the facet halfspace that
-holds on the other.
+read and _scaled_points brings to a common scale; a Halfspace holds its
+row (normal, offset) on first use, for membership and line windows. Beliefs
+and facets built from integers in hand are checked once, on those integers.
+A polytope holds its interior point, the vertex barycenter, from the first
+time it is asked for, outside its fields and its pickles as a Belief holds
+its row. Each polytope costs one double description, whose zero sets also
+tell which of a hull's points are vertices. Which cells share a facet is
+read off the lift's zero sets on the forward path, and off vertex incidence
+by one scan, adjacent_facets, for cells given by their vertices; a shared
+face is one cell cut by the facet halfspace that holds on the other.
 """
 
 from __future__ import annotations
@@ -197,12 +199,14 @@ class Halfspace:
     coordinates sum to one, and positive rescaling changes nothing either.
     canonical() quotients both freedoms out: it shifts the smallest normal
     coordinate to zero and scales the normal to a primitive integer vector.
-    Equality, hash and pickling are the dataclass's own: a shared face holds
-    one cell's halfspaces and its facet's, so no two lists are merged.
+    Equality, hash and repr are the dataclass's own: a shared face holds
+    one cell's halfspaces and its facet's, so no two lists are merged. The
+    integer row (_integers) is held outside the fields and the pickles.
     """
 
     normal: Coords
     offset: Fraction
+    _ints = None
 
     def __post_init__(self):
         object.__setattr__(self, "normal", _coords_of(self.normal))
@@ -211,6 +215,15 @@ class Halfspace:
             raise ValueError("halfspace normal needs at least one coordinate")
         if all(a == self.normal[0] for a in self.normal):
             raise ValueError("halfspace normal is constant on the simplex (degenerate)")
+
+    def __getstate__(self) -> dict:
+        return {"normal": self.normal, "offset": self.offset}
+
+    def _integers(self) -> tuple[int, ...]:
+        """The row (normal, offset) scaled by the lcm of its denominators, formed once and held."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", tuple(_integer_row(self.normal + (self.offset,))))
+        return self._ints
 
     @property
     def n(self) -> int:
@@ -308,8 +321,7 @@ class Polytope:
             if h.n != self.n:
                 _coords_of(point, h.n)  # the ShapeMismatch h.value raises
         x = [*x, -scale]  # so that (normal, offset) . x is scale * (normal . point - offset)
-        rows = (_integer_row(h.normal + (h.offset,)) for h in self.halfspaces)
-        return all(sum(map(mul, g, x)) >= floor for g in rows)
+        return all(sum(map(mul, h._integers(), x)) >= floor for h in self.halfspaces)
 
 
 def _facet(g) -> tuple[tuple[int, ...], Fraction]:
@@ -586,10 +598,11 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
     the common vertices span an (n-2)-face; the kernel does not depend on
     the order of the rows. g . x >= 0 is the facet halfspace, oriented by
     g's signs on cell j's other vertices, and mixed signs (g does not
-    support cell j) raise ValueError. Returns (i, j, shared face, canonical
-    halfspace) per adjacent pair. The shared face is cell i cut by that
-    halfspace, which is exactly the face of the common vertices: cell i lies
-    on its other side. Its vertices are cell i's own, sorted as Beliefs.
+    support cell j) raise ValueError, as does a vertex of cell i where it is
+    positive: cell i lies on its other side. Returns (i, j, shared face,
+    canonical halfspace) per adjacent pair. The shared face is cell i cut by
+    that halfspace, which is exactly the face of the common vertices. Its
+    vertices are cell i's own, sorted as Beliefs.
     """
     if len({p.n for p in cells}) > 1:
         raise ShapeMismatch("facets are found only between cells over the same states")
@@ -614,6 +627,8 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
             raise ValueError(f"the hyperplane cells {i} and {j} share does not support cell {j}")
         if max(sides) <= 0:
             g = [-a for a in g]
+        if any(sum(map(mul, g, rows[r])) > 0 for r in incidence[i] - common):
+            raise ValueError(f"cells {i} and {j} lie on the same side of the hyperplane they share")
         facet = _facet_halfspace(*_facet(g))
         face = tuple(sorted(v for v in cells[i].vertices if index[v] in common))
         out.append((i, j, Polytope((*cells[i].halfspaces, facet), face, n), facet))
@@ -663,7 +678,7 @@ def _line_window(origin: list[int], direction: list[int], scale: int, poly: Poly
     """
     conditions = list(zip(origin, direction))
     for h in poly.halfspaces:
-        *g, c = _integer_row(h.normal + (h.offset,))
+        *g, c = h._integers()
         conditions.append((sum(map(mul, g, origin)) - c * scale, sum(map(mul, g, direction))))
     lo = hi = None
     for alpha, beta in conditions:

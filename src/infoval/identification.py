@@ -51,10 +51,8 @@ from .geometry import (
     _exact_belief,
     _frac,
     _line_window,
-    _normalized,
     _require_prior,
     _scaled,
-    barycenter,
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
     interior_point,
 )
@@ -410,12 +408,17 @@ def _residual_difference(sub: Subdivision, prior: Belief, parent: int, child: in
     facet_center, x_i, x_j, t = _point_into_cell(
         sub.pair(parent, child).shared, sub.cells[parent].geometry, sub.cells[child].geometry
     )
-    x_hat = barycenter([x_i, facet_center])
+    x_hat = _on_line(_line(facet_center, x_i), Fraction(1, 2))
     # facet_center = (x_j + t * x_i) / (1 + t), so x_hat = beta * x_i + (1 - beta) * x_j
     beta = (1 + 2 * t) / (2 * (1 + t))
     # with lam = 2 * eps, the lhs puts eps * (2 - beta) on x_j and eps * beta
-    # on x_i, that is lam on their mixture `mixed`; the residual takes the rest
-    mixed = _normalized([(2 - beta) * j + beta * i for j, i in zip(x_j.coords, x_i.coords)])
+    # on x_i, that is lam on their mixture `mixed`; with t = p/q that mixture
+    # is proportional to (3q + 2p) * x_j + (q + 2p) * x_i, one row over the
+    # two held rows. The residual takes the rest.
+    (a, s), (b, u) = x_j._integers(), x_i._integers()
+    p, q = t.numerator, t.denominator
+    row = [(3 * q + 2 * p) * y * u + (q + 2 * p) * x * s for y, x in zip(a, b)]
+    mixed = _exact_belief(row, sum(row))
     residual, lam = _residual_point(prior, mixed, {x_i, x_hat, x_j})
     eps = lam / 2
     lhs = PosteriorDistribution(

@@ -32,6 +32,7 @@ from infoval.geometry import (
     Halfspace,
     Polytope,
     _coords_of,
+    _extreme_rays,
     _frac,
     _hull,
     _integer_row,
@@ -99,6 +100,27 @@ def residual_point_by_fractions(prior: Belief, anchor: Belief, forbidden: set):
         if residual not in forbidden:
             return residual, lam
     raise MalformedData("every residual falls on a point of the cell; is the cell degenerate?")
+
+
+def residual_difference_by_fractions(sub: Subdivision, prior: Belief, parent: int, child: int):
+    """_residual_difference with x_hat a barycenter and the mixture point in Fraction coordinates.
+
+    The mixture (2 - beta) * x_j + beta * x_i is formed coordinate by
+    coordinate and normalized, and the residual comes from the Fraction
+    residual search.
+    """
+    facet_center, x_i, x_j, t = _point_into_cell(
+        sub.pair(parent, child).shared, sub.cells[parent].geometry, sub.cells[child].geometry
+    )
+    x_hat = barycenter_by_fractions([x_i, facet_center])
+    beta = (1 + 2 * t) / (2 * (1 + t))
+    column = [(2 - beta) * j + beta * i for j, i in zip(x_j.coords, x_i.coords)]
+    mixed = normalized_by_fractions(column)
+    residual, lam = residual_point_by_fractions(prior, mixed, {x_i, x_hat, x_j})
+    eps = lam / 2
+    lhs = PosteriorDistribution([(x_j, eps * (2 - beta)), (x_i, eps * beta), (residual, 1 - lam)])
+    rhs = PosteriorDistribution([(x_j, eps), (x_hat, eps), (residual, 1 - lam)])
+    return lhs, rhs
 
 
 def point_on_line(origin: Belief, direction: Coords, t: Fraction) -> Coords:
@@ -795,8 +817,33 @@ def undominated_by_lp(dp: DecisionProblem) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# pairwise facet scan: the adjacency test Subdivision.from_cells ran before it
-# shared geometry.adjacent_facets with compute_subdivision, kept as an oracle
+# the rank rule: how the lift chose winners before it read facets off its
+# rays' zero sets, kept as an oracle for undominated_actions
+# ---------------------------------------------------------------------------
+
+
+def winners_by_rank(dp: DecisionProblem) -> frozenset[int]:
+    """undominated_actions by rank: the tight envelope vertices of a winner span R^n.
+
+    The rule the lift applied before it read facets off its ray sets: one
+    rank per action over the x parts of the rays where it is tight, the
+    vertical ray dropped, and the lowest index of equal rows.
+    """
+    n = dp.n
+    rows, scale = dp._integers()
+    lifted = [[int(i == j) for j in range(n + 1)] for i in range(n)]
+    lifted += [[-v for v in row] + [scale] for row in rows]
+    found = [(ray[:n], zeros) for ray, zeros in _extreme_rays(lifted, n + 1) if any(ray[:n])]
+    return frozenset(
+        a for a, row in enumerate(rows)
+        if row not in rows[:a]
+        and _rank([ray for ray, zeros in found if zeros >> (n + a) & 1]) == n
+    )
+
+
+# ---------------------------------------------------------------------------
+# pairwise facet scan: the adjacency test Subdivision.from_cells ran before
+# geometry.adjacent_facets read vertex incidence in one scan, kept as an oracle
 # ---------------------------------------------------------------------------
 
 

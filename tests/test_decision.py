@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
+from infoval import decision, geometry
 from infoval.decision import (
     AffineFn,
     Cell,
@@ -250,6 +251,68 @@ class TestLiftAgainstLP:
         dp = support.random_problem(Random(2), n=7, max_actions=8)
         assert dp.num_actions == 8 and len(undominated_actions(dp)) == 5
         self.check(dp)
+
+
+@st.composite
+def degenerate_problems(draw, states=st.integers(2, 5), max_actions=7):
+    """Tie-heavy problems with repeated rows and rows averaged from two others.
+
+    An average of two rows is below one of them wherever they differ, so it
+    is optimal at most where they tie, as on a shared face of their cells.
+    """
+    dp = draw(payoff_problems(st.sampled_from([0, 1, 2]), states, max_actions))
+    rows = [list(row) for row in dp.utility]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows.append([(x + y) / 2 for x, y in zip(rows[a], rows[b])])
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+    return make_problem(draw(st.permutations(rows)))
+
+
+class TestLiftReadsFacets:
+    """Winners and adjacency read off the lift, against the rules they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(degenerate_problems())
+    @example(make_problem([[0, 0], [0, 1], [0, 0]]))
+    # an action that ties the envelope only at the corner (0, 1)
+    @example(make_problem([[2, 0], [0, 1], [-1, 1]]))
+    @example(make_problem([[1, 0, 0], [0, 1, 0], [0, 0, 1], ["1/2", "1/2", 0]]))
+    def test_lift_and_vertex_routes_agree(self, dp):
+        sub = compute_subdivision(dp)
+        assert sub == Subdivision.from_cells(sub.cells)
+        assert undominated_actions(dp) == support.winners_by_rank(dp)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(payoff_problems(small_fractions, st.integers(2, 6), max_actions=12))
+    def test_winners_by_rank(self, dp):
+        assert undominated_actions(dp) == support.winners_by_rank(dp)
+
+    @pytest.mark.parametrize(
+        "dp",
+        [
+            support.two_peak_problem(),
+            support.guess_the_state_problem(),
+            *(support.random_problem(Random(seed), n=2 + seed, max_actions=8) for seed in range(5)),
+        ],
+    )
+    def test_one_row_reduction_and_no_vertex_scan(self, dp, monkeypatch):
+        reductions = []
+        reduce = geometry._row_reduce
+
+        def counted(rows):
+            reductions.append(rows)
+            return reduce(rows)
+
+        def refused(cells):
+            raise AssertionError("compute_subdivision scanned vertex incidence")
+
+        monkeypatch.setattr(geometry, "_row_reduce", counted)
+        monkeypatch.setattr(geometry, "adjacent_facets", refused)
+        monkeypatch.setattr(decision, "adjacent_facets", refused)
+        compute_subdivision(dp)
+        assert len(reductions) == 1  # the seed of the double description
 
 
 class TestAdjacencyAgainstPairwiseScan:

@@ -232,6 +232,26 @@ class TestHalfspaceHash:
             assert repr(clone) == repr(a)
 
 
+class TestHeldHalfspaceRow:
+    def test_row_is_the_normal_and_offset_over_one_scale(self):
+        a = hs(["1/2", 0, "-1/3"], "1/5")
+        assert a._integers() == (15, 0, -10, 6)
+        assert a._integers() is a._integers()
+
+    def test_repr_eq_hash_and_pickle_are_unchanged_by_the_held_row(self):
+        a = hs([2, 0, "1/3"], "-1/4")
+        fresh = hs([2, 0, "1/3"], "-1/4")
+        before = repr(a), hash(a), pickle.dumps(a)
+        row = a._integers()
+        assert (repr(a), hash(a), pickle.dumps(a)) == before
+        assert before == (repr(fresh), hash(fresh), pickle.dumps(fresh))
+        assert a == fresh and fresh == a
+        for clone in (lambda h: pickle.loads(pickle.dumps(h)), copy.copy, copy.deepcopy):
+            copied = clone(a)
+            assert copied == a and "_ints" not in vars(copied)
+            assert copied._integers() == row
+
+
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 
@@ -594,6 +614,17 @@ class TestFacetBetween:
         for call in (lambda: facet_between(line, triangle), lambda: adjacent_facets([line, triangle])):
             with pytest.raises(ShapeMismatch, match="over the same states"):
                 call()
+
+    def test_cells_on_one_side_of_their_shared_hyperplane_rejected(self):
+        # the cells share the edge x3 = 0, and the second lies inside the first
+        edge = [belief(1, 0, 0), belief(0, 1, 0)]
+        outer = Polytope.from_vertices(edge + [belief(0, 0, 1)])
+        inner = Polytope.from_vertices(edge + [belief("1/3", "1/3", "1/3")])
+        for cells in ([outer, inner], [inner, outer]):
+            with pytest.raises(ValueError, match="cells 0 and 1 lie on the same side"):
+                adjacent_facets(cells)
+            with pytest.raises(ValueError, match="cells 0 and 1 lie on the same side"):
+                facet_between(*cells)
 
     def test_cell_straddling_the_shared_hyperplane_rejected(self):
         # both cells have the edge from (1, 0, 0) to (0, 1/2, 1/2) on the line

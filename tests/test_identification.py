@@ -51,6 +51,7 @@ from infoval.identification import (
     _halvings,
     _line,
     _on_line,
+    _residual_difference,
     _residual_point,
 )
 from infoval.information import PosteriorDistribution, expected_value
@@ -282,6 +283,18 @@ class TestExtractSubdivision:
         data = IdentificationData(prior, gen_affineness_equalities(overlapping, prior), ())
         with pytest.raises(MalformedData, match="cells 0 and 1"):
             reconstruct_value(data)
+
+    def test_cells_on_one_side_of_their_shared_hyperplane_are_malformed(self):
+        # the cells share the edge x3 = 0, and the second lies inside the first
+        edge = [belief(1, 0, 0), belief(0, 1, 0)]
+        outer = Polytope.from_vertices(edge + [belief(0, 0, 1)])
+        inner = Polytope.from_vertices(edge + [belief("1/3", "1/3", "1/3")])
+        prior = belief("1/5", "2/5", "2/5")
+        cells = gen_affineness_equalities(Subdivision((Cell(0, outer), Cell(1, inner)), ()), prior)
+        point = PosteriorDistribution([(prior, 1)])
+        pair = OrderedExpectation(point, point, "gt", PairNonAffine(0, 1))
+        with pytest.raises(MalformedData, match="cells 0 and 1 lie on the same side"):
+            extract_subdivision(IdentificationData(prior, (*cells, pair), ()))
 
     def test_missing_pair_statement_rejected(self):
         dp = support.two_peak_problem()
@@ -788,6 +801,21 @@ class TestWitnessesAgainstFractions:
         for residual in (_residual_point, support.residual_point_by_fractions):
             with pytest.raises(MalformedData, match="every residual falls on a point of the cell"):
                 residual(prior, prior, {prior})
+
+    @settings(max_examples=40, deadline=None, phases=support.NO_SHRINK)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 5))
+    def test_residual_difference(self, seed, n):
+        rng = Random(seed)
+        dp = support.random_problem(rng, n, max_actions=6)
+        prior = support.random_interior_prior(rng, n)
+        sub = compute_subdivision(dp)
+        for pair in sub.adjacency:
+            for parent, child in ((pair.i, pair.j), (pair.j, pair.i)):
+                got = _outcome(_residual_difference, sub, prior, parent, child)
+                expected = _outcome(
+                    support.residual_difference_by_fractions, sub, prior, parent, child
+                )
+                assert got == expected and repr(got) == repr(expected)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(2, 5))
