@@ -71,9 +71,20 @@ def _require_prior(prior, n: int | None = None) -> "Belief":
 def _coords_of(point, n: int | None = None) -> Coords:
     """A Belief's coordinates, or a raw row made exact by _frac, so a float raises TypeError.
 
-    ShapeMismatch unless there are n coordinates, when n is given.
+    UnreadableEntry when the point is not a sequence, or is a string, whose
+    characters are no coordinates; ShapeMismatch unless there are n
+    coordinates, when n is given.
     """
-    coords = point.coords if isinstance(point, Belief) else tuple(_frac(v) for v in point)
+    if isinstance(point, Belief):
+        coords = point.coords
+    else:
+        try:
+            entries = iter(point)
+        except TypeError:
+            entries = None
+        if entries is None or isinstance(point, str):
+            raise UnreadableEntry(f"cannot read {point!r} as a sequence of coordinates")
+        coords = tuple(_frac(v) for v in entries)
     if n is not None and len(coords) != n:
         raise ShapeMismatch(f"{len(coords)} coordinates where {n} are expected")
     return coords

@@ -41,7 +41,7 @@ from .decision import (
     compute_subdivision,
     equal_up_to_affine,  # noqa: F401  (its home is decision, beside PiecewiseAffineFn)
 )
-from .errors import InconsistentData, MalformedData, SingularSolve
+from .errors import InconsistentData, MalformedData, MeanMismatch, SingularSolve
 from .geometry import (
     ONE,
     ZERO,
@@ -128,7 +128,13 @@ class UtilityDifference:
 
 @dataclass(frozen=True)
 class IdentificationData:
-    """Everything the observer reveals: prior, ordinal statements, differences."""
+    """Everything the observer reveals: prior, ordinal statements, differences.
+
+    The prior is read by _require_prior, and every side of every statement
+    and difference must average to it: ShapeMismatch for a side over other
+    states, then MeanMismatch naming the first statement or difference, by
+    index, that does not.
+    """
 
     prior: Belief
     ordinal: tuple[OrderedExpectation, ...]
@@ -136,8 +142,18 @@ class IdentificationData:
     root_cell: int = 0
 
     def __post_init__(self):
+        prior = _require_prior(self.prior)
+        object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "ordinal", tuple(self.ordinal))
         object.__setattr__(self, "cardinal", tuple(self.cardinal))
+        for kind, items in (("statement", self.ordinal), ("difference", self.cardinal)):
+            for index, item in enumerate(items):
+                for side in (item.lhs, item.rhs):
+                    _coords_of(side.mean, prior.n)
+                    if side.mean != prior:
+                        raise MeanMismatch(
+                            f"{kind} {index} averages to {side.mean}, not to the prior {prior}"
+                        )
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +211,8 @@ def gen_affineness_equalities(sub: Subdivision, prior: Belief) -> list[OrderedEx
         extremes = cell.geometry.vertices
         center = interior_point(cell.geometry)
         residual, lam = _residual_point(prior, center, set(extremes))
-        k = len(extremes)
-        spread = PosteriorDistribution([(v, lam / k) for v in extremes] + [(residual, 1 - lam)])
+        share = lam / len(extremes)
+        spread = PosteriorDistribution([(v, share) for v in extremes] + [(residual, 1 - lam)])
         collapsed = PosteriorDistribution([(center, lam), (residual, 1 - lam)])
         statements.append(
             OrderedExpectation(spread, collapsed, "eq", CellAffine(index))
@@ -286,8 +302,8 @@ def gen_nonaffineness_inequalities(sub: Subdivision, prior: Belief) -> list[Orde
 
 def satisfies_ordinal(dp: DecisionProblem, data: IdentificationData) -> bool:
     """Whether the problem's value function satisfies every ordinal statement."""
+    dp._require_states(data.prior.n)  # every side averages to the prior
     for statement in data.ordinal:
-        dp._require_states(statement.lhs.mean.n)
         gap = _gap(dp._integers(), _atom_columns(statement.lhs), _atom_columns(statement.rhs))
         if statement.relation == "eq" and gap != 0:
             return False
@@ -554,7 +570,6 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
     for index, diff in enumerate(data.cardinal):
         if index in solved:
             continue
-        _coords_of(diff.lhs.mean, sub.n)  # ShapeMismatch before the gap zips the columns
         predicted = _gap(rows, _atom_columns(diff.lhs), _atom_columns(diff.rhs))
         if predicted != diff.gap:
             raise InconsistentData(

@@ -10,12 +10,12 @@ Joint columns are the one bridge between experiments, posteriors and
 values, and they are integer rows over one scale. Signal s at prior pi has
 the joint column c_s(theta) = pi(theta) P(s | theta), formed only by
 _columns, as the prior's integer row times the likelihood's integer rows;
-atom (x_s, p_s) has the column p_s x_s, formed only by _atom_columns, as the
-atom's scaled probability times its belief's integer row. Divided by its
-sum (geometry._normalized), a column is the posterior, and its sum over the
-scale is the marginal; divided by the prior, state by state, the atom
-columns are the likelihoods of the experiment that induces the
-distribution.
+atom (x_s, p_s) has the column p_s x_s, formed once by the distribution and
+held (_atom_columns reads it), as the atom's scaled probability times its
+belief's integer row. Divided by its sum (geometry._normalized), a column
+is the posterior, and its sum over the scale is the marginal; divided by
+the prior, state by state, the atom columns are the likelihoods of the
+experiment that induces the distribution.
 
 Valuing an experiment needs no posteriors. Observing signal s and acting
 optimally earns max_a u_a . c_s, so E[V] = sum_s max_a u_a . c_s, exactly
@@ -29,25 +29,30 @@ scales its utility matrix on first use and holds the result
 (DecisionProblem._integers), so ranking many experiments for one problem
 scales the matrix once. A prior, as every belief, holds its integer row
 from when it was built, and an experiment scales its likelihood on first
-use and holds the result (Experiment._integers).
+use and holds the result (Experiment._integers). A posterior distribution
+holds its atom columns from when it is built, so valuing it, comparing it
+and recovering its experiment scale no atom.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 
 from .decision import DecisionProblem
-from .errors import MeanMismatch, ShapeMismatch
+from .errors import MeanMismatch, ShapeMismatch, UnreadableEntry
 from .geometry import (
     ONE, ZERO, Belief, Coords, _belief, _coords_of, _exact_belief, _frac, _normalized,
     _require_prior, _scaled, _scaled_points,
 )
 
-Columns = tuple[list, int]  # (integer columns, scale): column c is c[k] / scale for each state k
+# (integer columns, scale): column c is c[k] / scale for each state k; a
+# distribution holds its atom columns as tuples of int tuples
+Columns = tuple[Sequence[Sequence[int]], int]
 
 
 def _stochastic_rows(matrix, width: int | None = None) -> tuple[Coords, ...]:
@@ -130,36 +135,61 @@ class PosteriorDistribution:
 
     Atoms with identical beliefs are merged and the list is sorted by belief,
     so equal distributions compare equal syntactically. A raw coordinate
-    tuple is read as a Belief. The mean, the sum of the atom columns
-    (_atom_columns), is cached. The probabilities' total is read off the same
-    columns: each belief sums to one, so the columns' entries total the
-    columns' scale exactly when the probabilities sum to one.
+    tuple is read as a Belief. The beliefs are scaled once, to rows over one
+    positive scale, so sorting the rows sorts the beliefs, and the same rows
+    times the probabilities over their one denominator are the atom columns
+    p_s x_s, held as tuples outside the fields and the pickles (_atom_columns
+    reads them; a clone forms them again on first use). The mean is the sum
+    of the columns. The probabilities' total is read off the same columns:
+    each belief sums to one, so the columns' entries total the columns'
+    scale exactly when the probabilities sum to one.
     """
 
     atoms: tuple[tuple[Belief, Fraction], ...]
     mean: Belief
+    _ints = None
 
     def __init__(self, atoms):
-        atoms = [(_belief(b), prob) for b, prob in atoms]
-        if len({b.n for b, _ in atoms}) > 1:
+        pairs = []
+        for index, atom in enumerate(atoms):
+            try:  # a Belief is a sequence of coordinates, never a pair
+                point, prob = () if isinstance(atom, Belief) else atom
+            except (TypeError, ValueError):
+                raise UnreadableEntry(
+                    f"cannot read {atom!r} as a (belief, probability) pair: atom {index}"
+                ) from None
+            pairs.append((_belief(point), prob))
+        if len({b.n for b, _ in pairs}) > 1:
             raise ShapeMismatch("every atom's belief must be over the same states")
         merged: dict[Belief, Fraction] = {}
-        for belief_point, prob in atoms:
+        for point, prob in pairs:
             prob = _frac(prob)
             if prob.numerator < 0:
                 raise ValueError("atom probabilities must be nonnegative")
-            if not prob.numerator:
-                continue
-            merged[belief_point] = merged.get(belief_point, ZERO) + prob
+            if prob.numerator:
+                held = merged.get(point)
+                merged[point] = prob if held is None else held + prob
         if not merged:
             raise ValueError("a posterior distribution needs positive mass")
-        # the beliefs are distinct, so sorting by them alone is the order of the atoms
-        object.__setattr__(self, "atoms", tuple(sorted(merged.items(), key=itemgetter(0))))
-        columns, scale = _atom_columns(self)
+        rows, scale = _scaled_points(merged)
+        # the beliefs are distinct, so their rows are, and the sort never compares atoms
+        ordered = sorted(zip(map(tuple, rows), merged.items()))
+        object.__setattr__(self, "atoms", tuple(atom for _, atom in ordered))
+        columns, scale = self._hold([row for row, _ in ordered], scale)
         totals = [sum(c) for c in zip(*columns)]
         if sum(totals) != scale:
             raise ValueError(f"atom probabilities must sum to 1, got {sum(merged.values())}")
         object.__setattr__(self, "mean", _exact_belief(totals, scale))
+
+    def __getstate__(self) -> dict:
+        return {"atoms": self.atoms, "mean": self.mean}
+
+    def _hold(self, rows, scale: int) -> Columns:
+        """Hold and return the atom columns, given the atoms' belief rows over one scale."""
+        (probs,), prob_scale = _scaled((tuple(prob for _, prob in self.atoms),))
+        held = tuple(tuple(p * v for v in row) for p, row in zip(probs, rows)), prob_scale * scale
+        object.__setattr__(self, "_ints", held)
+        return held
 
     @property
     def support(self) -> tuple[Belief, ...]:
@@ -200,12 +230,12 @@ def _columns(prior: Belief, experiment: Experiment) -> Columns:
 def _atom_columns(dist: PosteriorDistribution) -> Columns:
     """One column p_s x_s per atom, the joint column of the signal inducing it.
 
-    Each atom's probability over the probabilities' one denominator times
-    its belief's row over the beliefs' one denominator.
+    The columns the distribution formed when it was built; a clone, which
+    pickles and copies leave without them, forms them on first use.
     """
-    (probs,), prob_scale = _scaled((tuple(prob for _, prob in dist.atoms),))
-    rows, scale = _scaled_points([b for b, _ in dist.atoms])
-    return [[p * v for v in row] for p, row in zip(probs, rows)], prob_scale * scale
+    if dist._ints is None:
+        dist._hold(*_scaled_points([b for b, _ in dist.atoms]))
+    return dist._ints
 
 
 def bayes_split(prior: Belief, experiment: Experiment) -> PosteriorDistribution:

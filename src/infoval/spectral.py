@@ -137,10 +137,11 @@ def ranked_experiments_of(data: IdentificationData) -> list[RankedExperiment]:
     """Translate ordered expectations into rankings of actual experiments.
 
     Every posterior distribution becomes the canonical experiment generating
-    it at the data's prior; equalities become indifferences and strict
-    inequalities become strict preferences for the left experiment.
+    it at the data's prior, which every side averages to; equalities become
+    indifferences and strict inequalities become strict preferences for the
+    left experiment.
     """
-    prior = _require_prior(data.prior)
+    prior = data.prior
     out = []
     for statement in data.ordinal:
         out.append(

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from random import Random
 
 from hypothesis import Phase
@@ -31,7 +32,9 @@ from infoval.geometry import (
     Coords,
     Halfspace,
     Polytope,
+    _belief,
     _coords_of,
+    _exact_belief,
     _extreme_rays,
     _frac,
     _hull,
@@ -40,6 +43,7 @@ from infoval.geometry import (
     _rank,
     _require_prior,
     _scaled,
+    _scaled_points,
     barycenter,
     dimension,
     hull_halfspaces,
@@ -259,7 +263,8 @@ def rank_by_posteriors(dp: DecisionProblem, prior: Belief, first: Experiment, se
 # ---------------------------------------------------------------------------
 # the Fraction products and checks that integer rows over one scale replaced
 # on the valuation path: the joint and atom columns, the likelihoods of the
-# recovered experiment and the row-stochastic check
+# recovered experiment and the row-stochastic check; and the distribution's
+# constructor and atom columns from before it held the columns it forms
 # ---------------------------------------------------------------------------
 
 
@@ -274,6 +279,43 @@ def columns_by_fractions(prior: Belief, experiment: Experiment) -> list[Coords]:
 def atom_columns_by_fractions(dist: PosteriorDistribution) -> list[Coords]:
     """One column p_s x_s per atom, as Fraction products."""
     return [tuple(prob * c for c in b.coords) for b, prob in dist.atoms]
+
+
+def atom_columns_by_scaling(dist: PosteriorDistribution) -> tuple[list, int]:
+    """_atom_columns as it formed the columns on every call, before a distribution held them."""
+    (probs,), prob_scale = _scaled((tuple(prob for _, prob in dist.atoms),))
+    rows, scale = _scaled_points([b for b, _ in dist.atoms])
+    return [[p * v for v in row] for p, row in zip(probs, rows)], prob_scale * scale
+
+
+def distribution_by_pairwise_sort(atoms) -> PosteriorDistribution:
+    """PosteriorDistribution's constructor as it was, holding its fields only, as a clone does.
+
+    The atoms are sorted by Belief.__lt__, each probability is added to a
+    Fraction zero, and the columns are formed by scaling the atoms.
+    """
+    self = object.__new__(PosteriorDistribution)
+    atoms = [(_belief(b), prob) for b, prob in atoms]
+    if len({b.n for b, _ in atoms}) > 1:
+        raise ShapeMismatch("every atom's belief must be over the same states")
+    merged: dict[Belief, Fraction] = {}
+    for belief_point, prob in atoms:
+        prob = _frac(prob)
+        if prob.numerator < 0:
+            raise ValueError("atom probabilities must be nonnegative")
+        if not prob.numerator:
+            continue
+        merged[belief_point] = merged.get(belief_point, ZERO) + prob
+    if not merged:
+        raise ValueError("a posterior distribution needs positive mass")
+    # the beliefs are distinct, so sorting by them alone is the order of the atoms
+    object.__setattr__(self, "atoms", tuple(sorted(merged.items(), key=itemgetter(0))))
+    columns, scale = atom_columns_by_scaling(self)
+    totals = [sum(c) for c in zip(*columns)]
+    if sum(totals) != scale:
+        raise ValueError(f"atom probabilities must sum to 1, got {sum(merged.values())}")
+    object.__setattr__(self, "mean", _exact_belief(totals, scale))
+    return self
 
 
 def experiment_of_by_fractions(prior: Belief, dist: PosteriorDistribution) -> Experiment:

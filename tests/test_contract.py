@@ -4,7 +4,10 @@ Every public function returns an exact object or raises a typed error from
 infoval.errors: no bare RuntimeError and no assert (which vanishes under
 python -O and raises AssertionError otherwise). Every number is exact, so
 no float literal appears in the source, and every public callable that
-takes a point or a row rejects a float entry. The forward geometry comes
+takes a point or a row rejects a float entry, and one that is not a
+sequence with UnreadableEntry. A value an instance forms and holds outside
+its fields (a class attribute _name = None) is left out of its pickles and
+copies by __getstate__, and a clone forms it again. The forward geometry comes
 from one lifted double description, so no library module imports the
 exact LP in linprog.py, which stays only as a test oracle. No module
 imports a name it never reads, so code deleted from a module takes its
@@ -18,6 +21,8 @@ from 3.12.
 """
 
 import ast
+import copy
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -35,8 +40,9 @@ from infoval.geometry import (
     belief,
     dimension,
     interior_interval_on_line,
+    interior_point,
 )
-from infoval.information import Experiment, PosteriorDistribution
+from infoval.information import Experiment, PosteriorDistribution, _atom_columns
 from infoval.spectral import SpectralElement
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "infoval").glob("*.py"))
@@ -120,6 +126,32 @@ def _private_fractions(tree: ast.AST) -> list[tuple[int, str]]:
         if name in PRIVATE_FRACTIONS:
             found.append((node.lineno, name))
     return sorted(found)
+
+
+def _stored_values(tree: ast.AST) -> dict[str, tuple[list[str], bool]]:
+    """Class name -> (its _-prefixed names set to None, whether it defines __getstate__).
+
+    Only classes with such a name are listed. Such a name is a value the
+    instance forms and holds outside its fields, which pickles and copies
+    must leave out.
+    """
+    found = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = [
+            target.id
+            for statement in node.body
+            if isinstance(statement, ast.Assign)
+            and isinstance(statement.value, ast.Constant)
+            and statement.value.value is None
+            for target in statement.targets
+            if isinstance(target, ast.Name) and target.id.startswith("_")
+        ]
+        if names:
+            methods = {s.name for s in node.body if isinstance(s, ast.FunctionDef)}
+            found[node.name] = (names, "__getstate__" in methods)
+    return found
 
 
 def _annotation_strings(tree: ast.AST):
@@ -261,6 +293,31 @@ def test_coords_scaling_scanner_catches_each_kind():
     assert _coords_scalings(ast.parse(source)) == [5, 7, 9]
 
 
+# class name -> (its stored names, defines __getstate__), over every library module
+STORED = {
+    name: found
+    for path in SOURCES
+    for name, found in _stored_values(ast.parse(path.read_text(), filename=str(path))).items()
+}
+
+
+def test_stored_values_are_left_out_of_pickles():
+    assert STORED and all(getstate for _, getstate in STORED.values())
+
+
+def test_stored_value_scanner_catches_each_kind():
+    source = (
+        "class Held:\n    _ints = None\n    _hash = None\n"
+        "    def __getstate__(self):\n        pass\n"
+        "class Leaky:\n    _center = None\n"
+        "class Public:\n    shown = None\n    _set = 0\n"
+    )
+    assert _stored_values(ast.parse(source)) == {
+        "Held": (["_ints", "_hash"], True),
+        "Leaky": (["_center"], False),
+    }
+
+
 def test_no_unreferenced_private_code():
     sources = {path.name: path.read_text() for path in SOURCES}
     assert _unreferenced_private(sources) == []
@@ -368,3 +425,86 @@ def test_unreadable_entry_rejected(call, entry):
     with pytest.raises(UnreadableEntry, match=f"^cannot read {re.escape(repr(entry))} as"):
         call(entry)
     assert issubclass(UnreadableEntry, ValueError) and issubclass(UnreadableEntry, TypeError)
+
+
+# every public callable that takes a point, or an atom, each given one that is not a sequence
+SEQUENCE_CALLS = {
+    "Belief": (lambda: Belief(5), "5 as a sequence of coordinates"),
+    # a string was read as its characters: make_problem(["12"]) had the row (1, 2)
+    "Belief-string": (lambda: Belief("1"), "'1' as a sequence of coordinates"),
+    "make_problem-string": (lambda: make_problem(["12"]), "'12' as a sequence of coordinates"),
+    "Halfspace": (lambda: Halfspace(3, 0), "3 as a sequence of coordinates"),
+    "make_problem": (lambda: make_problem([1, 2]), "1 as a sequence of coordinates"),
+    "AffineFn": (lambda: AffineFn(3), "3 as a sequence of coordinates"),
+    "Experiment": (lambda: Experiment(("a",), (1, 1)), "1 as a sequence of coordinates"),
+    "barycenter": (lambda: barycenter([5]), "5 as a sequence of coordinates"),
+    "dimension": (lambda: dimension([5]), "5 as a sequence of coordinates"),
+    "Halfspace.value": (lambda: Halfspace((1, 0), 0).value(5), "5 as a sequence of coordinates"),
+    "Polytope.contains": (lambda: SIMPLEX.contains(5), "5 as a sequence of coordinates"),
+    "DecisionProblem.payoff": (
+        lambda: make_problem([[1, 0]]).payoff(0, 5), "5 as a sequence of coordinates"
+    ),
+    "PosteriorDistribution-belief": (
+        lambda: PosteriorDistribution([(belief(1, 0), HALF), belief(0, 1)]),
+        re.escape(f"{belief(0, 1)!r} as a (belief, probability) pair: atom 1"),
+    ),
+    "PosteriorDistribution-single": (
+        lambda: PosteriorDistribution([(belief(1, 0),)]),
+        re.escape(f"{(belief(1, 0),)!r} as a (belief, probability) pair: atom 0"),
+    ),
+    "PosteriorDistribution-number": (
+        lambda: PosteriorDistribution([(belief(1, 0), HALF), (belief(0, 1), HALF), 5]),
+        re.escape("5 as a (belief, probability) pair: atom 2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", SEQUENCE_CALLS.values(), ids=SEQUENCE_CALLS.keys())
+def test_unreadable_sequence_rejected(call, message):
+    with pytest.raises(UnreadableEntry, match=f"^cannot read {message}$"):
+        call()
+
+
+def _use(instance) -> None:
+    """Form every value the instance holds outside its fields."""
+    if isinstance(instance, Belief):
+        hash(instance)
+    elif isinstance(instance, Polytope):
+        interior_point(instance)
+    elif isinstance(instance, PosteriorDistribution):
+        _atom_columns(instance)
+    else:
+        instance._integers()
+
+
+# one instance of each class that holds a stored value, by class name
+HOLDERS = {
+    "Belief": lambda: belief("1/3", "2/3"),
+    "Halfspace": lambda: Halfspace(("1/2", 0, 1), "1/3"),
+    "Polytope": lambda: Polytope.from_vertices(
+        [belief(1, 0, 0), belief(0, 1, 0), belief(0, "1/2", "1/2")]
+    ),
+    "Experiment": lambda: Experiment(("s1", "s2"), (("1/3", "2/3"), ("3/4", "1/4"))),
+    "DecisionProblem": lambda: make_problem([[1, "1/3"], ["1/2", 0]]),
+    "PosteriorDistribution": lambda: PosteriorDistribution(
+        [(belief("1/3", "2/3"), "1/4"), ((1, 0), "1/2"), (belief("1/5", "4/5"), "1/4")]
+    ),
+}
+
+
+def test_every_holder_is_cloned():
+    assert set(HOLDERS) == set(STORED)
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("name", HOLDERS)
+def test_clone_forms_its_stored_value_again(name, clone):
+    instance = HOLDERS[name]()
+    _use(instance)
+    stored = STORED[name][0]
+    copied = clone(instance)
+    assert not set(stored) & set(vars(copied))
+    assert copied == instance and repr(copied) == repr(instance)
+    _use(copied)
+    assert [vars(copied)[s] for s in stored] == [vars(instance)[s] for s in stored]

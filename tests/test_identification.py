@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -21,8 +22,10 @@ from infoval.errors import (
     BoundaryPrior,
     InconsistentData,
     MalformedData,
+    MeanMismatch,
     ShapeMismatch,
     SingularSolve,
+    UnreadableEntry,
 )
 from infoval.geometry import (
     Belief,
@@ -456,14 +459,14 @@ class TestReconstruction:
 
     def test_extra_difference_over_more_states_rejected(self):
         # a difference the tree does not use is checked by a gap over the
-        # pieces' rows, which must not truncate its four-state atoms
+        # pieces' rows, which must not truncate four-state atoms: the data
+        # rejects such a difference, whose sides are over other states than the prior
         dp = support.guess_the_state_problem()
         data = generate_identification(dp, uniform_belief(3), include_all_edges=True)
         wide = PosteriorDistribution.point_mass(uniform_belief(4))
         extra = UtilityDifference(wide, wide, 0, data.cardinal[0].edge)
-        widened = IdentificationData(data.prior, data.ordinal, data.cardinal + (extra,))
         with pytest.raises(ShapeMismatch, match="4 coordinates where 3 are expected"):
-            reconstruct_value(widened)
+            IdentificationData(data.prior, data.ordinal, data.cardinal + (extra,))
 
     def test_swapped_sides_with_negated_gap_are_equivalent(self):
         # E[lhs] = E[rhs] + gap says the same thing as E[rhs] = E[lhs] - gap
@@ -659,6 +662,43 @@ class TestUtilityDifferenceFields:
         d = PosteriorDistribution([(uniform_belief(2), 1)])
         with pytest.raises(MalformedData, match="names two cells by int index"):
             UtilityDifference(d, d, 1, edge)
+
+
+class TestIdentificationDataFields:
+    """Identification data is at one prior, read by _require_prior, which every side averages to."""
+
+    @staticmethod
+    def data() -> IdentificationData:
+        return generate_identification(support.two_peak_problem(), uniform_belief(2))
+
+    def test_other_prior_rejected(self):
+        # reconstruct_value reads no prior, so it accepted such data, which
+        # ranked_experiments_of rejected
+        data = self.data()
+        message = "statement 0 averages to (1/2, 1/2), not to the prior (1/3, 2/3)"
+        with pytest.raises(MeanMismatch, match=f"^{re.escape(message)}$"):
+            IdentificationData(belief("1/3", "2/3"), data.ordinal, data.cardinal)
+
+    def test_difference_off_the_prior_named_by_index(self):
+        data = self.data()
+        off = PosteriorDistribution.point_mass(belief("1/3", "2/3"))
+        extra = UtilityDifference(off, off, 0, (0, 1))
+        with pytest.raises(MeanMismatch, match=f"^difference {len(data.cardinal)} averages to"):
+            IdentificationData(data.prior, data.ordinal, data.cardinal + (extra,))
+
+    @pytest.mark.parametrize(
+        "prior, error",
+        [("x", UnreadableEntry), ((1, 0), BoundaryPrior), ((0.5, "1/2"), TypeError)],
+        ids=["unreadable", "boundary", "float"],
+    )
+    def test_prior_read_by_require_prior(self, prior, error):
+        with pytest.raises(error):
+            IdentificationData(prior, (), ())
+
+    def test_raw_tuple_prior_read_as_belief(self):
+        data = self.data()
+        raw = IdentificationData(data.prior.coords, data.ordinal, data.cardinal)
+        assert raw == data and type(raw.prior) is Belief
 
 
 class TestEqualUpToAffine:

@@ -10,11 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import support
+from infoval import information
 from infoval.decision import DecisionProblem, make_problem
 from infoval.errors import BoundaryPrior, MeanMismatch, ShapeMismatch
 from infoval.geometry import (
     ZERO, Belief, _normalized, _require_prior, _scaled, belief, uniform_belief
 )
+from infoval.identification import generate_identification
 from infoval.information import (
     Experiment,
     Order,
@@ -744,6 +746,99 @@ class TestHeldLikelihood:
     def test_held_rows_are_the_scaled_likelihood(self, seed, n):
         e = support.random_experiment(Random(seed), n)
         assert e._integers() == _scaled(e.likelihood)
+
+
+@st.composite
+def drawn_atoms(draw):
+    """Atoms with repeated beliefs, zero probabilities and raw coordinate tuples.
+
+    A repeat is the same Belief, an equal one built again or its raw tuple.
+    Each probability is a Fraction of its own, weight over a total that is
+    the weights' sum, or one more, so the probabilities may miss one.
+    """
+    n = draw(st.integers(1, 5))
+    beliefs = draw(st.lists(support.mixed_beliefs(n), min_size=1, max_size=4))
+    picks = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(beliefs) - 1),
+                st.integers(0, 6),
+                st.sampled_from(["same", "rebuilt", "raw"]),
+            ),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    total = sum(w for _, w, _ in picks) + draw(st.sampled_from([0, 0, 0, 1]))
+    assume(total > 0)
+    forms = {"same": lambda b: b, "rebuilt": lambda b: Belief(b.coords), "raw": lambda b: b.coords}
+    return [(forms[form](beliefs[k]), Fraction(w, total)) for k, w, form in picks]
+
+
+class TestHeldAtomColumns:
+    """A distribution forms its atom columns once, when it is built, and holds them."""
+
+    @staticmethod
+    def check(dist: PosteriorDistribution, old: PosteriorDistribution) -> None:
+        """dist holds the columns old's constructor formed, and a clone forms them again."""
+        assert (dist.atoms, dist.mean) == (old.atoms, old.mean)
+        assert repr(dist) == repr(old) and hash(dist) == hash(old)
+        columns, scale = support.atom_columns_by_scaling(old)
+        held = vars(dist)["_ints"]
+        assert held == (tuple(map(tuple, columns)), scale)
+        for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+            copied = clone(dist)
+            assert copied == old and "_ints" not in vars(copied)
+            assert _atom_columns(copied) == held
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_atoms())
+    def test_constructor_matches_the_pairwise_sort(self, atoms):
+        expected = _outcome(support.distribution_by_pairwise_sort, atoms)
+        assert _outcome(PosteriorDistribution, atoms) == expected
+        if isinstance(expected, tuple):
+            return
+        dist = PosteriorDistribution(atoms)
+        old = support.distribution_by_pairwise_sort(atoms)
+        self.check(dist, old)
+        assert pickle.dumps(dist) == pickle.dumps(old)
+
+    @settings(max_examples=25, deadline=None, phases=support.NO_SHRINK)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=4))
+    def test_splits_and_generated_sides_match(self, seed, n):
+        rng = Random(seed)
+        dp = support.random_problem(rng, n=n, max_actions=5)
+        prior = support.random_interior_prior(rng, n)
+        data = generate_identification(dp, prior, include_all_edges=True)
+        sides = [bayes_split(prior, support.random_experiment(rng, n))]
+        sides += [side for item in data.ordinal + data.cardinal for side in (item.lhs, item.rhs)]
+        # no pickle bytes here: a side may give one Fraction object to several
+        # atoms, which its pickle then writes once
+        for dist in sides:
+            self.check(dist, support.distribution_by_pairwise_sort(dist.atoms))
+
+    def test_reading_a_built_distribution_scales_no_atom(self, monkeypatch):
+        dp = make_problem([[1, "1/3", 0], ["1/2", 0, "2/5"], [0, "3/4", "1/6"]])
+        prior = belief("1/6", "1/3", "1/2")
+        e = Experiment(("s1", "s2", "s3"), (("1/3", "2/3", 0), ("1/4", "1/4", "1/2"), (1, 0, 0)))
+        dist = bayes_split(prior, e)
+        expected = expected_value(dp, dist), experiment_of(prior, dist)
+        calls = []
+
+        def counted(name):
+            scale = getattr(information, name)
+
+            def call(*args):
+                calls.append((name, args))
+                return scale(*args)
+
+            return call
+
+        for name in ("_scaled_points", "_scaled"):
+            monkeypatch.setattr(information, name, counted(name))
+        assert (expected_value(dp, dist), experiment_of(prior, dist)) == expected
+        # the prior's row is held, so scaling it scales nothing
+        assert calls == [("_scaled_points", ([prior],))]
 
 
 class RepeatingRandom(Random):
