@@ -314,18 +314,19 @@ def evaluate_value(dp: DecisionProblem, x: Belief) -> Fraction:
 
 
 def _lift(dp: DecisionProblem) -> tuple[list[list[int]], list[frozenset[int]], list[int]]:
-    """dp's lifted extreme rays, each lifted row's set of them, and the undominated actions.
+    """dp's lifted extreme rays, each action row's set of them, and the undominated actions.
 
     One double description on the cone {(x, z) : x >= 0, scale * z >= rows[a] . x}
     over the problem's integer rows (dp._integers), with rows (e_i, 0), then
     (-rows[a], scale). The rays come back as their x parts: the vertical
     ray's is zero, and every other lies on the envelope above a vertex of
-    the subdivision. Row k's set is the rays its zero set holds, the whole
-    face of row k: the n coordinate rows' hold the vertical ray, and action
-    a's, row n + a, the rays where a is optimal. The cone is pointed, so a
-    face is fixed by its rays (Ziegler, Lectures on Polytopes, ch. 2), and
-    action a is undominated exactly when its row cuts a facet: it repeats no
-    earlier row, and its set is non-empty and strictly inside no other.
+    the subdivision. Action a's set is the rays its row's zero set holds,
+    the whole face of that row: the rays where a is optimal. The cone is
+    pointed, so a face is fixed by its rays (Ziegler, Lectures on Polytopes,
+    ch. 2), and action a is undominated exactly when its row cuts a facet:
+    it repeats no earlier row, and its set is non-empty and strictly inside
+    no other action's. The coordinate rows need no set: a face without the
+    vertical ray lies on the envelope, so in some winner's facet.
     """
     n = dp.n
     rows, scale = dp._integers()
@@ -333,12 +334,12 @@ def _lift(dp: DecisionProblem) -> tuple[list[list[int]], list[frozenset[int]], l
     lifted += [[-v for v in row] + [scale] for row in rows]
     found = _extreme_rays(lifted, n + 1)
     sets = [
-        frozenset(r for r, (_, zeros) in enumerate(found) if zeros >> k & 1)
-        for k in range(len(lifted))
+        frozenset(r for r, (_, zeros) in enumerate(found) if zeros >> (n + a) & 1)
+        for a in range(len(rows))
     ]
     winners = [
         a for a, row in enumerate(rows)
-        if row not in rows[:a] and sets[n + a] and not any(sets[n + a] < s for s in sets)
+        if row not in rows[:a] and sets[a] and not any(sets[a] < s for s in sets)
     ]
     return [ray[:n] for ray, _ in found], sets, winners
 
@@ -366,8 +367,9 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     optimal, in Belief order. Cells come back ordered by action index. A
     ridge of the lifted cone lies in exactly two facets and a smaller face
     in at least three, so winners a < b share a facet exactly when only
-    their two facet rows (of the coordinate rows and the winners') hold all
-    their common rays: the dual of geometry._extreme_rays' adjacency test.
+    their two rows hold all their common rays: the dual of
+    geometry._extreme_rays' adjacency test. Winners' rows suffice, as cells
+    that meet in less than a ridge also meet a third cell there.
     Payoffs tie there, so the halfspace is _facet of u(b,.) - u(a,.); the
     shared face is cell a cut by it, with the common rays as vertices. Each
     undominated action's row is the only maximizing row on an open set, so
@@ -384,12 +386,12 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     for a in winners:
         cuts = (_facet([x - y for x, y in zip(rows[a], rows[b])]) for b in winners if b != a)
         halfspaces = tuple(_facet_halfspace(*cut) for cut in dict.fromkeys(cuts))
-        corners = tuple(vertices[r] for r in order if r in sets[n + a])
+        corners = tuple(vertices[r] for r in order if r in sets[a])
         cells.append(Cell(a, Polytope(halfspaces, corners, n)))
-    facets = sets[:n] + [sets[n + a] for a in winners]
+    facets = [sets[a] for a in winners]
     adjacency = []
     for (i, a), (j, b) in combinations(enumerate(winners), 2):
-        common = sets[n + a] & sets[n + b]
+        common = sets[a] & sets[b]
         if sum(common <= s for s in facets) == 2:
             facet = _facet_halfspace(*_facet([y - x for x, y in zip(rows[a], rows[b])]))
             face = tuple(vertices[r] for r in order if r in common)

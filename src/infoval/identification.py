@@ -59,6 +59,12 @@ from .geometry import (
 from .information import PosteriorDistribution, _atom_columns, _gap
 
 
+def _require_type(what: str, value, kind: type) -> None:
+    """MalformedData naming what, a field or an item by index, unless value is a kind."""
+    if not isinstance(value, kind):
+        raise MalformedData(f"{what} must be of type {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CellAffine:
     """Tags an equality that tests affineness on one cell."""
@@ -89,6 +95,8 @@ class OrderedExpectation:
     tag: CellAffine | PairNonAffine
 
     def __post_init__(self):
+        _require_type("lhs", self.lhs, PosteriorDistribution)
+        _require_type("rhs", self.rhs, PosteriorDistribution)
         if self.relation not in ("eq", "gt"):
             raise ValueError("relation must be 'eq' or 'gt'")
         if self.lhs.mean != self.rhs.mean:
@@ -114,6 +122,8 @@ class UtilityDifference:
     edge: tuple[int, int]
 
     def __post_init__(self):
+        _require_type("lhs", self.lhs, PosteriorDistribution)
+        _require_type("rhs", self.rhs, PosteriorDistribution)
         object.__setattr__(self, "gap", _frac(self.gap))
         try:
             edge = tuple(self.edge)
@@ -133,7 +143,7 @@ class IdentificationData:
     The prior is read by _require_prior, and every side of every statement
     and difference must average to it: ShapeMismatch for a side over other
     states, then MeanMismatch naming the first statement or difference, by
-    index, that does not.
+    index, that does not; MalformedData names one of another type.
     """
 
     prior: Belief
@@ -146,8 +156,12 @@ class IdentificationData:
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "ordinal", tuple(self.ordinal))
         object.__setattr__(self, "cardinal", tuple(self.cardinal))
-        for kind, items in (("statement", self.ordinal), ("difference", self.cardinal)):
+        for kind, items, item_type in (
+            ("statement", self.ordinal, OrderedExpectation),
+            ("difference", self.cardinal, UtilityDifference),
+        ):
             for index, item in enumerate(items):
+                _require_type(f"{kind} {index}", item, item_type)
                 for side in (item.lhs, item.rhs):
                     _coords_of(side.mean, prior.n)
                     if side.mean != prior:
@@ -532,7 +546,7 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
     sub = extract_subdivision(data)
     t = len(sub.cells)
     root = data.root_cell
-    if not isinstance(root, int):
+    if not isinstance(root, int) or isinstance(root, bool):
         raise MalformedData(f"root cell {root!r} is not a cell index")
     if not 0 <= root < t:
         raise MalformedData(f"root cell {root} is out of range")

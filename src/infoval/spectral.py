@@ -1,11 +1,10 @@
-"""Prior-free identification: likelihood-ratio encodings and prior transport.
+"""Prior-free identification as one identity: transport between interior priors.
 
-A belief together with an interior prior determines the ratios of signal
-probabilities across states that any experiment must use to produce it, and
-those ratios do not depend on the prior once reported. Encoding each cell's
-extreme points this way gives a prior-free fingerprint of the subdivision:
-realizing it at another interior prior produces the cell geometry a suitably
-reweighted problem would induce there, with the value of every experiment
+A signal moves an interior prior p to a posterior x whose likelihood ratio
+x / p is all it tells of the signal. So reweighting payoffs to
+u'(a, theta) = u(a, theta) * p(theta) / q(theta) (transport_problem) moves
+a problem to another interior prior q with the value of every experiment,
+and every ranking that identification data state (ranked_experiments_of),
 unchanged.
 """
 
@@ -13,99 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decision import DecisionProblem, Subdivision
-from .errors import ShapeMismatch
-from .geometry import (
-    Belief,
-    Coords,
-    _coords_of,
-    _normalized,
-    _require_prior,
-)
-from .identification import CellAffine, IdentificationData, PairNonAffine
+from .decision import DecisionProblem
+from .geometry import Belief, _require_prior
+from .identification import CellAffine, IdentificationData, PairNonAffine, _require_type
 from .information import Experiment, Order, experiment_of, rank
 
 
-@dataclass(frozen=True)
-class SpectralElement:
-    """One cell's extreme points as likelihood-ratio rays.
-
-    Each ray is a nonnegative vector proportional to belief/prior, scaled so
-    its largest coordinate is one. Rays are sorted and pairwise distinct; a
-    ray determines the posterior at any interior prior.
-    """
-
-    cell: int
-    rays: tuple[Coords, ...]
-
-    def __post_init__(self):
-        rays = tuple(map(_coords_of, self.rays))
-        if not rays:
-            raise ValueError("a spectral element needs at least one ray")
-        if len({len(ray) for ray in rays}) > 1:
-            raise ShapeMismatch("likelihood rays in one element must all have the same length")
-        if not all(rays):
-            raise ValueError("each likelihood ray needs at least one coordinate")
-        object.__setattr__(self, "rays", tuple(sorted(rays)))
-        if len(set(self.rays)) != len(self.rays):
-            raise ValueError("likelihood rays must be pairwise distinct")
-        for ray in self.rays:
-            if any(v < 0 for v in ray) or max(ray) != 1:
-                raise ValueError("each ray must be nonnegative with maximum 1")
-
-
-@dataclass(frozen=True)
-class SpectralSubdivision:
-    """One spectral element per cell of the source subdivision."""
-
-    elements: tuple[SpectralElement, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-
-
-def _ray_of(point: Belief, prior: Belief) -> Coords:
-    ratios = tuple(x / m for x, m in zip(point.coords, prior.coords))
-    top = max(ratios)
-    return tuple(r / top for r in ratios)
-
-
-def spectral_of(sub: Subdivision, prior: Belief) -> SpectralSubdivision:
-    """Encode every cell vertex as a max-normalized likelihood-ratio ray."""
-    prior = _require_prior(prior, sub.n)
-    elements = []
-    for index, cell in enumerate(sub.cells):
-        rays = tuple(_ray_of(v, prior) for v in cell.geometry.vertices)
-        elements.append(SpectralElement(index, rays))
-    return SpectralSubdivision(tuple(elements))
-
-
-def realize(spec: SpectralSubdivision, prior: Belief) -> list[tuple[Belief, ...]]:
-    """Cell vertex sets the spectral data induces at the given interior prior.
-
-    Each ray L becomes the belief with x(theta) proportional to
-    prior(theta) * L(theta). At the encoding prior this inverts spectral_of
-    exactly. Only the geometry comes back; payoffs are not part of the data.
-    """
-    prior = _require_prior(prior)
-    cells = []
-    for element in spec.elements:
-        vertices = [
-            _normalized([m * r for m, r in zip(prior.coords, _coords_of(ray, prior.n))])
-            for ray in element.rays
-        ]
-        cells.append(tuple(sorted(vertices)))
-    return cells
-
-
 def transport_problem(dp: DecisionProblem, prior: Belief, target: Belief) -> DecisionProblem:
-    """Reweight payoffs so the new prior prices every experiment identically.
+    """The problem that values every experiment at target as dp does at prior.
 
-    Entrywise u'(a, theta) = u(a, theta) * prior(theta) / target(theta). The
-    transported problem's subdivision at the target prior is exactly the
-    realization there of the original subdivision's spectral encoding, and
-    the value of any experiment is unchanged. Each prior goes through
-    _require_prior on the problem's states.
+    Entrywise u'(a, theta) = u(a, theta) * prior(theta) / target(theta). Its
+    cells (compute_subdivision) are dp's with each vertex x reweighted to
+    x * target / prior and renormalized, since every payoff under u' there
+    is the payoff under u at x times one positive factor. Each prior goes
+    through _require_prior on the problem's states.
     """
     prior = _require_prior(prior, dp.n)
     target = _require_prior(target, dp.n)
@@ -129,6 +49,8 @@ class RankedExperiment:
     tag: CellAffine | PairNonAffine
 
     def __post_init__(self):
+        _require_type("lhs", self.lhs, Experiment)
+        _require_type("rhs", self.rhs, Experiment)
         if self.relation not in (Order.EQUAL, Order.BETTER):
             raise ValueError(f"relation must be Order.EQUAL or Order.BETTER, got {self.relation!r}")
 

@@ -1,6 +1,7 @@
 """Shared fixtures and random-instance generators for the test suite."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
@@ -945,3 +946,57 @@ def subdivision_by_lp(dp: DecisionProblem) -> Subdivision:
         ]
         cells.append(Cell(a, Polytope.from_halfspaces(halfspaces, dp.n)))
     return subdivision_by_pairs(cells)
+
+
+# ---------------------------------------------------------------------------
+# the likelihood-ratio encoding: each cell vertex x at a prior as its ray
+# x / prior, and the vertices those rays give at another prior, the second
+# form of the prior-free claim that transport_problem carries, kept as the
+# oracle of its cells and of the spectral golden digest
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SpectralElement:
+    """One cell's vertices as likelihood-ratio rays, each scaled to maximum one, in sorted order."""
+
+    cell: int
+    rays: tuple[Coords, ...]
+
+
+@dataclass(frozen=True)
+class SpectralSubdivision:
+    """One spectral element per cell of the source subdivision."""
+
+    elements: tuple[SpectralElement, ...]
+
+
+def spectral_of(sub: Subdivision, prior) -> SpectralSubdivision:
+    """Encode every cell vertex x as the ray x / prior, divided by its largest entry."""
+    prior = _require_prior(prior, sub.n)
+    elements = []
+    for index, cell in enumerate(sub.cells):
+        rays = []
+        for vertex in cell.geometry.vertices:
+            ratios = [x / m for x, m in zip(vertex.coords, prior.coords)]
+            top = max(ratios)
+            rays.append(tuple(r / top for r in ratios))
+        elements.append(SpectralElement(index, tuple(sorted(rays))))
+    return SpectralSubdivision(tuple(elements))
+
+
+def realize(spec: SpectralSubdivision, prior) -> list[tuple[Belief, ...]]:
+    """Each element's vertices at an interior prior: x proportional to prior * ray, sorted.
+
+    The prior goes through _require_prior, then each ray through _coords_of
+    on its states: BoundaryPrior, then ShapeMismatch. At the encoding prior
+    this inverts spectral_of.
+    """
+    prior = _require_prior(prior)
+    return [
+        tuple(sorted(
+            normalized_by_fractions([m * r for m, r in zip(prior.coords, _coords_of(ray, prior.n))])
+            for ray in element.rays
+        ))
+        for element in spec.elements
+    ]

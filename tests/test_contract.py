@@ -43,7 +43,7 @@ from infoval.geometry import (
     interior_point,
 )
 from infoval.information import Experiment, PosteriorDistribution, _atom_columns
-from infoval.spectral import SpectralElement
+from infoval.spectral import transport_problem
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "infoval").glob("*.py"))
 
@@ -398,7 +398,9 @@ FLOAT_CALLS = {
     "DecisionProblem": lambda: DecisionProblem(("t1", "t2"), ("a1",), ((0.5, 1),)),
     "make_problem": lambda: make_problem([[1, 0], [0.5, 1]]),
     "Experiment": lambda: Experiment(("s1",), ((1,), (1.0,))),
-    "SpectralElement": lambda: SpectralElement(0, ((1, 0.5),)),
+    "transport_problem": lambda: transport_problem(
+        make_problem([[1, 0]]), (0.5, HALF), belief(HALF, HALF)
+    ),
 }
 
 

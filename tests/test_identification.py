@@ -57,8 +57,8 @@ from infoval.identification import (
     _residual_difference,
     _residual_point,
 )
-from infoval.information import PosteriorDistribution, expected_value
-from infoval.spectral import spectral_of
+from infoval.information import Order, PosteriorDistribution, expected_value
+from infoval.spectral import RankedExperiment, satisfies_ranked
 
 
 def atoms_of(dist):
@@ -510,7 +510,7 @@ class TestReconstruction:
         with pytest.raises(MalformedData, match=f"root cell {root} is out of range"):
             reconstruct_value(moved)
 
-    @pytest.mark.parametrize("root", ["x", None, 0.0])
+    @pytest.mark.parametrize("root", ["x", None, 0.0, True, False])
     def test_root_that_is_not_an_index_is_malformed(self, root):
         data = generate_identification(support.safe_or_bet_problem(), uniform_belief(2))
         moved = IdentificationData(data.prior, data.ordinal, data.cardinal, root)
@@ -699,6 +699,47 @@ class TestIdentificationDataFields:
         data = self.data()
         raw = IdentificationData(data.prior.coords, data.ordinal, data.cardinal)
         assert raw == data and type(raw.prior) is Belief
+
+
+POINT = PosteriorDistribution.point_mass(uniform_belief(2))
+
+# every part that holds a distribution or a statement, each given an int
+WRONG_TYPED_PARTS = {
+    "OrderedExpectation.lhs": (
+        lambda: OrderedExpectation(5, 5, "eq", CellAffine(0)),
+        "lhs must be of type PosteriorDistribution, got 5",
+    ),
+    "OrderedExpectation.rhs": (
+        lambda: OrderedExpectation(POINT, 5, "eq", CellAffine(0)),
+        "rhs must be of type PosteriorDistribution, got 5",
+    ),
+    "UtilityDifference.lhs": (
+        lambda: UtilityDifference(5, 5, 1, (0, 1)),
+        "lhs must be of type PosteriorDistribution, got 5",
+    ),
+    "IdentificationData.ordinal": (
+        lambda: IdentificationData(uniform_belief(2), (5,), ()),
+        "statement 0 must be of type OrderedExpectation, got 5",
+    ),
+    "IdentificationData.cardinal": (
+        lambda: IdentificationData(uniform_belief(2), (), (5,)),
+        "difference 0 must be of type UtilityDifference, got 5",
+    ),
+    "RankedExperiment.lhs": (
+        lambda: satisfies_ranked(
+            support.two_peak_problem(),
+            uniform_belief(2),
+            [RankedExperiment(5, 5, Order.EQUAL, CellAffine(0))],
+        ),
+        "lhs must be of type Experiment, got 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPED_PARTS.values(), ids=WRONG_TYPED_PARTS.keys())
+def test_wrong_typed_part_is_malformed(call, message):
+    with pytest.raises(MalformedData, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestEqualUpToAffine:
@@ -932,7 +973,6 @@ class TestForeignSubdivision:
         [
             gen_affineness_equalities,
             gen_nonaffineness_inequalities,
-            spectral_of,
             spanning_tree_of,
             differences_on,
         ],

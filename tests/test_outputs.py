@@ -7,9 +7,12 @@ outputs byte-identical is checked here. The valuation outputs also use two
 seeded experiments per problem, one of them with a zero signal and two
 proportional ones, a second interior prior, and the type and message of
 each error a boundary prior, wrong experiment rows or a prior over other
-states than the problem's raises. Only a change that declares an
-output change up front, such as small-denominator witnesses (ROADMAP item 5),
-may regenerate these digests, and it says so in CHANGES.md.
+states than the problem's raises. The spectral outputs come from the
+likelihood-ratio encoding in tests/support.py (spectral_of, realize), the
+oracle of transport_problem's cells, so that digest pins the oracle. Only
+a change that declares an output change up front, such as
+small-denominator witnesses (ROADMAP item 5), may regenerate these
+digests, and it says so in CHANGES.md.
 """
 
 import hashlib
@@ -31,7 +34,6 @@ from infoval.information import (
     rank,
     value_of_experiment,
 )
-from infoval.spectral import realize, spectral_of
 
 
 def _corpus():
@@ -78,7 +80,7 @@ def _bridge(dp, prior, data, rng: Random) -> dict[str, list]:
     wide = support.random_interior_prior(rng, n + 1)
     splits = [bayes_split(prior, first), bayes_split(prior, second)]
     sides = [side for s in data.ordinal + data.cardinal for side in (s.lhs, s.rhs)]
-    spec = spectral_of(compute_subdivision(dp), prior)
+    spec = support.spectral_of(compute_subdivision(dp), prior)
     return {
         "bayes_split": splits + [
             _outcome(bayes_split, other, second),
@@ -106,7 +108,9 @@ def _bridge(dp, prior, data, rng: Random) -> dict[str, list]:
                 (first, wrong_rows), (wrong_rows, first), (wrong_rows, wrong_rows),
             )
         ],
-        "spectral": [spec] + [_outcome(realize, spec, p) for p in (prior, other, boundary, wide)],
+        "spectral": [spec] + [
+            _outcome(support.realize, spec, p) for p in (prior, other, boundary, wide)
+        ],
     }
 
 

@@ -2,23 +2,27 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
-from infoval.decision import compute_subdivision, scale_problem
+from infoval.decision import compute_subdivision, make_problem, scale_problem
 from infoval.errors import BoundaryPrior, ShapeMismatch
 from infoval.geometry import belief, uniform_belief
-from infoval.identification import CellAffine, PairNonAffine, generate_identification
-from infoval.information import Experiment, Order, value_of_experiment
+from infoval.identification import (
+    CellAffine,
+    PairNonAffine,
+    generate_identification,
+    reconstruct_value,
+)
+from infoval.information import Experiment, Order, bayes_split, expected_value, value_of_experiment
 from infoval.spectral import (
     RankedExperiment,
-    SpectralElement,
-    SpectralSubdivision,
     ranked_experiments_of,
-    realize,
     satisfies_ranked,
-    spectral_of,
     transport_problem,
 )
+from support import SpectralElement, SpectralSubdivision, realize, spectral_of
 
 
 def cell_vertex_sets(sub):
@@ -41,8 +45,6 @@ class TestSpectralOf:
         )
 
     def test_single_cell_gives_coordinate_rays(self):
-        from infoval.decision import make_problem
-
         sub = compute_subdivision(make_problem([[1, 2, 3]]))
         spec = spectral_of(sub, uniform_belief(3))
         assert set(spec.elements[0].rays) == {
@@ -56,32 +58,11 @@ class TestSpectralOf:
         with pytest.raises(BoundaryPrior):
             spectral_of(sub, belief(1, 0))
 
-    def test_duplicate_rays_rejected(self):
-        with pytest.raises(ValueError):
-            SpectralElement(0, ((1, 0), (1, 0)))
-
     def test_prior_over_other_states_rejected(self):
         sub = compute_subdivision(support.two_peak_problem())
         for prior in (uniform_belief(3), belief(1, 0, 0)):  # the shape is checked first
             with pytest.raises(ShapeMismatch):
                 spectral_of(sub, prior)
-
-    @pytest.mark.parametrize("ray", [(1, -1), ("1/2", 0)])
-    def test_ray_not_nonnegative_with_maximum_one_rejected(self, ray):
-        with pytest.raises(ValueError, match="nonnegative with maximum 1"):
-            SpectralElement(0, (ray,))
-
-    def test_element_without_rays_rejected(self):
-        with pytest.raises(ValueError, match="at least one ray"):
-            SpectralElement(0, ())
-
-    def test_empty_ray_rejected(self):
-        with pytest.raises(ValueError, match="at least one coordinate"):
-            SpectralElement(0, ((),))
-
-    def test_rays_of_different_lengths_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            SpectralElement(0, ((1, 0), (1, 0, 0)))
 
 
 class TestRealize:
@@ -102,8 +83,6 @@ class TestRealize:
         assert got[0] == (belief("1/4", "3/4"), belief("1", "0"))
 
     def test_single_cell_realizes_to_simplex(self):
-        from infoval.decision import make_problem
-
         sub = compute_subdivision(make_problem([[1, 2]]))
         spec = spectral_of(sub, uniform_belief(2))
         got = realize(spec, belief("1/5", "4/5"))
@@ -174,6 +153,39 @@ class TestTransport:
                 dp, prior, pi
             )
 
+    @settings(max_examples=60, deadline=None, phases=support.NO_SHRINK)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=5))
+    def test_transports_compose_exactly(self, seed, n):
+        # p to q then q to r is p to r, and p to q then back is the identity
+        rng = Random(seed)
+        dp = support.random_problem(rng, n=n, max_actions=5)
+        p, q, r = (support.random_interior_prior(rng, n) for _ in range(3))
+        moved = transport_problem(dp, p, q)
+        assert transport_problem(moved, q, r) == transport_problem(dp, p, r)
+        assert transport_problem(moved, q, p) == dp
+
+    def test_reconstructions_rank_experiments_alike_across_priors(self):
+        # F is reconstructed from the data of dp at p, G from the data of its
+        # transport at q. Both are known only up to an affine part, which the
+        # gap between two experiments' expected values cancels, so F at p and
+        # G at q must give every pair of experiments the same gap.
+        def gap(fn, prior, first, second):
+            pieces = make_problem([piece.coeffs for piece in fn.pieces])
+            return expected_value(pieces, bayes_split(prior, first)) - expected_value(
+                pieces, bayes_split(prior, second)
+            )
+
+        rng = Random(71)
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            dp = support.random_problem(rng, n=n, max_actions=5)
+            p, q = support.random_interior_prior(rng, n), support.random_interior_prior(rng, n)
+            source = reconstruct_value(generate_identification(dp, p))
+            moved = reconstruct_value(generate_identification(transport_problem(dp, p, q), q))
+            for _ in range(3):
+                first, second = support.random_experiment(rng, n), support.random_experiment(rng, n)
+                assert gap(source, p, first, second) == gap(moved, q, first, second)
+
     def test_spectral_invariance_of_transport(self):
         rng = Random(61)
         dp = support.random_problem(rng, n=3, max_actions=4)
@@ -194,12 +206,6 @@ def _ranked(prior):
 
 
 PRIOR_ENTRY_POINTS = {
-    "spectral_of": lambda prior: spectral_of(
-        compute_subdivision(support.two_peak_problem()), prior
-    ),
-    "realize": lambda prior: realize(
-        spectral_of(compute_subdivision(support.two_peak_problem()), uniform_belief(2)), prior
-    ),
     "transport_problem": lambda prior: transport_problem(
         support.two_peak_problem(), prior, belief("1/4", "3/4")
     ),
@@ -280,8 +286,6 @@ class TestRankedExperiments:
             assert not satisfies_ranked(dp, uniform_belief(2), [ranked])
 
     def test_different_subdivision_violates(self):
-        from infoval.decision import make_problem
-
         dp = support.safe_or_bet_problem()
         prior = belief("2/5", "3/5")
         ranked = ranked_experiments_of(generate_identification(dp, prior))
