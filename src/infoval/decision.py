@@ -37,6 +37,40 @@ from .geometry import (
 )
 
 
+# (low, spread, width, states, cuts); see _pack
+Packing = tuple[int, int, int, tuple[int, ...], tuple[slice, ...]]
+
+
+def _pack(rows: list[list[int]], most: int, held: Packing | None) -> Packing:
+    """The integer payoff rows packed into one integer per state, digits wide enough for most.
+
+    Kronecker substitution (Harvey 2009): with low the least entry and
+    digits of width bytes, state k's integer is sum_a (rows[a][k] - low) *
+    2**(8 * width * a), so for a nonnegative column c, sum_k c_k * states[k]
+    has base 2**(8 * width) digits (u_a - low) . c, one per action, and cuts
+    slices its width * len(rows) big-endian bytes into them. A digit is at
+    most spread * sum(c), spread the largest entry minus low, so width is
+    the fewest bytes holding spread * most, and no digit overflows into the
+    next. held, a packing of the same rows, is returned when it is wide
+    enough.
+    """
+    if held is None:
+        low = min(map(min, rows))
+        spread = max(map(max, rows)) - low
+    else:
+        low, spread, width, _, _ = held
+    bits = (spread * most).bit_length()
+    if held is not None and bits <= 8 * width:
+        return held
+    width = max(1, -(-bits // 8))
+    shift = 8 * width
+    states = tuple(
+        sum((v - low) << (shift * a) for a, v in enumerate(column)) for column in zip(*rows)
+    )
+    cuts = tuple(slice(a * width, (a + 1) * width) for a in range(len(rows)))
+    return low, spread, width, states, cuts
+
+
 @dataclass(frozen=True)
 class DecisionProblem:
     """States, actions and an exact utility matrix u[action][state]; equal rows are one action.
@@ -44,13 +78,17 @@ class DecisionProblem:
     The utility rows over one denominator (_integers), which every valuation
     reads, are formed on first use and then held outside the fields and the
     pickles, as Belief holds its hash: valuing many experiments for one
-    problem scales its matrix once.
+    problem scales its matrix once. So is their packing for
+    information._gap (_packing): a packing with wider digits serves every
+    narrower need, so only the widest formed is held, and it is formed
+    again only when a column needs more room.
     """
 
     state_labels: tuple[str, ...]
     action_labels: tuple[str, ...]
     utility: tuple[Coords, ...]
     _ints = None
+    _packed = None
 
     def __post_init__(self):
         utility = tuple(map(_coords_of, self.utility))
@@ -80,6 +118,11 @@ class DecisionProblem:
         if self._ints is None:
             object.__setattr__(self, "_ints", _scaled(self.utility))
         return self._ints
+
+    def _packing(self, most: int) -> Packing:
+        """The held packing (_pack) if it fits columns summing to most, else a wider one, held."""
+        object.__setattr__(self, "_packed", _pack(self._integers()[0], most, self._packed))
+        return self._packed
 
     @property
     def n(self) -> int:

@@ -40,6 +40,7 @@ from .decision import (
     _breadth_first,
     compute_subdivision,
     equal_up_to_affine,  # noqa: F401  (its home is decision, beside PiecewiseAffineFn)
+    make_problem,
 )
 from .errors import InconsistentData, MalformedData, MeanMismatch, SingularSolve
 from .geometry import (
@@ -52,7 +53,6 @@ from .geometry import (
     _frac,
     _line_window,
     _require_prior,
-    _scaled,
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
     interior_point,
 )
@@ -318,7 +318,7 @@ def satisfies_ordinal(dp: DecisionProblem, data: IdentificationData) -> bool:
     """Whether the problem's value function satisfies every ordinal statement."""
     dp._require_states(data.prior.n)  # every side averages to the prior
     for statement in data.ordinal:
-        gap = _gap(dp._integers(), _atom_columns(statement.lhs), _atom_columns(statement.rhs))
+        gap = _gap(dp, _atom_columns(statement.lhs), _atom_columns(statement.rhs))
         if statement.relation == "eq" and gap != 0:
             return False
         if statement.relation == "gt" and gap <= 0:
@@ -485,7 +485,7 @@ def gen_utility_differences(
     for parent, child in edges:
         built = _binary_difference(sub, prior, parent, child)
         lhs, rhs = built if built is not None else _residual_difference(sub, prior, parent, child)
-        gap = _gap(dp._integers(), _atom_columns(lhs), _atom_columns(rhs))
+        gap = _gap(dp, _atom_columns(lhs), _atom_columns(rhs))
         if gap <= 0:
             raise InconsistentData(
                 f"edge {(parent, child)}: the problem's utility difference is {gap}, "
@@ -541,7 +541,8 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
     vanishes on the facet, so with A the facet's linear form it is
     A * gap / ((p - q) * A(anchor)); negating or rescaling A cancels, so the
     pair's halfspace serves whichever cell it faces. Every other difference
-    is a check: its gap must equal information._gap over the pieces' rows.
+    is a check: its gap must equal information._gap under the problem whose
+    actions are the pieces, packed once per call.
     """
     sub = extract_subdivision(data)
     t = len(sub.cells)
@@ -579,12 +580,12 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
         pieces[child] = pieces[parent] + jump if parent == i else pieces[parent] - jump
 
     fn = PiecewiseAffineFn(sub, tuple(pieces[cell] for cell in range(t)))
-    rows = _scaled([piece.coeffs for piece in fn.pieces])
+    problem = make_problem([piece.coeffs for piece in fn.pieces])
     solved = {first[min(edge), max(edge)] for edge in tree}
     for index, diff in enumerate(data.cardinal):
         if index in solved:
             continue
-        predicted = _gap(rows, _atom_columns(diff.lhs), _atom_columns(diff.rhs))
+        predicted = _gap(problem, _atom_columns(diff.lhs), _atom_columns(diff.rhs))
         if predicted != diff.gap:
             raise InconsistentData(
                 f"edge {diff.edge}: stated gap {diff.gap} but the reconstruction "

@@ -23,15 +23,17 @@ as on the posterior route: a zero column adds max_a 0 = 0, as a dropped
 zero-marginal signal does, and proportional columns share a maximizer, so
 merging them adds their maxima. Each comparison of two sides is one gap,
 the sum over one set of columns minus the sum over the other, and only _gap
-computes it: integer dot products of the problem's scaled rows with each
-side's columns, the two sides over one scale, and one division. A problem
-scales its utility matrix on first use and holds the result
-(DecisionProblem._integers), so ranking many experiments for one problem
-scales the matrix once. A prior, as every belief, holds its integer row
-from when it was built, and an experiment scales its likelihood on first
-use and holds the result (Experiment._integers). A posterior distribution
-holds its atom columns from when it is built, so valuing it, comparing it
-and recovering its experiment scale no atom.
+computes it: one integer product per column with the problem's scaled rows
+packed into one integer per state (decision._pack), whose digits are every
+action's dot product with the column, the largest read off their bytes;
+then the two sides over one scale, and one division. A problem scales its
+utility matrix on first use and holds the result (DecisionProblem._integers)
+and its packing (DecisionProblem._packing), so ranking many experiments for
+one problem scales and packs the matrix once. A prior, as every belief,
+holds its integer row from when it was built, and an experiment scales its
+likelihood on first use and holds the result (Experiment._integers). A
+posterior distribution holds its atom columns from when it is built, so
+valuing it, comparing it and recovering its experiment scale no atom.
 """
 
 from __future__ import annotations
@@ -295,21 +297,34 @@ def garble(experiment: Experiment, matrix) -> Experiment:
     return Experiment(tuple(f"g{i+1}" for i in range(len(columns))), likelihood)
 
 
-def _gap(rows: tuple[list[list[int]], int], left: Columns, right: Columns) -> Fraction:
+def _gap(dp: DecisionProblem, left: Columns, right: Columns) -> Fraction:
     """sum_c max_a u_a . c over the left columns, minus the same sum over the right.
 
-    rows is the problem's utility matrix over one scale (_integers or
-    geometry._scaled), and left and right are (integer columns, scale)
-    pairs, which callers check have one entry per state. Every dot product
-    is an integer one; the two sides' sums are brought to the lcm of their
-    scales and divided once. The max runs over all rows; a dominated row
-    never exceeds it.
+    dp's integer rows (_integers) value left and right, (integer columns,
+    scale) pairs with one entry per state, which callers check. The columns
+    must be nonnegative, as joint columns, atom columns and priors are, so
+    that no digit borrows. A side's dot products come from one packed
+    product per column (decision._pack): sum_k c_k * states[k] holds every
+    action's shifted dot product as one digit, the digits compare as
+    equal-length big-endian bytes, and low * sum(c) shifts the largest back.
+    Every digit is as wide as the held packing's, the widest any column
+    valued under dp has needed, so a wide column (generate's difference
+    columns reach 850 bits), and every column after it, multiplies mostly
+    zero padding and can cost more than the k dot products did. The two
+    sides' sums are brought to the lcm of their scales and divided once.
+    The max runs over all rows; a dominated row never exceeds it.
     """
-    (utility, row_scale), (left, left_scale), (right, right_scale) = rows, left, right
+    (_, row_scale), (left, left_scale), (right, right_scale) = dp._integers(), left, right
     scale = math.lcm(left_scale, right_scale)
 
     def total(columns) -> int:
-        return sum(max(sum(map(mul, row, c)) for row in utility) for c in columns)
+        sums = list(map(sum, columns))
+        low, _, width, states, cuts = dp._packing(max(sums, default=0))
+        size, shifted = width * len(cuts), 0
+        for c in columns:
+            digits = sum(map(mul, c, states)).to_bytes(size, "big")
+            shifted += int.from_bytes(max(map(digits.__getitem__, cuts)), "big")
+        return shifted + low * sum(sums)
 
     gap = total(left) * (scale // left_scale) - total(right) * (scale // right_scale)
     return Fraction(gap, row_scale * scale)
@@ -322,7 +337,7 @@ def expected_value(dp: DecisionProblem, dist: PosteriorDistribution) -> Fraction
     the unnormalized atoms p_s x_s and no columns at all.
     """
     dp._require_states(dist.mean.n)
-    return _gap(dp._integers(), _atom_columns(dist), ([], 1))
+    return _gap(dp, _atom_columns(dist), ([], 1))
 
 
 def value_of_experiment(dp: DecisionProblem, prior: Belief, experiment: Experiment) -> Fraction:
@@ -339,7 +354,7 @@ def value_of_experiment(dp: DecisionProblem, prior: Belief, experiment: Experime
     prior = _require_prior(prior)
     columns = _columns(prior, experiment)
     dp._require_states(prior.n)
-    return _gap(dp._integers(), columns, _scaled_points([prior]))
+    return _gap(dp, columns, _scaled_points([prior]))
 
 
 def rank(dp: DecisionProblem, prior: Belief, first: Experiment, second: Experiment) -> Order:
@@ -352,7 +367,7 @@ def rank(dp: DecisionProblem, prior: Belief, first: Experiment, second: Experime
     prior = _require_prior(prior)
     columns = _columns(prior, first)
     dp._require_states(prior.n)
-    gap = _gap(dp._integers(), columns, _columns(prior, second))
+    gap = _gap(dp, columns, _columns(prior, second))
     if gap > 0:
         return Order.BETTER
     if gap < 0:

@@ -40,7 +40,10 @@ def transport_problem(dp: DecisionProblem, prior: Belief, target: Belief) -> Dec
 class RankedExperiment:
     """A ranking of two experiments, tagged like its source statement.
 
-    relation, Order.EQUAL or Order.BETTER, is what rank(dp, prior, lhs, rhs) must return.
+    relation, Order.EQUAL or Order.BETTER, is what rank(dp, prior, lhs, rhs)
+    must return. An equality carries a CellAffine tag and a strict preference
+    a PairNonAffine one, as in OrderedExpectation; MalformedData names a
+    field of another type.
     """
 
     lhs: Experiment
@@ -53,6 +56,7 @@ class RankedExperiment:
         _require_type("rhs", self.rhs, Experiment)
         if self.relation not in (Order.EQUAL, Order.BETTER):
             raise ValueError(f"relation must be Order.EQUAL or Order.BETTER, got {self.relation!r}")
+        _require_type("tag", self.tag, CellAffine if self.relation is Order.EQUAL else PairNonAffine)
 
 
 def ranked_experiments_of(data: IdentificationData) -> list[RankedExperiment]:
@@ -78,6 +82,12 @@ def ranked_experiments_of(data: IdentificationData) -> list[RankedExperiment]:
 
 
 def satisfies_ranked(dp: DecisionProblem, prior: Belief, ranked: list[RankedExperiment]) -> bool:
-    """Whether the problem at this prior ranks every pair as stated."""
+    """Whether the problem at this prior ranks every pair as stated.
+
+    MalformedData names, by index, the first item that is not a RankedExperiment.
+    """
     prior = _require_prior(prior)
+    ranked = list(ranked)
+    for index, item in enumerate(ranked):
+        _require_type(f"ranked experiment {index}", item, RankedExperiment)
     return all(rank(dp, prior, r.lhs, r.rhs) is r.relation for r in ranked)

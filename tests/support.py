@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, mul
 from random import Random
 
 from hypothesis import Phase
@@ -259,6 +259,38 @@ def rank_by_posteriors(dp: DecisionProblem, prior: Belief, first: Experiment, se
     if w1 < w2:
         return Order.WORSE
     return Order.EQUAL
+
+
+# ---------------------------------------------------------------------------
+# the gap between two sets of columns as information._gap formed it before
+# it packed the payoff rows, and as Fraction sums
+# ---------------------------------------------------------------------------
+
+
+def gap_by_dot_products(rows: tuple[list[list[int]], int], left, right) -> Fraction:
+    """sum_c max_a u_a . c over the left columns, minus the same sum over the right.
+
+    rows is a utility matrix over one scale, and left and right are (integer
+    columns, scale) pairs: one integer dot product per action and column,
+    the two sides brought to the lcm of their scales and divided once.
+    """
+    (utility, row_scale), (left, left_scale), (right, right_scale) = rows, left, right
+    scale = math.lcm(left_scale, right_scale)
+
+    def total(columns) -> int:
+        return sum(max(sum(map(mul, row, c)) for row in utility) for c in columns)
+
+    gap = total(left) * (scale // left_scale) - total(right) * (scale // right_scale)
+    return Fraction(gap, row_scale * scale)
+
+
+def gap_by_fractions(utility, left, right) -> Fraction:
+    """sum_c max_a u_a . c over the left Fraction columns, minus the same sum over the right."""
+
+    def total(columns):
+        return sum(max(sum(map(mul, row, c)) for row in utility) for c in columns)
+
+    return total(left) - total(right)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ belief's integer row has one home, the Belief itself: no library code
 scales a .coords attribute through _scaled or _integer_row outside it. The
 library runs on Python 3.10 to 3.13, so it uses no private name of the
 fractions module, such as Fraction(n, d, _normalize=False), which is gone
-from 3.12.
+from 3.12, and every int.to_bytes and int.from_bytes call passes its
+byteorder, which has no default before 3.11.
 """
 
 import ast
@@ -42,7 +43,12 @@ from infoval.geometry import (
     interior_interval_on_line,
     interior_point,
 )
-from infoval.information import Experiment, PosteriorDistribution, _atom_columns
+from infoval.information import (
+    Experiment,
+    PosteriorDistribution,
+    _atom_columns,
+    value_of_experiment,
+)
 from infoval.spectral import transport_problem
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "infoval").glob("*.py"))
@@ -126,6 +132,25 @@ def _private_fractions(tree: ast.AST) -> list[tuple[int, str]]:
         if name in PRIVATE_FRACTIONS:
             found.append((node.lineno, name))
     return sorted(found)
+
+
+def _byteorder_omitted(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each to_bytes or from_bytes call that does not pass its byteorder.
+
+    The byteorder is the second positional argument or a keyword; before
+    Python 3.11 it has no default.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        name = node.func.attr
+        if name not in ("to_bytes", "from_bytes"):
+            continue
+        passed = len(node.args) >= 2 or any(k.arg in ("byteorder", None) for k in node.keywords)
+        if not passed:
+            found.append((node.lineno, name))
+    return found
 
 
 def _stored_values(tree: ast.AST) -> dict[str, tuple[list[str], bool]]:
@@ -274,6 +299,22 @@ def test_private_fractions_scanner_catches_each_kind():
         (4, "_denominator"),
         (4, "_numerator"),
     ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_byte_conversions_pass_their_byteorder(path):
+    assert _byteorder_omitted(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_byteorder_scanner_catches_each_kind():
+    source = (
+        "a = n.to_bytes(4)\n"
+        "b = n.to_bytes(4, 'big') + n.to_bytes(length=4, byteorder='little')\n"
+        "c = int.from_bytes(data)\n"
+        "d = int.from_bytes(data, 'big') + int.from_bytes(data, **options)\n"
+        "e = n.to_bytes(length=4, signed=True)\n"
+    )
+    assert _byteorder_omitted(ast.parse(source)) == [(1, "to_bytes"), (3, "from_bytes"), (5, "to_bytes")]
 
 
 def test_coords_scaling_scanner_catches_each_kind():
@@ -475,6 +516,9 @@ def _use(instance) -> None:
         interior_point(instance)
     elif isinstance(instance, PosteriorDistribution):
         _atom_columns(instance)
+    elif isinstance(instance, DecisionProblem):
+        # forms the integer rows and their packing for _gap
+        value_of_experiment(instance, belief(HALF, HALF), Experiment.fully_revealing(instance.n))
     else:
         instance._integers()
 

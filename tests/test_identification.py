@@ -57,7 +57,7 @@ from infoval.identification import (
     _residual_difference,
     _residual_point,
 )
-from infoval.information import Order, PosteriorDistribution, expected_value
+from infoval.information import Experiment, Order, PosteriorDistribution, expected_value
 from infoval.spectral import RankedExperiment, satisfies_ranked
 
 
@@ -732,6 +732,18 @@ WRONG_TYPED_PARTS = {
             [RankedExperiment(5, 5, Order.EQUAL, CellAffine(0))],
         ),
         "lhs must be of type Experiment, got 5",
+    ),
+    "satisfies_ranked item": (
+        lambda: satisfies_ranked(support.two_peak_problem(), uniform_belief(2), [5]),
+        "ranked experiment 0 must be of type RankedExperiment, got 5",
+    ),
+    "RankedExperiment.tag-equal": (
+        lambda: RankedExperiment(*[Experiment.uninformative(2)] * 2, Order.EQUAL, 5),
+        "tag must be of type CellAffine, got 5",
+    ),
+    "RankedExperiment.tag-better": (
+        lambda: RankedExperiment(*[Experiment.uninformative(2)] * 2, Order.BETTER, CellAffine(0)),
+        "tag must be of type PairNonAffine, got CellAffine(cell=0)",
     ),
 }
 

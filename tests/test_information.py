@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import pickle
 from fractions import Fraction
-from operator import mul
 from random import Random
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import support
-from infoval import information
+from infoval import decision, information
 from infoval.decision import DecisionProblem, make_problem
 from infoval.errors import BoundaryPrior, MeanMismatch, ShapeMismatch
 from infoval.geometry import (
@@ -519,15 +518,6 @@ def _fractions_of(columns):
     return [tuple(Fraction(v, scale) for v in c) for c in ints]
 
 
-def _gap_by_fractions(utility, left, right):
-    """sum_c max_a u_a . c over the left Fraction columns, minus the same sum over the right."""
-
-    def total(columns):
-        return sum(max(sum(map(mul, row, c)) for row in utility) for c in columns)
-
-    return total(left) - total(right)
-
-
 def _split_by_fractions(prior, experiment):
     """bayes_split with each marginal the Fraction sum of a Fraction joint column."""
     columns = support.columns_by_fractions(_require_prior(prior), experiment)
@@ -576,7 +566,7 @@ class TestIntegerValuationAgainstFractions:
                     support.experiment_of_by_fractions, at, dist
                 )
             # a split's atoms merge proportional joint columns, which share a maximizer
-            assert _gap(dp._integers(), _columns(prior, e), _atom_columns(dist)) == 0
+            assert _gap(dp, _columns(prior, e), _atom_columns(dist)) == 0
         if any(e.n != n for e in experiments):
             return
         joint = [_columns(prior, e) for e in experiments]
@@ -589,9 +579,100 @@ class TestIntegerValuationAgainstFractions:
             (joint[1], atoms[0]),
         ]
         for left, right in sides:
-            got = _gap(dp._integers(), left, right)
-            expected = _gap_by_fractions(dp.utility, _fractions_of(left), _fractions_of(right))
+            got = _gap(dp, left, right)
+            expected = support.gap_by_fractions(dp.utility, _fractions_of(left), _fractions_of(right))
             assert type(got) is Fraction and got == expected
+
+
+def _nonnegative_side(rng, n, bits):
+    """(columns, scale): 0 to 4 nonnegative columns of entries up to 2**bits, some zero."""
+    columns = [
+        [0] * n if rng.random() < 0.2 else [rng.randint(0, 2**bits) for _ in range(n)]
+        for _ in range(rng.randint(0, 4))
+    ]
+    return columns, rng.choice([1, 3, 2**bits + 1])
+
+
+class TestPackedGap:
+    """_gap's packed product against one integer dot product per action and column."""
+
+    @settings(max_examples=150, deadline=None, phases=support.NO_SHRINK)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=5),
+        st.one_of(st.just(1), st.integers(min_value=1, max_value=64)),
+        st.sampled_from([0, 4, 200]),
+        st.booleans(),
+        st.lists(st.sampled_from([0, 1, 8, 50, 60, 200, 250, 260, 600]), min_size=2, max_size=2),
+    )
+    def test_matches_dot_products(self, seed, n, k, payoff_bits, repeat, column_bits):
+        # negative, zero and 200-bit payoffs over a drawn denominator, rows equal
+        # when repeated; columns valued at a narrow width and then a wider one
+        rng = Random(seed)
+        distinct = [
+            [Fraction(rng.randint(-(2**payoff_bits), 2**payoff_bits), rng.choice([1, 2, 35]))
+             for _ in range(n)]
+            for _ in range(k)
+        ]
+        dp = make_problem([rng.choice(distinct) if repeat else row for row in distinct])
+        utility, _ = dp._integers()
+        spread = max(map(max, utility)) - min(map(min, utility))
+        widths = []
+        for bits in sorted(column_bits):
+            left, right = _nonnegative_side(rng, n, bits), _nonnegative_side(rng, n, bits)
+            got = _gap(dp, left, right)
+            assert type(got) is Fraction
+            assert got == support.gap_by_dot_products(dp._integers(), left, right)
+            most = max(map(sum, left[0] + right[0]), default=0)
+            assert 8 * dp._packed[2] >= (spread * most).bit_length()
+            widths.append(dp._packed[2])
+        # the held packing only widens
+        assert widths == sorted(widths)
+
+    def test_fewest_bytes_at_a_byte_boundary(self):
+        # spread 3, so a column summing to s needs the bits of 3 * s
+        dp = make_problem([[1, -2, 0], [-2, 1, 1], [0, 0, 1]])
+        fits = [(2**256 - 1) // 3, 0, 0]
+        wide = [fits[0] + 1, 0, 0]
+        for column, width in ((fits, 32), (wide, 33)):
+            side = ([column, [1, 2, 3]], 7)
+            assert _gap(dp, side, ([], 1)) == support.gap_by_dot_products(
+                dp._integers(), side, ([], 1)
+            )
+            assert dp._packed[2] == width
+
+    def test_one_width_packs_once(self, monkeypatch):
+        # spread at most 10 and joint columns summing to at most 3 * 8: every
+        # digit fits one byte, so one packing serves every valuation
+        built, pack = [], decision._pack
+
+        def counted(rows, most, held):
+            packing = pack(rows, most, held)
+            if packing is not held:
+                built.append(packing)
+            return packing
+
+        monkeypatch.setattr(decision, "_pack", counted)
+        rng = Random(7)
+        dp = make_problem([[rng.randint(-5, 5) for _ in range(3)] for _ in range(16)])
+        prior = uniform_belief(3)
+        experiments = []
+        for _ in range(20):
+            rows = []
+            for _ in range(3):
+                cut = sorted(rng.randint(0, 8) for _ in range(2))
+                rows.append([Fraction(v, 8) for v in (cut[0], cut[1] - cut[0], 8 - cut[1])])
+            experiments.append(Experiment(("s1", "s2", "s3"), rows))
+        prior_side = _scaled((prior.coords,))
+        for first, second in zip(experiments, experiments[1:]):
+            value = support.gap_by_dot_products(dp._integers(), _columns(prior, first), prior_side)
+            assert value_of_experiment(dp, prior, first) == value
+            gap = support.gap_by_dot_products(
+                dp._integers(), _columns(prior, first), _columns(prior, second)
+            )
+            order = Order.BETTER if gap > 0 else Order.WORSE if gap < 0 else Order.EQUAL
+            assert rank(dp, prior, first, second) is order
+        assert len(built) == 1 and dp._packed is built[0]
 
 
 @st.composite

@@ -278,12 +278,13 @@ class TestRankedExperiments:
         # full information is worth 1/2 here, so it is neither equal to nor worse than none
         dp = support.two_peak_problem()
         full, none = Experiment.fully_revealing(2), Experiment.uninformative(2)
-        tag = PairNonAffine(0, 1)
         for ranked in (
-            RankedExperiment(full, none, Order.EQUAL, tag),
-            RankedExperiment(none, full, Order.BETTER, tag),
+            RankedExperiment(full, none, Order.EQUAL, CellAffine(0)),
+            RankedExperiment(none, full, Order.BETTER, PairNonAffine(0, 1)),
         ):
             assert not satisfies_ranked(dp, uniform_belief(2), [ranked])
+            # the items are read once more after their types are checked
+            assert not satisfies_ranked(dp, uniform_belief(2), iter([ranked]))
 
     def test_different_subdivision_violates(self):
         dp = support.safe_or_bet_problem()
