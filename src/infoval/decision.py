@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import mul
 
@@ -23,6 +24,7 @@ from .geometry import (
     Coords,
     Halfspace,
     Polytope,
+    _Holder,
     _belief,
     _coords_of,
     _exact_belief,
@@ -72,22 +74,19 @@ def _pack(rows: list[list[int]], most: int, held: Packing | None) -> Packing:
 
 
 @dataclass(frozen=True)
-class DecisionProblem:
+class DecisionProblem(_Holder):
     """States, actions and an exact utility matrix u[action][state]; equal rows are one action.
 
-    The utility rows over one denominator (_integers), which every valuation
-    reads, are formed on first use and then held outside the fields and the
-    pickles, as Belief holds its hash: valuing many experiments for one
-    problem scales its matrix once. So is their packing for
-    information._gap (_packing): a packing with wider digits serves every
-    narrower need, so only the widest formed is held, and it is formed
-    again only when a column needs more room.
+    The utility rows over one denominator (_ints), which every valuation
+    reads, are held, so valuing many experiments for one problem scales its
+    matrix once. So is their packing for information._gap (_packing): a
+    packing with wider digits serves every narrower need, so only the widest
+    formed is held, and it is formed again only when a column needs more room.
     """
 
     state_labels: tuple[str, ...]
     action_labels: tuple[str, ...]
     utility: tuple[Coords, ...]
-    _ints = None
     _packed = None
 
     def __post_init__(self):
@@ -106,22 +105,14 @@ class DecisionProblem:
             if len(row) != n:
                 raise ValueError(f"action {label!r}: every utility row needs one entry per state")
 
-    def __getstate__(self) -> dict:
-        return {
-            "state_labels": self.state_labels,
-            "action_labels": self.action_labels,
-            "utility": self.utility,
-        }
-
-    def _integers(self) -> tuple[list[list[int]], int]:
-        """(rows, scale) with utility[a][k] == rows[a][k] / scale, formed once and held."""
-        if self._ints is None:
-            object.__setattr__(self, "_ints", _scaled(self.utility))
-        return self._ints
+    @cached_property
+    def _ints(self) -> tuple[list[list[int]], int]:
+        """(rows, scale) with utility[a][k] == rows[a][k] / scale, scale the lcm."""
+        return _scaled(self.utility)
 
     def _packing(self, most: int) -> Packing:
         """The held packing (_pack) if it fits columns summing to most, else a wider one, held."""
-        object.__setattr__(self, "_packed", _pack(self._integers()[0], most, self._packed))
+        object.__setattr__(self, "_packed", _pack(self._ints[0], most, self._packed))
         return self._packed
 
     @property
@@ -360,7 +351,7 @@ def _lift(dp: DecisionProblem) -> tuple[list[list[int]], list[frozenset[int]], l
     """dp's lifted extreme rays, each action row's set of them, and the undominated actions.
 
     One double description on the cone {(x, z) : x >= 0, scale * z >= rows[a] . x}
-    over the problem's integer rows (dp._integers), with rows (e_i, 0), then
+    over the problem's integer rows (dp._ints), with rows (e_i, 0), then
     (-rows[a], scale). The rays come back as their x parts: the vertical
     ray's is zero, and every other lies on the envelope above a vertex of
     the subdivision. Action a's set is the rays its row's zero set holds,
@@ -372,7 +363,7 @@ def _lift(dp: DecisionProblem) -> tuple[list[list[int]], list[frozenset[int]], l
     vertical ray lies on the envelope, so in some winner's facet.
     """
     n = dp.n
-    rows, scale = dp._integers()
+    rows, scale = dp._ints
     lifted = [[int(i == j) for j in range(n + 1)] for i in range(n)]
     lifted += [[-v for v in row] + [scale] for row in rows]
     found = _extreme_rays(lifted, n + 1)
@@ -405,7 +396,7 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     Cell geometry is the exact halfspace intersection
     {x : u(a,.) . x >= u(b,.) . x for every rival undominated b}, each cut
     made by geometry._facet from the difference of the two integer payoff
-    rows (DecisionProblem._integers), as hull and adjacency facets are. Its
+    rows (DecisionProblem._ints), as hull and adjacency facets are. Its
     vertices are the envelope vertices of one lift (_lift) where a is
     optimal, in Belief order. Cells come back ordered by action index. A
     ridge of the lifted cone lies in exactly two facets and a smaller face
@@ -424,7 +415,7 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     rays, sets, winners = _lift(dp)
     vertices = {r: _exact_belief(ray, sum(ray)) for r, ray in enumerate(rays) if any(ray)}
     order = sorted(vertices, key=vertices.__getitem__)
-    rows, _ = dp._integers()
+    rows, _ = dp._ints
     cells = []
     for a in winners:
         cuts = (_facet([x - y for x, y in zip(rows[a], rows[b])]) for b in winners if b != a)

@@ -20,11 +20,10 @@ barycenters, line windows, membership and the value kernels add integers
 and divide once. A point is scaled once, when it is built: a Belief holds
 its integer row, which its equality and its order (the one order of points)
 read and _scaled_points brings to a common scale; a Halfspace holds its
-row (normal, offset) on first use, for membership and line windows. Beliefs
-and facets built from integers in hand are checked once, on those integers.
-A polytope holds its interior point, the vertex barycenter, from the first
-time it is asked for, outside its fields and its pickles as a Belief holds
-its row. Each polytope costs one double description, whose zero sets also
+row (normal, offset), for membership and line windows, and a polytope its
+interior point, the vertex barycenter (each a _Holder). Beliefs and facets
+built from integers in hand are checked once, on those integers. Each
+polytope costs one double description, whose zero sets also
 tell which of a hull's points are vertices. Which cells share a facet is
 read off the lift's zero sets on the forward path, and off vertex incidence
 by one scan, adjacent_facets, for cells given by their vertices; a shared
@@ -34,12 +33,15 @@ face is one cell cut by the facet halfspace that holds on the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import mul
 
-from .errors import BoundaryPrior, EmptyInput, EmptyPolytope, ShapeMismatch, UnreadableEntry
+from .errors import (
+    BoundaryPrior, EmptyInput, EmptyPolytope, MalformedData, ShapeMismatch, UnreadableEntry,
+)
 
 Coords = tuple[Fraction, ...]
 
@@ -90,57 +92,63 @@ def _coords_of(point, n: int | None = None) -> Coords:
     return coords
 
 
+def _require_type(what: str, value, kind: type) -> None:
+    """MalformedData naming what (an argument, a field, an item by index) unless value is a kind."""
+    if not isinstance(value, kind):
+        raise MalformedData(f"{what} must be of type {kind.__name__}, got {value!r}")
+
+
+class _Holder:
+    """A frozen dataclass whose held forms (cached_property) stay out of pickles and copies."""
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class Belief:
+class Belief(_Holder):
     """A probability vector over states, held exactly.
 
     Coordinates must be nonnegative rationals summing to one. Instances are
     immutable, hashable, and ordered lexicographically by coordinates, which
     gives every vertex listing in this library a canonical order. Each holds
-    its integer row over the lcm of its denominators (_integers), formed
-    when the belief is checked; equality, order, hash and sums read it. The
-    row and the hash are held outside the fields, left out of pickles and
-    copies, and formed again on first use.
+    its integer row over the lcm of its denominators (_ints), formed when
+    the belief is checked; equality, order, hash and sums read it.
     """
 
     coords: Coords
-    _hash = None
-    _ints = None
 
     def __post_init__(self):
-        coords = _coords_of(self.coords)
-        object.__setattr__(self, "coords", coords)
-        (row,), scale = _scaled((coords,))
-        self._hold(tuple(row), scale)
+        object.__setattr__(self, "coords", _coords_of(self.coords))
+        self._ints  # forms the row, checking the coordinates
 
-    def _hold(self, row: tuple[int, ...], scale: int) -> None:
-        """Check that row / scale is a probability vector, then hold the pair."""
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], int]:
+        """(row, scale) with coords[k] == row[k] / scale, scale the lcm of the denominators."""
+        (row,), scale = _scaled((self.coords,))
+        return self._checked(tuple(row), scale)
+
+    def _checked(self, row: tuple[int, ...], scale: int) -> tuple[tuple[int, ...], int]:
+        """(row, scale), once row / scale is checked to be a probability vector."""
         if not row:
             raise ValueError("belief needs at least one coordinate")
         if min(row) < 0:
             raise ValueError(f"belief has a negative coordinate: {self.coords}")
         if sum(row) != scale:
             raise ValueError(f"belief coordinates must sum to 1, got {sum(self.coords)}")
-        object.__setattr__(self, "_ints", (row, scale))
+        return row, scale
 
-    def _integers(self) -> tuple[tuple[int, ...], int]:
-        """(row, scale) with coords[k] == row[k] / scale, scale the lcm of the denominators."""
-        if self._ints is None:
-            self.__post_init__()  # a clone's: pickles and copies leave the pair out
-        return self._ints
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._ints)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._integers()))
         return self._hash
-
-    def __getstate__(self) -> dict:
-        return {"coords": self.coords}
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Belief:
             return NotImplemented
-        return self._integers() == other._integers()
+        return self._ints == other._ints
 
     def __lt__(self, other: "Belief") -> bool:
         """The order of the coordinate tuples: row_a * scale_b against row_b * scale_a.
@@ -149,7 +157,7 @@ class Belief:
         """
         if other.__class__ is not Belief:
             return NotImplemented
-        (a, s), (b, t) = self._integers(), other._integers()
+        (a, s), (b, t) = self._ints, other._ints
         if s == t:
             return a < b
         return [x * t for x in a] < [y * s for y in b]
@@ -162,7 +170,7 @@ class Belief:
         return self.coords[idx]
 
     def is_interior(self) -> bool:
-        return all(self._integers()[0])
+        return all(self._ints[0])
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -178,7 +186,7 @@ def _exact_belief(row, scale: int) -> Belief:
     row, scale = tuple(v // g for v in row), scale // g
     point = object.__new__(Belief)
     object.__setattr__(point, "coords", tuple(Fraction(v, scale) for v in row))
-    point._hold(row, scale)
+    object.__setattr__(point, "_ints", point._checked(row, scale))
     return point
 
 
@@ -203,7 +211,7 @@ def _normalized(column) -> Belief:
 
 
 @dataclass(frozen=True)
-class Halfspace:
+class Halfspace(_Holder):
     """The set {x : normal . x >= offset}, read within the simplex.
 
     Two pairs (a, c) and (a + t*1, c + t) cut the simplex identically because
@@ -211,13 +219,11 @@ class Halfspace:
     canonical() quotients both freedoms out: it shifts the smallest normal
     coordinate to zero and scales the normal to a primitive integer vector.
     Equality, hash and repr are the dataclass's own: a shared face holds
-    one cell's halfspaces and its facet's, so no two lists are merged. The
-    integer row (_integers) is held outside the fields and the pickles.
+    one cell's halfspaces and its facet's, so no two lists are merged.
     """
 
     normal: Coords
     offset: Fraction
-    _ints = None
 
     def __post_init__(self):
         object.__setattr__(self, "normal", _coords_of(self.normal))
@@ -227,14 +233,10 @@ class Halfspace:
         if all(a == self.normal[0] for a in self.normal):
             raise ValueError("halfspace normal is constant on the simplex (degenerate)")
 
-    def __getstate__(self) -> dict:
-        return {"normal": self.normal, "offset": self.offset}
-
-    def _integers(self) -> tuple[int, ...]:
-        """The row (normal, offset) scaled by the lcm of its denominators, formed once and held."""
-        if self._ints is None:
-            object.__setattr__(self, "_ints", tuple(_integer_row(self.normal + (self.offset,))))
-        return self._ints
+    @cached_property
+    def _ints(self) -> tuple[int, ...]:
+        """The row (normal, offset) scaled by the lcm of its denominators."""
+        return tuple(_integer_row(self.normal + (self.offset,)))
 
     @property
     def n(self) -> int:
@@ -268,23 +270,24 @@ def _facet_halfspace(normal: tuple[int, ...], offset: Fraction) -> Halfspace:
 
 
 @dataclass(frozen=True)
-class Polytope:
+class Polytope(_Holder):
     """Halfspace intersection inside the simplex, with its exact vertex set.
 
     The stored vertices are always the full, deduplicated, lexicographically
     sorted list of extreme points of (halfspaces cut with the simplex).
-    An empty vertex tuple means the intersection is empty. The interior
-    point (interior_point) is formed on first use and held outside the
-    fields and the pickles, as a Belief holds its integer row.
+    An empty vertex tuple means the intersection is empty.
     """
 
     halfspaces: tuple[Halfspace, ...]
     vertices: tuple[Belief, ...]
     n: int
-    _center = None
 
-    def __getstate__(self) -> dict:
-        return {"halfspaces": self.halfspaces, "vertices": self.vertices, "n": self.n}
+    @cached_property
+    def _center(self) -> Belief:
+        """The barycenter of the vertices (interior_point)."""
+        if self.is_empty():
+            raise EmptyPolytope("polytope has no points")
+        return barycenter(self.vertices)
 
     @classmethod
     def from_halfspaces(cls, halfspaces, n: int) -> "Polytope":
@@ -332,7 +335,7 @@ class Polytope:
             if h.n != self.n:
                 _coords_of(point, h.n)  # the ShapeMismatch h.value raises
         x = [*x, -scale]  # so that (normal, offset) . x is scale * (normal . point - offset)
-        return all(sum(map(mul, h._integers(), x)) >= floor for h in self.halfspaces)
+        return all(sum(map(mul, h._ints, x)) >= floor for h in self.halfspaces)
 
 
 def _facet(g) -> tuple[tuple[int, ...], Fraction]:
@@ -368,7 +371,7 @@ def _scaled_points(points, n: int | None = None) -> tuple[list, int]:
     for p in points:
         coords = _coords_of(p, n)
         if isinstance(p, Belief):
-            pairs.append(p._integers())
+            pairs.append(p._ints)
         else:
             (row,), scale = _scaled((coords,))
             pairs.append((row, scale))
@@ -552,10 +555,6 @@ def interior_point(poly: Polytope) -> Belief:
     Formed on the first call and held by the polytope, so a cell or a shared
     face that several witnesses start from is averaged once.
     """
-    if poly._center is None:
-        if poly.is_empty():
-            raise EmptyPolytope("polytope has no points")
-        object.__setattr__(poly, "_center", barycenter(poly.vertices))
     return poly._center
 
 
@@ -578,7 +577,7 @@ def _hull(points) -> tuple[list[Belief], list[tuple[list[int], int]], list[Halfs
     n = pts[0].n
     for p in pts:
         _coords_of(p, n)  # ShapeMismatch unless every point is over n states
-    rows = [p._integers()[0] for p in pts]
+    rows = [p._ints[0] for p in pts]
     first, _ = _row_reduce(rows)
     if len(first) != n:
         raise ValueError("the point set does not span the simplex, so its hull has no interior")
@@ -622,7 +621,7 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
         for v in p.vertices:
             index.setdefault(v, len(index))
     incidence = [frozenset(index[v] for v in p.vertices) for p in cells]
-    rows = [v._integers()[0] for v in index]
+    rows = [v._ints[0] for v in index]
     for p, own in zip(cells, incidence):
         if not own or _rank([rows[r] for r in own]) != p.n:
             raise ValueError("facets are found only between full-dimensional cells")
@@ -689,7 +688,7 @@ def _line_window(origin: list[int], direction: list[int], scale: int, poly: Poly
     """
     conditions = list(zip(origin, direction))
     for h in poly.halfspaces:
-        *g, c = h._integers()
+        *g, c = h._ints
         conditions.append((sum(map(mul, g, origin)) - c * scale, sum(map(mul, g, direction))))
     lo = hi = None
     for alpha, beta in conditions:

@@ -39,7 +39,6 @@ from .decision import (
     Subdivision,
     _breadth_first,
     compute_subdivision,
-    equal_up_to_affine,  # noqa: F401  (its home is decision, beside PiecewiseAffineFn)
     make_problem,
 )
 from .errors import InconsistentData, MalformedData, MeanMismatch, SingularSolve
@@ -53,16 +52,11 @@ from .geometry import (
     _frac,
     _line_window,
     _require_prior,
+    _require_type,
     facet_between,  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
     interior_point,
 )
-from .information import PosteriorDistribution, _atom_columns, _gap
-
-
-def _require_type(what: str, value, kind: type) -> None:
-    """MalformedData naming what, a field or an item by index, unless value is a kind."""
-    if not isinstance(value, kind):
-        raise MalformedData(f"{what} must be of type {kind.__name__}, got {value!r}")
+from .information import PosteriorDistribution, _gap
 
 
 @dataclass(frozen=True)
@@ -198,7 +192,7 @@ def _residual_point(prior: Belief, anchor: Belief, forbidden: set) -> tuple[Beli
     the prior and forbidden comes only from a degenerate hand-built cell,
     which raises MalformedData.
     """
-    (p, s), (a, t) = prior._integers(), anchor._integers()
+    (p, s), (a, t) = prior._ints, anchor._ints
     first = max((x * s) // (m * t) for m, x in zip(p, a) if x).bit_length()
     for k in range(first, first + len(forbidden) + 1):
         row = [(m * t << k) - x * s for m, x in zip(p, a)]
@@ -240,7 +234,7 @@ def _line(origin: Belief, toward: Belief) -> tuple[list[int], list[int], int]:
     e is the lcm of the two beliefs' scales; _line_window reads the line as
     it is, and _on_line makes its points.
     """
-    (a, s), (b, t) = origin._integers(), toward._integers()
+    (a, s), (b, t) = origin._ints, toward._ints
     e = math.lcm(s, t)
     o = [x * (e // s) for x in a]
     return o, [y * (e // t) - x for x, y in zip(o, b)], e
@@ -318,7 +312,7 @@ def satisfies_ordinal(dp: DecisionProblem, data: IdentificationData) -> bool:
     """Whether the problem's value function satisfies every ordinal statement."""
     dp._require_states(data.prior.n)  # every side averages to the prior
     for statement in data.ordinal:
-        gap = _gap(dp, _atom_columns(statement.lhs), _atom_columns(statement.rhs))
+        gap = _gap(dp, statement.lhs._ints, statement.rhs._ints)
         if statement.relation == "eq" and gap != 0:
             return False
         if statement.relation == "gt" and gap <= 0:
@@ -445,7 +439,7 @@ def _residual_difference(sub: Subdivision, prior: Belief, parent: int, child: in
     # on x_i, that is lam on their mixture `mixed`; with t = p/q that mixture
     # is proportional to (3q + 2p) * x_j + (q + 2p) * x_i, one row over the
     # two held rows. The residual takes the rest.
-    (a, s), (b, u) = x_j._integers(), x_i._integers()
+    (a, s), (b, u) = x_j._ints, x_i._ints
     p, q = t.numerator, t.denominator
     row = [(3 * q + 2 * p) * y * u + (q + 2 * p) * x * s for y, x in zip(a, b)]
     mixed = _exact_belief(row, sum(row))
@@ -485,7 +479,7 @@ def gen_utility_differences(
     for parent, child in edges:
         built = _binary_difference(sub, prior, parent, child)
         lhs, rhs = built if built is not None else _residual_difference(sub, prior, parent, child)
-        gap = _gap(dp, _atom_columns(lhs), _atom_columns(rhs))
+        gap = _gap(dp, lhs._ints, rhs._ints)
         if gap <= 0:
             raise InconsistentData(
                 f"edge {(parent, child)}: the problem's utility difference is {gap}, "
@@ -585,7 +579,7 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
     for index, diff in enumerate(data.cardinal):
         if index in solved:
             continue
-        predicted = _gap(problem, _atom_columns(diff.lhs), _atom_columns(diff.rhs))
+        predicted = _gap(problem, diff.lhs._ints, diff.rhs._ints)
         if predicted != diff.gap:
             raise InconsistentData(
                 f"edge {diff.edge}: stated gap {diff.gap} but the reconstruction "

@@ -10,12 +10,11 @@ Joint columns are the one bridge between experiments, posteriors and
 values, and they are integer rows over one scale. Signal s at prior pi has
 the joint column c_s(theta) = pi(theta) P(s | theta), formed only by
 _columns, as the prior's integer row times the likelihood's integer rows;
-atom (x_s, p_s) has the column p_s x_s, formed once by the distribution and
-held (_atom_columns reads it), as the atom's scaled probability times its
-belief's integer row. Divided by its sum (geometry._normalized), a column
-is the posterior, and its sum over the scale is the marginal; divided by
-the prior, state by state, the atom columns are the likelihoods of the
-experiment that induces the distribution.
+atom (x_s, p_s) has the column p_s x_s, formed once by the distribution,
+as the atom's scaled probability times its belief's integer row. Divided by
+its sum (geometry._normalized), a column is the posterior, and its sum over
+the scale is the marginal; divided by the prior, state by state, the atom
+columns are the likelihoods of the experiment that induces the distribution.
 
 Valuing an experiment needs no posteriors. Observing signal s and acting
 optimally earns max_a u_a . c_s, so E[V] = sum_s max_a u_a . c_s, exactly
@@ -26,14 +25,10 @@ the sum over one set of columns minus the sum over the other, and only _gap
 computes it: one integer product per column with the problem's scaled rows
 packed into one integer per state (decision._pack), whose digits are every
 action's dot product with the column, the largest read off their bytes;
-then the two sides over one scale, and one division. A problem scales its
-utility matrix on first use and holds the result (DecisionProblem._integers)
-and its packing (DecisionProblem._packing), so ranking many experiments for
-one problem scales and packs the matrix once. A prior, as every belief,
-holds its integer row from when it was built, and an experiment scales its
-likelihood on first use and holds the result (Experiment._integers). A
-posterior distribution holds its atom columns from when it is built, so
-valuing it, comparing it and recovering its experiment scale no atom.
+then the two sides over one scale, and one division. Problems, experiments,
+priors and distributions hold their integer forms (_ints, geometry._Holder),
+so ranking many experiments for one problem scales and packs its matrix
+once, and no valuation scales an atom or a prior.
 """
 
 from __future__ import annotations
@@ -43,13 +38,14 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .decision import DecisionProblem
 from .errors import MeanMismatch, ShapeMismatch, UnreadableEntry
 from .geometry import (
-    ONE, ZERO, Belief, Coords, _belief, _coords_of, _exact_belief, _frac, _normalized,
-    _require_prior, _scaled, _scaled_points,
+    ONE, ZERO, Belief, Coords, _belief, _coords_of, _exact_belief, _frac, _Holder, _normalized,
+    _require_prior, _require_type, _scaled, _scaled_points,
 )
 
 # (integer columns, scale): column c is c[k] / scale for each state k; a
@@ -84,31 +80,24 @@ def _stochastic_rows(matrix, width: int | None = None) -> tuple[Coords, ...]:
 
 
 @dataclass(frozen=True)
-class Experiment:
+class Experiment(_Holder):
     """A row-stochastic likelihood matrix: row theta gives P(signal | theta).
 
-    The rows over one denominator (_integers), which every valuation reads,
-    are formed on first use and held outside the fields and the pickles, as
-    DecisionProblem holds its utility rows.
+    It holds the rows over one denominator (_ints), which every valuation reads.
     """
 
     signal_labels: tuple[str, ...]
     likelihood: tuple[Coords, ...]
-    _ints = None
 
     def __post_init__(self):
         object.__setattr__(self, "signal_labels", tuple(self.signal_labels))
         rows = _stochastic_rows(self.likelihood, len(self.signal_labels))
         object.__setattr__(self, "likelihood", rows)
 
-    def __getstate__(self) -> dict:
-        return {"signal_labels": self.signal_labels, "likelihood": self.likelihood}
-
-    def _integers(self) -> tuple[list[list[int]], int]:
+    @cached_property
+    def _ints(self) -> tuple[list[list[int]], int]:
         """(rows, scale) with likelihood[k][s] == rows[k][s] / scale, scale the lcm."""
-        if self._ints is None:
-            object.__setattr__(self, "_ints", _scaled(self.likelihood))
-        return self._ints
+        return _scaled(self.likelihood)
 
     @property
     def n(self) -> int:
@@ -132,7 +121,7 @@ class Experiment:
 
 
 @dataclass(frozen=True)
-class PosteriorDistribution:
+class PosteriorDistribution(_Holder):
     """A finitely supported distribution over beliefs, in canonical form.
 
     Atoms with identical beliefs are merged and the list is sorted by belief,
@@ -140,16 +129,14 @@ class PosteriorDistribution:
     tuple is read as a Belief. The beliefs are scaled once, to rows over one
     positive scale, so sorting the rows sorts the beliefs, and the same rows
     times the probabilities over their one denominator are the atom columns
-    p_s x_s, held as tuples outside the fields and the pickles (_atom_columns
-    reads them; a clone forms them again on first use). The mean is the sum
-    of the columns. The probabilities' total is read off the same columns:
-    each belief sums to one, so the columns' entries total the columns'
-    scale exactly when the probabilities sum to one.
+    p_s x_s, held as tuples (_ints). The mean is the sum of the columns. The
+    probabilities' total is read off the same columns: each belief sums to
+    one, so the columns' entries total the columns' scale exactly when the
+    probabilities sum to one.
     """
 
     atoms: tuple[tuple[Belief, Fraction], ...]
     mean: Belief
-    _ints = None
 
     def __init__(self, atoms):
         pairs = []
@@ -177,21 +164,25 @@ class PosteriorDistribution:
         # the beliefs are distinct, so their rows are, and the sort never compares atoms
         ordered = sorted(zip(map(tuple, rows), merged.items()))
         object.__setattr__(self, "atoms", tuple(atom for _, atom in ordered))
-        columns, scale = self._hold([row for row, _ in ordered], scale)
+        object.__setattr__(self, "_ints", self._weighted([row for row, _ in ordered], scale))
+        columns, scale = self._ints
         totals = [sum(c) for c in zip(*columns)]
         if sum(totals) != scale:
             raise ValueError(f"atom probabilities must sum to 1, got {sum(merged.values())}")
         object.__setattr__(self, "mean", _exact_belief(totals, scale))
 
-    def __getstate__(self) -> dict:
-        return {"atoms": self.atoms, "mean": self.mean}
+    @cached_property
+    def _ints(self) -> Columns:
+        """One column p_s x_s per atom, the joint column of the signal inducing it.
 
-    def _hold(self, rows, scale: int) -> Columns:
-        """Hold and return the atom columns, given the atoms' belief rows over one scale."""
+        The constructor forms the columns; a clone forms them here.
+        """
+        return self._weighted(*_scaled_points(self.support))
+
+    def _weighted(self, rows, scale: int) -> Columns:
+        """The atom columns, given the atoms' belief rows over one scale."""
         (probs,), prob_scale = _scaled((tuple(prob for _, prob in self.atoms),))
-        held = tuple(tuple(p * v for v in row) for p, row in zip(probs, rows)), prob_scale * scale
-        object.__setattr__(self, "_ints", held)
-        return held
+        return tuple(tuple(p * v for v in row) for p, row in zip(probs, rows)), prob_scale * scale
 
     @property
     def support(self) -> tuple[Belief, ...]:
@@ -223,21 +214,10 @@ def _columns(prior: Belief, experiment: Experiment) -> Columns:
     """
     if experiment.n != prior.n:
         raise ShapeMismatch("experiment rows must match the prior's states")
-    (weights,), prior_scale = _scaled_points([prior])
-    rows, scale = experiment._integers()
+    weights, prior_scale = prior._ints
+    rows, scale = experiment._ints
     weighted = [[p * v for v in row] for p, row in zip(weights, rows)]
     return list(zip(*weighted)), prior_scale * scale
-
-
-def _atom_columns(dist: PosteriorDistribution) -> Columns:
-    """One column p_s x_s per atom, the joint column of the signal inducing it.
-
-    The columns the distribution formed when it was built; a clone, which
-    pickles and copies leave without them, forms them on first use.
-    """
-    if dist._ints is None:
-        dist._hold(*_scaled_points([b for b, _ in dist.atoms]))
-    return dist._ints
 
 
 def bayes_split(prior: Belief, experiment: Experiment) -> PosteriorDistribution:
@@ -247,7 +227,9 @@ def bayes_split(prior: Belief, experiment: Experiment) -> PosteriorDistribution:
     sum over the columns' scale is its marginal probability. Signals with
     zero marginal probability are dropped; signals leading to the same
     posterior are merged. The result's mean is the prior, exactly.
+    MalformedData, first, for an experiment that is not an Experiment.
     """
+    _require_type("experiment", experiment, Experiment)
     columns, scale = _columns(_require_prior(prior), experiment)
     return PosteriorDistribution(
         (_normalized(c), Fraction(sum(c), scale)) for c in columns if any(c)
@@ -263,15 +245,17 @@ def experiment_of(prior: Belief, dist: PosteriorDistribution) -> Experiment:
     splitting the result at the same prior returns the distribution
     unchanged. The rows are nonnegative, and each sums to one because the
     distribution's mean is the prior, so the Experiment is built without
-    Experiment's second scan of its rows.
+    Experiment's second scan of its rows. MalformedData, first, for a dist
+    that is not a PosteriorDistribution.
     """
+    _require_type("dist", dist, PosteriorDistribution)
     prior = _require_prior(prior)
     if dist.mean != prior:
         raise MeanMismatch(
             f"distribution mean {dist.mean} does not match the prior {prior}"
         )
-    columns, scale = _atom_columns(dist)
-    (weights,), prior_scale = _scaled_points([prior])
+    columns, scale = dist._ints
+    weights, prior_scale = prior._ints
     rows = tuple(
         tuple(Fraction(c * prior_scale, scale * p) for c in row)
         for p, row in zip(weights, zip(*columns))
@@ -300,7 +284,7 @@ def garble(experiment: Experiment, matrix) -> Experiment:
 def _gap(dp: DecisionProblem, left: Columns, right: Columns) -> Fraction:
     """sum_c max_a u_a . c over the left columns, minus the same sum over the right.
 
-    dp's integer rows (_integers) value left and right, (integer columns,
+    dp's integer rows (_ints) value left and right, (integer columns,
     scale) pairs with one entry per state, which callers check. The columns
     must be nonnegative, as joint columns, atom columns and priors are, so
     that no digit borrows. A side's dot products come from one packed
@@ -314,7 +298,7 @@ def _gap(dp: DecisionProblem, left: Columns, right: Columns) -> Fraction:
     sides' sums are brought to the lcm of their scales and divided once.
     The max runs over all rows; a dominated row never exceeds it.
     """
-    (_, row_scale), (left, left_scale), (right, right_scale) = dp._integers(), left, right
+    (_, row_scale), (left, left_scale), (right, right_scale) = dp._ints, left, right
     scale = math.lcm(left_scale, right_scale)
 
     def total(columns) -> int:
@@ -334,10 +318,13 @@ def expected_value(dp: DecisionProblem, dist: PosteriorDistribution) -> Fraction
     """Expectation of the problem's value function under the distribution.
 
     sum_s p_s max_a u_a . x_s = sum_s max_a u_a . (p_s x_s), the gap between
-    the unnormalized atoms p_s x_s and no columns at all.
+    the unnormalized atoms p_s x_s and no columns at all. MalformedData,
+    first, names an argument of the wrong type.
     """
+    _require_type("dp", dp, DecisionProblem)
+    _require_type("dist", dist, PosteriorDistribution)
     dp._require_states(dist.mean.n)
-    return _gap(dp, _atom_columns(dist), ([], 1))
+    return _gap(dp, dist._ints, ([], 1))
 
 
 def value_of_experiment(dp: DecisionProblem, prior: Belief, experiment: Experiment) -> Fraction:
@@ -347,23 +334,31 @@ def value_of_experiment(dp: DecisionProblem, prior: Belief, experiment: Experime
     sum_s max_a u_a . c_s - max_a u_a . pi, the gap between the joint columns
     c_s(theta) = pi(theta) P(s | theta), which sum to the prior, and the
     prior. This is the posterior route's E[V] - V(pi) exactly. Raises
-    BoundaryPrior for a prior on the boundary, then ShapeMismatch for
-    experiment rows that do not match the prior, then ShapeMismatch for a
-    prior over other states than the problem.
+    MalformedData naming an argument of the wrong type, then BoundaryPrior
+    for a prior on the boundary, then ShapeMismatch for experiment rows that
+    do not match the prior, then ShapeMismatch for a prior over other states
+    than the problem.
     """
+    _require_type("dp", dp, DecisionProblem)
+    _require_type("experiment", experiment, Experiment)
     prior = _require_prior(prior)
     columns = _columns(prior, experiment)
     dp._require_states(prior.n)
-    return _gap(dp, columns, _scaled_points([prior]))
+    row, scale = prior._ints
+    return _gap(dp, columns, ((row,), scale))
 
 
 def rank(dp: DecisionProblem, prior: Belief, first: Experiment, second: Experiment) -> Order:
     """Exact comparison of two experiments' value at the prior.
 
     The uninformed term V(pi) is the same on both sides, so the order is the
-    sign of the gap between the two experiments' joint columns. The first
-    experiment is checked in full before the second.
+    sign of the gap between the two experiments' joint columns. MalformedData,
+    first, names an argument of the wrong type; then the first experiment is
+    checked in full before the second.
     """
+    _require_type("dp", dp, DecisionProblem)
+    _require_type("first", first, Experiment)
+    _require_type("second", second, Experiment)
     prior = _require_prior(prior)
     columns = _columns(prior, first)
     dp._require_states(prior.n)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision import DecisionProblem
-from .geometry import Belief, _require_prior
-from .identification import CellAffine, IdentificationData, PairNonAffine, _require_type
+from .geometry import Belief, _require_prior, _require_type
+from .identification import CellAffine, IdentificationData, PairNonAffine
 from .information import Experiment, Order, experiment_of, rank
 
 

@@ -315,7 +315,7 @@ def atom_columns_by_fractions(dist: PosteriorDistribution) -> list[Coords]:
 
 
 def atom_columns_by_scaling(dist: PosteriorDistribution) -> tuple[list, int]:
-    """_atom_columns as it formed the columns on every call, before a distribution held them."""
+    """The atom columns as they were formed on every call, before a distribution held them."""
     (probs,), prob_scale = _scaled((tuple(prob for _, prob in dist.atoms),))
     rows, scale = _scaled_points([b for b, _ in dist.atoms])
     return [[p * v for v in row] for p, row in zip(probs, rows)], prob_scale * scale
@@ -905,7 +905,7 @@ def winners_by_rank(dp: DecisionProblem) -> frozenset[int]:
     vertical ray dropped, and the lowest index of equal rows.
     """
     n = dp.n
-    rows, scale = dp._integers()
+    rows, scale = dp._ints
     lifted = [[int(i == j) for j in range(n + 1)] for i in range(n)]
     lifted += [[-v for v in row] + [scale] for row in rows]
     found = [(ray[:n], zeros) for ray, zeros in _extreme_rays(lifted, n + 1) if any(ray[:n])]

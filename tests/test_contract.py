@@ -6,8 +6,9 @@ python -O and raises AssertionError otherwise). Every number is exact, so
 no float literal appears in the source, and every public callable that
 takes a point or a row rejects a float entry, and one that is not a
 sequence with UnreadableEntry. A value an instance forms and holds outside
-its fields (a class attribute _name = None) is left out of its pickles and
-copies by __getstate__, and a clone forms it again. The forward geometry comes
+its fields (a _-prefixed cached_property, or a class attribute _name = None)
+is left out of its pickles and copies by a __getstate__, its own or
+geometry._Holder's, and a clone forms it again. The forward geometry comes
 from one lifted double description, so no library module imports the
 exact LP in linprog.py, which stays only as a test oracle. No module
 imports a name it never reads, so code deleted from a module takes its
@@ -46,7 +47,6 @@ from infoval.geometry import (
 from infoval.information import (
     Experiment,
     PosteriorDistribution,
-    _atom_columns,
     value_of_experiment,
 )
 from infoval.spectral import transport_problem
@@ -87,7 +87,7 @@ def _linprog_imports(tree: ast.AST) -> list[int]:
 def _coords_scalings(tree: ast.AST) -> list[int]:
     """Lines outside class Belief where _scaled or _integer_row takes a .coords attribute.
 
-    A Belief holds its integer row (Belief._integers), so scaling a belief's
+    A Belief holds its integer row (Belief._ints), so scaling a belief's
     coordinates anywhere else forms that row again.
     """
     held = set()
@@ -153,29 +153,45 @@ def _byteorder_omitted(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
-def _stored_values(tree: ast.AST) -> dict[str, tuple[list[str], bool]]:
-    """Class name -> (its _-prefixed names set to None, whether it defines __getstate__).
+def _is_cached_property(statement: ast.stmt) -> bool:
+    """Whether the statement defines a method decorated with cached_property."""
+    return isinstance(statement, ast.FunctionDef) and any(
+        getattr(d, "id", getattr(d, "attr", None)) == "cached_property"
+        for d in statement.decorator_list
+    )
 
-    Only classes with such a name are listed. Such a name is a value the
-    instance forms and holds outside its fields, which pickles and copies
-    must leave out.
+
+def _stored_values(tree: ast.AST) -> dict[str, tuple[list[str], bool]]:
+    """Class name -> (its stored names, whether its pickles leave them out).
+
+    A stored name is _-prefixed, and either set to None in the class body or
+    a cached_property method: a value the instance forms and holds outside
+    its fields, which pickles and copies must leave out. They do when the
+    class defines __getstate__ or has _Holder among its bases. Only classes
+    with a stored name are listed.
     """
     found = {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        names = [
-            target.id
-            for statement in node.body
-            if isinstance(statement, ast.Assign)
-            and isinstance(statement.value, ast.Constant)
-            and statement.value.value is None
-            for target in statement.targets
-            if isinstance(target, ast.Name) and target.id.startswith("_")
-        ]
+        names = []
+        for statement in node.body:
+            if _is_cached_property(statement) and statement.name.startswith("_"):
+                names.append(statement.name)
+            elif (
+                isinstance(statement, ast.Assign)
+                and isinstance(statement.value, ast.Constant)
+                and statement.value.value is None
+            ):
+                names += [
+                    target.id
+                    for target in statement.targets
+                    if isinstance(target, ast.Name) and target.id.startswith("_")
+                ]
         if names:
             methods = {s.name for s in node.body if isinstance(s, ast.FunctionDef)}
-            found[node.name] = (names, "__getstate__" in methods)
+            holder = any(getattr(base, "id", None) == "_Holder" for base in node.bases)
+            found[node.name] = (names, "__getstate__" in methods or holder)
     return found
 
 
@@ -320,7 +336,7 @@ def test_byteorder_scanner_catches_each_kind():
 def test_coords_scaling_scanner_catches_each_kind():
     source = (
         "class Belief:\n"
-        "    def _integers(self):\n"
+        "    def _ints(self):\n"
         "        return _scaled((self.coords,))\n"
         "def direct(b):\n"
         "    return _scaled((b.coords,))\n"
@@ -334,7 +350,7 @@ def test_coords_scaling_scanner_catches_each_kind():
     assert _coords_scalings(ast.parse(source)) == [5, 7, 9]
 
 
-# class name -> (its stored names, defines __getstate__), over every library module
+# class name -> (its stored names, whether its pickles leave them out), over every library module
 STORED = {
     name: found
     for path in SOURCES
@@ -343,7 +359,7 @@ STORED = {
 
 
 def test_stored_values_are_left_out_of_pickles():
-    assert STORED and all(getstate for _, getstate in STORED.values())
+    assert STORED and all(left_out for _, left_out in STORED.values())
 
 
 def test_stored_value_scanner_catches_each_kind():
@@ -352,10 +368,17 @@ def test_stored_value_scanner_catches_each_kind():
         "    def __getstate__(self):\n        pass\n"
         "class Leaky:\n    _center = None\n"
         "class Public:\n    shown = None\n    _set = 0\n"
+        "    @cached_property\n    def shown_rows(self):\n        pass\n"
+        "    def _plain(self):\n        pass\n"
+        "class Formed(_Holder):\n    _packed = None\n"
+        "    @cached_property\n    def _ints(self):\n        pass\n"
+        "class Unheld:\n    @functools.cached_property\n    def _rows(self):\n        pass\n"
     )
     assert _stored_values(ast.parse(source)) == {
         "Held": (["_ints", "_hash"], True),
         "Leaky": (["_center"], False),
+        "Formed": (["_packed", "_ints"], True),
+        "Unheld": (["_rows"], False),
     }
 
 
@@ -514,13 +537,11 @@ def _use(instance) -> None:
         hash(instance)
     elif isinstance(instance, Polytope):
         interior_point(instance)
-    elif isinstance(instance, PosteriorDistribution):
-        _atom_columns(instance)
     elif isinstance(instance, DecisionProblem):
         # forms the integer rows and their packing for _gap
         value_of_experiment(instance, belief(HALF, HALF), Experiment.fully_revealing(instance.n))
     else:
-        instance._integers()
+        instance._ints
 
 
 # one instance of each class that holds a stored value, by class name
@@ -548,6 +569,8 @@ def test_every_holder_is_cloned():
 def test_clone_forms_its_stored_value_again(name, clone):
     instance = HOLDERS[name]()
     _use(instance)
+    # a held value that leaked into the pickled state would change the bytes
+    assert pickle.dumps(instance) == pickle.dumps(HOLDERS[name]())
     stored = STORED[name][0]
     copied = clone(instance)
     assert not set(stored) & set(vars(copied))

@@ -15,6 +15,7 @@ from infoval.decision import (
     Subdivision,
     _breadth_first,
     compute_subdivision,
+    equal_up_to_affine,
     equal_up_to_state_transfer,
     evaluate_value,
     make_problem,
@@ -32,7 +33,6 @@ from infoval.geometry import (
     vertices_of,
 )
 from infoval.identification import (
-    equal_up_to_affine,
     extract_subdivision,
     generate_identification,
     reconstruct_value,

@@ -102,7 +102,7 @@ class TestBeliefHash:
     def test_hash_is_the_coordinates_and_does_not_change(self):
         a = belief("1/4", "1/4", "1/2")
         first = hash(a)
-        assert first == hash(a._integers())
+        assert first == hash(a._ints)
         assert [hash(a) for _ in range(3)] == [first] * 3
 
     def test_repr_and_fields_are_the_coordinates_alone(self):
@@ -163,7 +163,7 @@ class TestHeldRowAgainstScaling:
         a, oracle_a = data.draw(built_beliefs(n))
         b, oracle_b = data.draw(built_beliefs(n if other else n + 1))
         for point, oracle in ((a, oracle_a), (b, oracle_b)):
-            assert point._integers() == support.held_pair_by_scaling(point)
+            assert point._ints == support.held_pair_by_scaling(point)
             if oracle is not None:
                 assert repr(point) == repr(oracle)
             for clone in (Belief(point.coords), copy.deepcopy(point)):
@@ -177,7 +177,7 @@ class TestHeldRowAgainstScaling:
         assert vars(a)["_ints"] == ((1, 2, 3), 6)
         for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
             assert "_ints" not in vars(clone)
-            assert clone._integers() == ((1, 2, 3), 6) and "_ints" in vars(clone)
+            assert clone._ints == ((1, 2, 3), 6) and "_ints" in vars(clone)
 
     @pytest.mark.parametrize(
         "row, scale, message",
@@ -235,21 +235,21 @@ class TestHalfspaceHash:
 class TestHeldHalfspaceRow:
     def test_row_is_the_normal_and_offset_over_one_scale(self):
         a = hs(["1/2", 0, "-1/3"], "1/5")
-        assert a._integers() == (15, 0, -10, 6)
-        assert a._integers() is a._integers()
+        assert a._ints == (15, 0, -10, 6)
+        assert a._ints is a._ints
 
     def test_repr_eq_hash_and_pickle_are_unchanged_by_the_held_row(self):
         a = hs([2, 0, "1/3"], "-1/4")
         fresh = hs([2, 0, "1/3"], "-1/4")
         before = repr(a), hash(a), pickle.dumps(a)
-        row = a._integers()
+        row = a._ints
         assert (repr(a), hash(a), pickle.dumps(a)) == before
         assert before == (repr(fresh), hash(fresh), pickle.dumps(fresh))
         assert a == fresh and fresh == a
         for clone in (lambda h: pickle.loads(pickle.dumps(h)), copy.copy, copy.deepcopy):
             copied = clone(a)
             assert copied == a and "_ints" not in vars(copied)
-            assert copied._integers() == row
+            assert copied._ints == row
 
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)

@@ -14,6 +14,7 @@ from infoval.decision import (
     Cell,
     Subdivision,
     compute_subdivision,
+    equal_up_to_affine,
     make_problem,
     scale_problem,
     value_function,
@@ -43,7 +44,6 @@ from infoval.identification import (
     OrderedExpectation,
     PairNonAffine,
     UtilityDifference,
-    equal_up_to_affine,
     extract_subdivision,
     gen_affineness_equalities,
     gen_nonaffineness_inequalities,
@@ -57,7 +57,16 @@ from infoval.identification import (
     _residual_difference,
     _residual_point,
 )
-from infoval.information import Experiment, Order, PosteriorDistribution, expected_value
+from infoval.information import (
+    Experiment,
+    Order,
+    PosteriorDistribution,
+    bayes_split,
+    expected_value,
+    experiment_of,
+    rank,
+    value_of_experiment,
+)
 from infoval.spectral import RankedExperiment, satisfies_ranked
 
 
@@ -702,8 +711,10 @@ class TestIdentificationDataFields:
 
 
 POINT = PosteriorDistribution.point_mass(uniform_belief(2))
+CLEAR = Experiment.fully_revealing(2)
 
-# every part that holds a distribution or a statement, each given an int
+# every part that holds a distribution or a statement, and every valuation
+# argument that is a problem, an experiment or a distribution, each given an int
 WRONG_TYPED_PARTS = {
     "OrderedExpectation.lhs": (
         lambda: OrderedExpectation(5, 5, "eq", CellAffine(0)),
@@ -744,6 +755,40 @@ WRONG_TYPED_PARTS = {
     "RankedExperiment.tag-better": (
         lambda: RankedExperiment(*[Experiment.uninformative(2)] * 2, Order.BETTER, CellAffine(0)),
         "tag must be of type PairNonAffine, got CellAffine(cell=0)",
+    ),
+    "expected_value.dp": (
+        lambda: expected_value(5, POINT), "dp must be of type DecisionProblem, got 5"
+    ),
+    "expected_value.dist": (
+        lambda: expected_value(support.two_peak_problem(), 5),
+        "dist must be of type PosteriorDistribution, got 5",
+    ),
+    "experiment_of.dist": (
+        lambda: experiment_of(uniform_belief(2), 5),
+        "dist must be of type PosteriorDistribution, got 5",
+    ),
+    "bayes_split.experiment": (
+        lambda: bayes_split(uniform_belief(2), 5), "experiment must be of type Experiment, got 5"
+    ),
+    "value_of_experiment.dp": (
+        lambda: value_of_experiment(5, uniform_belief(2), CLEAR),
+        "dp must be of type DecisionProblem, got 5",
+    ),
+    "value_of_experiment.experiment": (
+        lambda: value_of_experiment(support.two_peak_problem(), uniform_belief(2), 5),
+        "experiment must be of type Experiment, got 5",
+    ),
+    "rank.dp": (
+        lambda: rank(5, uniform_belief(2), CLEAR, CLEAR),
+        "dp must be of type DecisionProblem, got 5",
+    ),
+    "rank.first": (
+        lambda: rank(support.two_peak_problem(), uniform_belief(2), 5, CLEAR),
+        "first must be of type Experiment, got 5",
+    ),
+    "rank.second": (
+        lambda: rank(support.two_peak_problem(), uniform_belief(2), CLEAR, 5),
+        "second must be of type Experiment, got 5",
     ),
 }
 

@@ -20,7 +20,6 @@ from infoval.information import (
     Experiment,
     Order,
     PosteriorDistribution,
-    _atom_columns,
     _columns,
     _gap,
     _stochastic_rows,
@@ -558,7 +557,7 @@ class TestIntegerValuationAgainstFractions:
             if e.n != n:
                 continue
             dist = bayes_split(given_prior, e)
-            assert repr(_fractions_of(_atom_columns(dist))) == repr(
+            assert repr(_fractions_of(dist._ints)) == repr(
                 support.atom_columns_by_fractions(dist)
             )
             for at in (given_prior, support.random_interior_prior(rng, n)):
@@ -566,11 +565,11 @@ class TestIntegerValuationAgainstFractions:
                     support.experiment_of_by_fractions, at, dist
                 )
             # a split's atoms merge proportional joint columns, which share a maximizer
-            assert _gap(dp, _columns(prior, e), _atom_columns(dist)) == 0
+            assert _gap(dp, _columns(prior, e), dist._ints) == 0
         if any(e.n != n for e in experiments):
             return
         joint = [_columns(prior, e) for e in experiments]
-        atoms = [_atom_columns(bayes_split(prior, e)) for e in experiments]
+        atoms = [bayes_split(prior, e)._ints for e in experiments]
         sides = [
             (joint[0], joint[1]),
             (joint[0], _scaled((prior.coords,))),
@@ -615,14 +614,14 @@ class TestPackedGap:
             for _ in range(k)
         ]
         dp = make_problem([rng.choice(distinct) if repeat else row for row in distinct])
-        utility, _ = dp._integers()
+        utility, _ = dp._ints
         spread = max(map(max, utility)) - min(map(min, utility))
         widths = []
         for bits in sorted(column_bits):
             left, right = _nonnegative_side(rng, n, bits), _nonnegative_side(rng, n, bits)
             got = _gap(dp, left, right)
             assert type(got) is Fraction
-            assert got == support.gap_by_dot_products(dp._integers(), left, right)
+            assert got == support.gap_by_dot_products(dp._ints, left, right)
             most = max(map(sum, left[0] + right[0]), default=0)
             assert 8 * dp._packed[2] >= (spread * most).bit_length()
             widths.append(dp._packed[2])
@@ -637,7 +636,7 @@ class TestPackedGap:
         for column, width in ((fits, 32), (wide, 33)):
             side = ([column, [1, 2, 3]], 7)
             assert _gap(dp, side, ([], 1)) == support.gap_by_dot_products(
-                dp._integers(), side, ([], 1)
+                dp._ints, side, ([], 1)
             )
             assert dp._packed[2] == width
 
@@ -665,10 +664,10 @@ class TestPackedGap:
             experiments.append(Experiment(("s1", "s2", "s3"), rows))
         prior_side = _scaled((prior.coords,))
         for first, second in zip(experiments, experiments[1:]):
-            value = support.gap_by_dot_products(dp._integers(), _columns(prior, first), prior_side)
+            value = support.gap_by_dot_products(dp._ints, _columns(prior, first), prior_side)
             assert value_of_experiment(dp, prior, first) == value
             gap = support.gap_by_dot_products(
-                dp._integers(), _columns(prior, first), _columns(prior, second)
+                dp._ints, _columns(prior, first), _columns(prior, second)
             )
             order = Order.BETTER if gap > 0 else Order.WORSE if gap < 0 else Order.EQUAL
             assert rank(dp, prior, first, second) is order
@@ -758,8 +757,8 @@ class TestHeldRows:
     def test_held_rows_are_the_scaled_utility(self):
         dp, prior, e = self.built()
         value_of_experiment(dp, prior, e)
-        assert dp._integers() == _scaled(dp.utility)
-        assert dp._integers() is dp._integers()
+        assert dp._ints == _scaled(dp.utility)
+        assert dp._ints is dp._ints
 
     def test_fields_and_repr_are_unchanged_by_valuation(self):
         dp, prior, e = self.built()
@@ -803,13 +802,13 @@ class TestHeldLikelihood:
         held = vars(e)["_ints"]
         assert held == _scaled(e.likelihood)
         value_of_experiment(dp, prior, e)
-        assert e._integers() is held
+        assert e._ints is held
 
     def test_recovered_experiment_forms_its_rows_on_first_use(self):
         prior = belief("1/6", "1/3", "1/2")
         recovered = experiment_of(prior, bayes_split(prior, self.built()))
         assert "_ints" not in vars(recovered)
-        assert recovered._integers() == _scaled(recovered.likelihood)
+        assert recovered._ints == _scaled(recovered.likelihood)
 
     def test_fields_repr_and_pickle_leave_the_rows_out(self):
         e, fresh = self.built(), self.built()
@@ -820,13 +819,13 @@ class TestHeldLikelihood:
         for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
             copied = clone(e)
             assert copied == e and "_ints" not in vars(copied)
-            assert copied._integers() == e._integers()
+            assert copied._ints == e._ints
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 5))
     def test_held_rows_are_the_scaled_likelihood(self, seed, n):
         e = support.random_experiment(Random(seed), n)
-        assert e._integers() == _scaled(e.likelihood)
+        assert e._ints == _scaled(e.likelihood)
 
 
 @st.composite
@@ -870,7 +869,7 @@ class TestHeldAtomColumns:
         for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
             copied = clone(dist)
             assert copied == old and "_ints" not in vars(copied)
-            assert _atom_columns(copied) == held
+            assert copied._ints == held
 
     @settings(max_examples=300, deadline=None)
     @given(drawn_atoms())
@@ -902,8 +901,18 @@ class TestHeldAtomColumns:
         dp = make_problem([[1, "1/3", 0], ["1/2", 0, "2/5"], [0, "3/4", "1/6"]])
         prior = belief("1/6", "1/3", "1/2")
         e = Experiment(("s1", "s2", "s3"), (("1/3", "2/3", 0), ("1/4", "1/4", "1/2"), (1, 0, 0)))
+        other = Experiment(("s1", "s2"), (("1/2", "1/2"), (0, 1), ("3/4", "1/4")))
         dist = bayes_split(prior, e)
-        expected = expected_value(dp, dist), experiment_of(prior, dist)
+
+        def read():
+            return (
+                expected_value(dp, dist),
+                experiment_of(prior, dist),
+                value_of_experiment(dp, prior, e),
+                rank(dp, prior, e, other),
+            )
+
+        expected = read()
         calls = []
 
         def counted(name):
@@ -917,9 +926,9 @@ class TestHeldAtomColumns:
 
         for name in ("_scaled_points", "_scaled"):
             monkeypatch.setattr(information, name, counted(name))
-        assert (expected_value(dp, dist), experiment_of(prior, dist)) == expected
-        # the prior's row is held, so scaling it scales nothing
-        assert calls == [("_scaled_points", ([prior],))]
+        assert read() == expected
+        # the atoms', the prior's and the experiments' rows are held
+        assert calls == []
 
 
 class RepeatingRandom(Random):
