@@ -32,6 +32,7 @@ from .geometry import (
     _facet,
     _facet_halfspace,
     _frac,
+    _require_type,
     _scaled,
     _scaled_points,
     adjacent_facets,
@@ -43,7 +44,7 @@ from .geometry import (
 Packing = tuple[int, int, int, tuple[int, ...], tuple[slice, ...]]
 
 
-def _pack(rows: list[list[int]], most: int, held: Packing | None) -> Packing:
+def _pack(rows: list[list[int]], most: int) -> Packing:
     """The integer payoff rows packed into one integer per state, digits wide enough for most.
 
     Kronecker substitution (Harvey 2009): with low the least entry and
@@ -53,18 +54,11 @@ def _pack(rows: list[list[int]], most: int, held: Packing | None) -> Packing:
     slices its width * len(rows) big-endian bytes into them. A digit is at
     most spread * sum(c), spread the largest entry minus low, so width is
     the fewest bytes holding spread * most, and no digit overflows into the
-    next. held, a packing of the same rows, is returned when it is wide
-    enough.
+    next.
     """
-    if held is None:
-        low = min(map(min, rows))
-        spread = max(map(max, rows)) - low
-    else:
-        low, spread, width, _, _ = held
-    bits = (spread * most).bit_length()
-    if held is not None and bits <= 8 * width:
-        return held
-    width = max(1, -(-bits // 8))
+    low = min(map(min, rows))
+    spread = max(map(max, rows)) - low
+    width = max(1, -(-(spread * most).bit_length() // 8))
     shift = 8 * width
     states = tuple(
         sum((v - low) << (shift * a) for a, v in enumerate(column)) for column in zip(*rows)
@@ -81,7 +75,7 @@ class DecisionProblem(_Holder):
     reads, are held, so valuing many experiments for one problem scales its
     matrix once. So is their packing for information._gap (_packing): a
     packing with wider digits serves every narrower need, so only the widest
-    formed is held, and it is formed again only when a column needs more room.
+    formed is held, and the problem alone widens it, when a column needs more room.
     """
 
     state_labels: tuple[str, ...]
@@ -112,7 +106,8 @@ class DecisionProblem(_Holder):
 
     def _packing(self, most: int) -> Packing:
         """The held packing (_pack) if it fits columns summing to most, else a wider one, held."""
-        object.__setattr__(self, "_packed", _pack(self._ints[0], most, self._packed))
+        if self._packed is None or (self._packed[1] * most).bit_length() > 8 * self._packed[2]:
+            object.__setattr__(self, "_packed", _pack(self._ints[0], most))
         return self._packed
 
     @property
@@ -175,16 +170,9 @@ class AffineFn:
     def __sub__(self, other: "AffineFn") -> "AffineFn":
         return AffineFn(tuple(a - b for a, b in self._zip(other.coeffs)))
 
-    def scaled(self, factor: Fraction) -> "AffineFn":
-        return AffineFn(tuple(a * _frac(factor) for a in self.coeffs))
-
     @classmethod
     def zero(cls, n: int) -> "AffineFn":
         return cls((ZERO,) * n)
-
-    @classmethod
-    def from_halfspace(cls, h: Halfspace) -> "AffineFn":
-        return cls(h.as_affine_coords())
 
 
 @dataclass(frozen=True)
@@ -224,6 +212,8 @@ class Subdivision:
     def from_cells(cls, cells) -> "Subdivision":
         """The subdivision of cells given by their vertices, with geometry.adjacent_facets."""
         cells = tuple(cells)
+        for index, cell in enumerate(cells):
+            _require_type(f"cell {index}", cell, Cell)
         found = adjacent_facets([cell.geometry for cell in cells])
         return cls(cells, tuple(AdjacentPair(*pair) for pair in found))
 
@@ -300,6 +290,7 @@ class PiecewiseAffineFn:
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
+        _require_type("subdivision", self.subdivision, Subdivision)
         self.subdivision.n  # MalformedData when the subdivision has no cell
         cells = self.subdivision.cells
         if len(self.pieces) != len(cells):
@@ -330,6 +321,8 @@ def equal_up_to_affine(first: PiecewiseAffineFn, second: PiecewiseAffineFn) -> A
     The cells are matched by geometry (match_cells); coefficients are unique on
     the simplex, so every matched pair of pieces must differ by the same tuple.
     """
+    _require_type("first", first, PiecewiseAffineFn)
+    _require_type("second", second, PiecewiseAffineFn)
     matching = first.subdivision.match_cells(second.subdivision)
     if matching is None:
         return None
@@ -344,6 +337,7 @@ def equal_up_to_affine(first: PiecewiseAffineFn, second: PiecewiseAffineFn) -> A
 
 def evaluate_value(dp: DecisionProblem, x: Belief) -> Fraction:
     """The best expected payoff available at belief x."""
+    _require_type("dp", dp, DecisionProblem)
     return max(dp.payoff(a, x) for a in range(dp.num_actions))
 
 
@@ -362,6 +356,7 @@ def _lift(dp: DecisionProblem) -> tuple[list[list[int]], list[frozenset[int]], l
     no other action's. The coordinate rows need no set: a face without the
     vertical ray lies on the envelope, so in some winner's facet.
     """
+    _require_type("dp", dp, DecisionProblem)
     n = dp.n
     rows, scale = dp._ints
     lifted = [[int(i == j) for j in range(n + 1)] for i in range(n)]
@@ -411,8 +406,8 @@ def compute_subdivision(dp: DecisionProblem) -> Subdivision:
     the cells tile the simplex, so their adjacency graph is connected, which
     the spanning tree confirms. Equal rows share one cell.
     """
-    n = dp.n
     rays, sets, winners = _lift(dp)
+    n = dp.n
     vertices = {r: _exact_belief(ray, sum(ray)) for r, ray in enumerate(rays) if any(ray)}
     order = sorted(vertices, key=vertices.__getitem__)
     rows, _ = dp._ints
@@ -441,6 +436,7 @@ def scale_problem(dp: DecisionProblem, factor) -> DecisionProblem:
     factor = _frac(factor)
     if factor <= 0:
         raise NonpositiveScale(f"scale factor must be positive, got {factor}")
+    _require_type("dp", dp, DecisionProblem)
     scaled = tuple(tuple(v * factor for v in row) for row in dp.utility)
     return DecisionProblem(dp.state_labels, dp.action_labels, scaled)
 
@@ -459,6 +455,8 @@ def equal_up_to_state_transfer(dp1: DecisionProblem, dp2: DecisionProblem):
     functions, and relabeling maps dp1's undominated action indices to dp2's
     through the cells match_cells pairs. None when there is no such transfer.
     """
+    _require_type("dp1", dp1, DecisionProblem)
+    _require_type("dp2", dp2, DecisionProblem)
     first, second = value_function(dp1), value_function(dp2)
     transfer = equal_up_to_affine(first, second)
     if transfer is None:

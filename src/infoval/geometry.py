@@ -17,14 +17,15 @@ routine, _facet. A raw row becomes exact in one
 place, _coords_of, which rejects floats. _scaled, which puts rational rows
 over one denominator, is the one home of common-denominator integer sums:
 barycenters, line windows, membership and the value kernels add integers
-and divide once. A point is scaled once, when it is built: a Belief holds
-its integer row, which its equality and its order (the one order of points)
-read and _scaled_points brings to a common scale; a Halfspace holds its
-row (normal, offset), for membership and line windows, and a polytope its
-interior point, the vertex barycenter (each a _Holder). Beliefs and facets
-built from integers in hand are checked once, on those integers. Each
-polytope costs one double description, whose zero sets also
-tell which of a hull's points are vertices. Which cells share a facet is
+and divide once. A point is scaled once, when built: a Belief holds its
+integer row, which its equality, hash and order (the one order of points)
+read and _scaled_points brings to a common scale. A cut is scaled once, on
+first read: a Halfspace holds its affine row a (the cut is a . x >= 0),
+which every reader of a cut reads, and a polytope its interior point, the
+vertex barycenter (each a _Holder). Beliefs and facets built from integers
+in hand are checked once, on those integers. Each polytope costs one
+double description, whose zero sets also tell which of a hull's points are
+vertices. Which cells share a facet is
 read off the lift's zero sets on the forward path, and off vertex incidence
 by one scan, adjacent_facets, for cells given by their vertices; a shared
 face is one cell cut by the facet halfspace that holds on the other.
@@ -138,12 +139,8 @@ class Belief(_Holder):
             raise ValueError(f"belief coordinates must sum to 1, got {sum(self.coords)}")
         return row, scale
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._ints)
-
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._ints)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Belief:
@@ -218,6 +215,7 @@ class Halfspace(_Holder):
     coordinates sum to one, and positive rescaling changes nothing either.
     canonical() quotients both freedoms out: it shifts the smallest normal
     coordinate to zero and scales the normal to a primitive integer vector.
+    Its one integer form is the affine row a (_ints), read as a . x >= 0.
     Equality, hash and repr are the dataclass's own: a shared face holds
     one cell's halfspaces and its facet's, so no two lists are merged.
     """
@@ -235,8 +233,9 @@ class Halfspace(_Holder):
 
     @cached_property
     def _ints(self) -> tuple[int, ...]:
-        """The row (normal, offset) scaled by the lcm of its denominators."""
-        return tuple(_integer_row(self.normal + (self.offset,)))
+        """The affine row a: (normal, offset) over one lcm, each normal entry less the offset's."""
+        *row, c = _integer_row(self.normal + (self.offset,))
+        return tuple(v - c for v in row)
 
     @property
     def n(self) -> int:
@@ -248,7 +247,7 @@ class Halfspace(_Holder):
 
     def canonical(self) -> "Halfspace":
         """_facet of (normal - offset) . x >= 0, the same cut, scaled to integers."""
-        return _facet_halfspace(*_facet(_integer_row(self.as_affine_coords())))
+        return _facet_halfspace(*_facet(self._ints))
 
     def as_affine_coords(self) -> Coords:
         """Coefficients of x -> normal . x - offset as a pure linear form on the simplex."""
@@ -334,7 +333,6 @@ class Polytope(_Holder):
         for h in self.halfspaces:
             if h.n != self.n:
                 _coords_of(point, h.n)  # the ShapeMismatch h.value raises
-        x = [*x, -scale]  # so that (normal, offset) . x is scale * (normal . point - offset)
         return all(sum(map(mul, h._ints, x)) >= floor for h in self.halfspaces)
 
 
@@ -523,7 +521,9 @@ def vertices_of(halfspaces, n: int) -> list[Belief]:
     means an empty intersection.
     """
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows += [_integer_row(_coords_of(h.as_affine_coords(), n)) for h in halfspaces]
+    for h in halfspaces:
+        _coords_of(h.normal, n)  # ShapeMismatch unless every halfspace is over n states
+        rows.append(h._ints)
     return sorted(_normalized(ray) for ray, _ in _extreme_rays(rows, n))
 
 
@@ -555,6 +555,7 @@ def interior_point(poly: Polytope) -> Belief:
     Formed on the first call and held by the polytope, so a cell or a shared
     face that several witnesses start from is averaged once.
     """
+    _require_type("poly", poly, Polytope)
     return poly._center
 
 
@@ -614,13 +615,12 @@ def adjacent_facets(cells) -> list[tuple[int, int, Polytope, Halfspace]]:
     that halfspace, which is exactly the face of the common vertices. Its
     vertices are cell i's own, sorted as Beliefs.
     """
+    for k, p in enumerate(cells):
+        _require_type(f"cell {k}", p, Polytope)
     if len({p.n for p in cells}) > 1:
         raise ShapeMismatch("facets are found only between cells over the same states")
     index: dict[Belief, int] = {}
-    for p in cells:
-        for v in p.vertices:
-            index.setdefault(v, len(index))
-    incidence = [frozenset(index[v] for v in p.vertices) for p in cells]
+    incidence = [frozenset(index.setdefault(v, len(index)) for v in p.vertices) for p in cells]
     rows = [v._ints[0] for v in index]
     for p, own in zip(cells, incidence):
         if not own or _rank([rows[r] for r in own]) != p.n:
@@ -688,8 +688,7 @@ def _line_window(origin: list[int], direction: list[int], scale: int, poly: Poly
     """
     conditions = list(zip(origin, direction))
     for h in poly.halfspaces:
-        *g, c = h._ints
-        conditions.append((sum(map(mul, g, origin)) - c * scale, sum(map(mul, g, direction))))
+        conditions.append((sum(map(mul, h._ints, origin)), sum(map(mul, h._ints, direction))))
     lo = hi = None
     for alpha, beta in conditions:
         if beta == 0:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .decision import (
     AffineFn,
@@ -213,6 +214,7 @@ def gen_affineness_equalities(sub: Subdivision, prior: Belief) -> list[OrderedEx
     convex candidate the two sides agree exactly when the candidate is
     affine on the cell.
     """
+    _require_type("sub", sub, Subdivision)
     prior = _require_prior(prior, sub.n)
     statements = []
     for index, cell in enumerate(sub.cells):
@@ -285,6 +287,7 @@ def gen_nonaffineness_inequalities(sub: Subdivision, prior: Belief) -> list[Orde
     candidate strictly prefers the split exactly when it is not affine
     across the pair.
     """
+    _require_type("sub", sub, Subdivision)
     prior = _require_prior(prior, sub.n)
     statements = []
     for pair in sub.adjacency:
@@ -310,6 +313,8 @@ def gen_nonaffineness_inequalities(sub: Subdivision, prior: Belief) -> list[Orde
 
 def satisfies_ordinal(dp: DecisionProblem, data: IdentificationData) -> bool:
     """Whether the problem's value function satisfies every ordinal statement."""
+    _require_type("dp", dp, DecisionProblem)
+    _require_type("data", data, IdentificationData)
     dp._require_states(data.prior.n)  # every side averages to the prior
     for statement in data.ordinal:
         gap = _gap(dp, statement.lhs._ints, statement.rhs._ints)
@@ -334,6 +339,7 @@ def extract_subdivision(data: IdentificationData) -> Subdivision:
     it. Cells that overlap rather than meet face to face raise MalformedData
     naming a pair of them.
     """
+    _require_type("data", data, IdentificationData)
     cell_tags = [s for s in data.ordinal if isinstance(s.tag, CellAffine)]
     indices = sorted(s.tag.cell for s in cell_tags)
     if indices != list(range(len(cell_tags))) or not cell_tags:
@@ -381,7 +387,8 @@ def _binary_difference(sub: Subdivision, prior: Belief, parent: int, child: int)
     x_j is the anchor that reconstruct_value reads back.
     """
     pair = sub.pair(parent, child)
-    if pair.halfspace.value(prior) != 0:
+    _coords_of(pair.halfspace.normal, prior.n)  # ShapeMismatch unless the facet is over n states
+    if sum(map(mul, pair.halfspace._ints, prior._ints[0])):  # the prior is off the facet
         target = interior_point(pair.shared)
     else:
         target = interior_point(sub.cells[child].geometry)
@@ -467,8 +474,11 @@ def gen_utility_differences(
     include_all_edges=True every adjacent pair gets a difference, not just
     the tree, which makes the data redundant and cross-checkable.
     """
+    _require_type("dp", dp, DecisionProblem)
     prior = _require_prior(prior, dp.n)
     sub = subdivision if subdivision is not None else compute_subdivision(dp)
+    _require_type("subdivision", sub, Subdivision)
+    _coords_of(prior, sub.n)  # ShapeMismatch unless the subdivision is over the prior's states
     edges = sub.spanning_tree()
     if include_all_edges:
         tree = {(min(i, j), max(i, j)) for i, j in edges}
@@ -493,6 +503,7 @@ def generate_identification(
     dp: DecisionProblem, prior: Belief, include_all_edges: bool = False
 ) -> IdentificationData:
     """The full identifying collection for a problem at an interior prior."""
+    _require_type("dp", dp, DecisionProblem)
     prior = _require_prior(prior, dp.n)
     sub = compute_subdivision(dp)
     ordinal = gen_affineness_equalities(sub, prior)
@@ -532,11 +543,11 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
     those links from the root must reach every cell. Each tree edge's
     difference fixes the slope jump across its facet via
     gap = (p - q) * jump(anchor), which solves the child's piece. The jump
-    vanishes on the facet, so with A the facet's linear form it is
-    A * gap / ((p - q) * A(anchor)); negating or rescaling A cancels, so the
-    pair's halfspace serves whichever cell it faces. Every other difference
-    is a check: its gap must equal information._gap under the problem whose
-    actions are the pieces, packed once per call.
+    vanishes on the facet, so with a the facet's held affine row and (x, s)
+    the anchor's held row it is a * gap * s / ((p - q) * (a . x)); negating
+    or rescaling a cancels, so the pair's halfspace serves either cell.
+    Every other difference is a check: its gap must equal information._gap
+    under the problem whose actions are the pieces, packed once per call.
     """
     sub = extract_subdivision(data)
     t = len(sub.cells)
@@ -567,10 +578,11 @@ def reconstruct_value(data: IdentificationData) -> PiecewiseAffineFn:
         pair = sub.pair(i, j)
         if pair is None:
             raise MalformedData(f"edge {diff.edge} does not join adjacent cells")
-        denominator = (p - q) * pair.halfspace.value(anchor)
+        a, (x, s) = pair.halfspace._ints, anchor._ints
+        denominator = (p - q) * sum(map(mul, a, x))
         if denominator == 0:
             raise SingularSolve(f"edge {diff.edge}: degenerate weights or anchor on the facet")
-        jump = AffineFn.from_halfspace(pair.halfspace).scaled(diff.gap / denominator)
+        jump = AffineFn(tuple(v * diff.gap * s / denominator for v in a))
         pieces[child] = pieces[parent] + jump if parent == i else pieces[parent] - jump
 
     fn = PiecewiseAffineFn(sub, tuple(pieces[cell] for cell in range(t)))

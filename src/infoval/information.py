@@ -27,8 +27,9 @@ packed into one integer per state (decision._pack), whose digits are every
 action's dot product with the column, the largest read off their bytes;
 then the two sides over one scale, and one division. Problems, experiments,
 priors and distributions hold their integer forms (_ints, geometry._Holder),
-so ranking many experiments for one problem scales and packs its matrix
-once, and no valuation scales an atom or a prior.
+so ranking many experiments for one problem scales its matrix once, a
+problem alone packs it again when a column needs wider digits
+(DecisionProblem._packing), and no valuation scales an atom or a prior.
 """
 
 from __future__ import annotations
@@ -274,6 +275,7 @@ def garble(experiment: Experiment, matrix) -> Experiment:
     rows match the signals. Composing two garblings is garbling twice.
     """
     rows = _stochastic_rows(matrix)
+    _require_type("experiment", experiment, Experiment)
     if len(rows) != experiment.num_signals:
         raise ShapeMismatch(f"{len(rows)} garbling rows for {experiment.num_signals} signals")
     columns = list(zip(*rows))

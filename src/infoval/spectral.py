@@ -27,6 +27,7 @@ def transport_problem(dp: DecisionProblem, prior: Belief, target: Belief) -> Dec
     is the payoff under u at x times one positive factor. Each prior goes
     through _require_prior on the problem's states.
     """
+    _require_type("dp", dp, DecisionProblem)
     prior = _require_prior(prior, dp.n)
     target = _require_prior(target, dp.n)
     weights = tuple(m / t for m, t in zip(prior.coords, target.coords))
@@ -67,6 +68,7 @@ def ranked_experiments_of(data: IdentificationData) -> list[RankedExperiment]:
     indifferences and strict inequalities become strict preferences for the
     left experiment.
     """
+    _require_type("data", data, IdentificationData)
     prior = data.prior
     out = []
     for statement in data.ordinal:
@@ -84,8 +86,10 @@ def ranked_experiments_of(data: IdentificationData) -> list[RankedExperiment]:
 def satisfies_ranked(dp: DecisionProblem, prior: Belief, ranked: list[RankedExperiment]) -> bool:
     """Whether the problem at this prior ranks every pair as stated.
 
-    MalformedData names, by index, the first item that is not a RankedExperiment.
+    MalformedData names the problem if it is not a DecisionProblem, then, by
+    index, the first item that is not a RankedExperiment.
     """
+    _require_type("dp", dp, DecisionProblem)
     prior = _require_prior(prior)
     ranked = list(ranked)
     for index, item in enumerate(ranked):

@@ -15,11 +15,15 @@ imports a name it never reads, so code deleted from a module takes its
 imports with it, and no private function, class or method goes
 unreferenced, so code that loses its last caller is deleted with it. A
 belief's integer row has one home, the Belief itself: no library code
-scales a .coords attribute through _scaled or _integer_row outside it. The
-library runs on Python 3.10 to 3.13, so it uses no private name of the
-fractions module, such as Fraction(n, d, _normalize=False), which is gone
-from 3.12, and every int.to_bytes and int.from_bytes call passes its
-byteorder, which has no default before 3.11.
+scales a .coords attribute through _scaled or _integer_row outside it. A
+cut's integer form has one home too, the Halfspace's affine row: no library
+code outside class Halfspace evaluates a cut through .value( or
+.as_affine_coords(, and a belief the library builds from integers holds
+the same row its clone forms again. The library runs on Python 3.10
+to 3.13, so it uses no private name of the fractions module, such as
+Fraction(n, d, _normalize=False), which is gone from 3.12, and every
+int.to_bytes and int.from_bytes call passes its byteorder, which has no
+default before 3.11.
 """
 
 import ast
@@ -38,6 +42,7 @@ from infoval.geometry import (
     Belief,
     Halfspace,
     Polytope,
+    _exact_belief,
     barycenter,
     belief,
     dimension,
@@ -110,6 +115,26 @@ def _coords_scalings(tree: ast.AST) -> list[int]:
         ):
             found.append(node.lineno)
     return found
+
+
+def _cut_evaluations(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each .value( or .as_affine_coords( call outside class Halfspace.
+
+    A Halfspace holds its affine integer row (Halfspace._ints), so every
+    reader of a cut takes one integer dot product with it.
+    """
+    held = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "Halfspace":
+            held |= {id(sub) for sub in ast.walk(node)}
+    return sorted(
+        (node.lineno, node.func.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and id(node) not in held
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("value", "as_affine_coords")
+    )
 
 
 PRIVATE_FRACTIONS = ("_normalize", "_from_coprime_ints", "_numerator", "_denominator")
@@ -293,6 +318,26 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_beliefs_are_scaled_only_by_their_held_row(path):
     assert _coords_scalings(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_cuts_are_read_only_by_their_held_row(path):
+    assert _cut_evaluations(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_cut_evaluation_scanner_catches_each_kind():
+    source = (
+        "class Halfspace:\n"
+        "    def canonical(self):\n"
+        "        return self.value(x), self.as_affine_coords()\n"
+        "def slack(h, x):\n"
+        "    return h.value(x)\n"
+        "def row(pair):\n"
+        "    return _integer_row(pair.halfspace.as_affine_coords())\n"
+        "def allowed(h, order):\n"
+        "    return h._ints, order.value, value(h)\n"
+    )
+    assert _cut_evaluations(ast.parse(source)) == [(5, "value"), (7, "as_affine_coords")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -533,9 +578,7 @@ def test_unreadable_sequence_rejected(call, message):
 
 def _use(instance) -> None:
     """Form every value the instance holds outside its fields."""
-    if isinstance(instance, Belief):
-        hash(instance)
-    elif isinstance(instance, Polytope):
+    if isinstance(instance, Polytope):
         interior_point(instance)
     elif isinstance(instance, DecisionProblem):
         # forms the integer rows and their packing for _gap
@@ -577,3 +620,24 @@ def test_clone_forms_its_stored_value_again(name, clone):
     assert copied == instance and repr(copied) == repr(instance)
     _use(copied)
     assert [vars(copied)[s] for s in stored] == [vars(instance)[s] for s in stored]
+
+
+def _library_made() -> dict[str, Belief]:
+    """Beliefs the library builds from integers in hand, their _ints set at construction.
+
+    From rows not yet in lowest terms, over a scale that is or is not their sum's.
+    """
+    return {
+        "belief": _exact_belief([2, 4, 6], 12),
+        "belief-unreduced-scale": _exact_belief([3, 0, 6], 9),
+    }
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_library_made_clone_forms_the_held_row_again(clone):
+    for name, instance in _library_made().items():
+        held = vars(instance)["_ints"]
+        copied = clone(instance)
+        assert "_ints" not in vars(copied), name
+        assert copied._ints == held, name

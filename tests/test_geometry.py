@@ -234,8 +234,9 @@ class TestHalfspaceHash:
 
 class TestHeldHalfspaceRow:
     def test_row_is_the_normal_and_offset_over_one_scale(self):
+        # (normal, offset) over the lcm 30 is (15, 0, -10, 6); the affine row subtracts the 6
         a = hs(["1/2", 0, "-1/3"], "1/5")
-        assert a._ints == (15, 0, -10, 6)
+        assert a._ints == (9, -6, -16)
         assert a._ints is a._ints
 
     def test_repr_eq_hash_and_pickle_are_unchanged_by_the_held_row(self):

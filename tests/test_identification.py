@@ -1,3 +1,4 @@
+import pickle
 import re
 from fractions import Fraction
 from random import Random
@@ -12,11 +13,15 @@ from infoval.decision import (
     AdjacentPair,
     AffineFn,
     Cell,
+    PiecewiseAffineFn,
     Subdivision,
     compute_subdivision,
     equal_up_to_affine,
+    equal_up_to_state_transfer,
+    evaluate_value,
     make_problem,
     scale_problem,
+    undominated_actions,
     value_function,
 )
 from infoval.errors import (
@@ -33,6 +38,7 @@ from infoval.geometry import (
     Halfspace,
     Polytope,
     _line_window,
+    adjacent_facets,
     barycenter,
     belief,
     interior_point,
@@ -64,10 +70,16 @@ from infoval.information import (
     bayes_split,
     expected_value,
     experiment_of,
+    garble,
     rank,
     value_of_experiment,
 )
-from infoval.spectral import RankedExperiment, satisfies_ranked
+from infoval.spectral import (
+    RankedExperiment,
+    ranked_experiments_of,
+    satisfies_ranked,
+    transport_problem,
+)
 
 
 def atoms_of(dist):
@@ -712,9 +724,11 @@ class TestIdentificationDataFields:
 
 POINT = PosteriorDistribution.point_mass(uniform_belief(2))
 CLEAR = Experiment.fully_revealing(2)
+PRIOR = uniform_belief(2)
 
-# every part that holds a distribution or a statement, and every valuation
-# argument that is a problem, an experiment or a distribution, each given an int
+# every part that holds a distribution or a statement, and every argument
+# that is a polytope, a cell, a problem, a subdivision, a value function,
+# data, an experiment or a distribution, each given an int
 WRONG_TYPED_PARTS = {
     "OrderedExpectation.lhs": (
         lambda: OrderedExpectation(5, 5, "eq", CellAffine(0)),
@@ -789,6 +803,84 @@ WRONG_TYPED_PARTS = {
     "rank.second": (
         lambda: rank(support.two_peak_problem(), uniform_belief(2), CLEAR, 5),
         "second must be of type Experiment, got 5",
+    ),
+    "garble.experiment": (
+        lambda: garble(5, [[1]]), "experiment must be of type Experiment, got 5"
+    ),
+    "interior_point": (lambda: interior_point(5), "poly must be of type Polytope, got 5"),
+    "adjacent_facets": (lambda: adjacent_facets([5]), "cell 0 must be of type Polytope, got 5"),
+    "Subdivision.from_cells": (
+        lambda: Subdivision.from_cells([5]), "cell 0 must be of type Cell, got 5"
+    ),
+    "compute_subdivision": (
+        lambda: compute_subdivision(5), "dp must be of type DecisionProblem, got 5"
+    ),
+    "undominated_actions": (
+        lambda: undominated_actions(5), "dp must be of type DecisionProblem, got 5"
+    ),
+    "value_function": (lambda: value_function(5), "dp must be of type DecisionProblem, got 5"),
+    "evaluate_value": (
+        lambda: evaluate_value(5, PRIOR), "dp must be of type DecisionProblem, got 5"
+    ),
+    "scale_problem": (lambda: scale_problem(5, 2), "dp must be of type DecisionProblem, got 5"),
+    "equal_up_to_affine": (
+        lambda: equal_up_to_affine(5, 5), "first must be of type PiecewiseAffineFn, got 5"
+    ),
+    "equal_up_to_affine.second": (
+        lambda: equal_up_to_affine(value_function(support.two_peak_problem()), 5),
+        "second must be of type PiecewiseAffineFn, got 5",
+    ),
+    "equal_up_to_state_transfer": (
+        lambda: equal_up_to_state_transfer(5, support.two_peak_problem()),
+        "dp1 must be of type DecisionProblem, got 5",
+    ),
+    "equal_up_to_state_transfer.dp2": (
+        lambda: equal_up_to_state_transfer(support.two_peak_problem(), 5),
+        "dp2 must be of type DecisionProblem, got 5",
+    ),
+    "PiecewiseAffineFn": (
+        lambda: PiecewiseAffineFn(5, ()), "subdivision must be of type Subdivision, got 5"
+    ),
+    "gen_affineness_equalities": (
+        lambda: gen_affineness_equalities(5, PRIOR), "sub must be of type Subdivision, got 5"
+    ),
+    "gen_nonaffineness_inequalities": (
+        lambda: gen_nonaffineness_inequalities(5, PRIOR),
+        "sub must be of type Subdivision, got 5",
+    ),
+    "gen_utility_differences": (
+        lambda: gen_utility_differences(5, PRIOR), "dp must be of type DecisionProblem, got 5"
+    ),
+    "gen_utility_differences.subdivision": (
+        lambda: gen_utility_differences(support.two_peak_problem(), PRIOR, subdivision=5),
+        "subdivision must be of type Subdivision, got 5",
+    ),
+    "generate_identification": (
+        lambda: generate_identification(5, PRIOR), "dp must be of type DecisionProblem, got 5"
+    ),
+    "satisfies_ordinal.dp": (
+        lambda: satisfies_ordinal(5, generate_identification(support.two_peak_problem(), PRIOR)),
+        "dp must be of type DecisionProblem, got 5",
+    ),
+    "satisfies_ordinal.data": (
+        lambda: satisfies_ordinal(support.two_peak_problem(), 5),
+        "data must be of type IdentificationData, got 5",
+    ),
+    "extract_subdivision": (
+        lambda: extract_subdivision(5), "data must be of type IdentificationData, got 5"
+    ),
+    "reconstruct_value": (
+        lambda: reconstruct_value(5), "data must be of type IdentificationData, got 5"
+    ),
+    "transport_problem": (
+        lambda: transport_problem(5, PRIOR, PRIOR), "dp must be of type DecisionProblem, got 5"
+    ),
+    "ranked_experiments_of": (
+        lambda: ranked_experiments_of(5), "data must be of type IdentificationData, got 5"
+    ),
+    # an empty list never reaches rank, so the problem is checked first
+    "satisfies_ranked.dp": (
+        lambda: satisfies_ranked(5, PRIOR, []), "dp must be of type DecisionProblem, got 5"
     ),
 }
 
@@ -868,6 +960,55 @@ class TestRandomRoundtrips:
         for d in data.cardinal:
             assert d.lhs.mean == prior and d.rhs.mean == prior
             assert d.gap > 0
+
+
+class TestEquivalences:
+    """The data depend only on what the paper identifies (ROADMAP item 14, first stage).
+
+    A problem is identified up to a state-dependent payoff transfer, and
+    only its undominated actions count, each once. So adding one transfer
+    to every action, inserting a strictly dominated action anywhere, or
+    repeating an action after itself leaves the pickled data byte-identical.
+    Relabeling is left out: cells are ordered by action index.
+    """
+
+    @staticmethod
+    def drawn(seed: int, n: int):
+        """A seeded problem (at most 6 actions), its prior, and the rng to alter it with."""
+        rng = Random(seed)
+        dp = support.random_problem(rng, n, max_actions=6)
+        return dp, support.random_interior_prior(rng, n), rng
+
+    @staticmethod
+    def data(rows, prior) -> bytes:
+        data = generate_identification(make_problem(rows), prior, include_all_edges=True)
+        return pickle.dumps(data)
+
+    @settings(max_examples=80, deadline=None, phases=support.NO_SHRINK)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+    def test_state_dependent_transfer(self, seed, n):
+        dp, prior, rng = self.drawn(seed, n)
+        transfer = [Fraction(rng.randint(-40, 40), rng.randint(1, 20)) for _ in range(n)]
+        moved = [[u + t for u, t in zip(row, transfer)] for row in dp.utility]
+        assert self.data(moved, prior) == self.data(dp.utility, prior)
+
+    @settings(max_examples=80, deadline=None, phases=support.NO_SHRINK)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+    def test_strictly_dominated_action_inserted(self, seed, n):
+        dp, prior, rng = self.drawn(seed, n)
+        rows = list(dp.utility)
+        below = [u - Fraction(rng.randint(1, 40), rng.randint(1, 20)) for u in rng.choice(rows)]
+        rows.insert(rng.randint(0, len(rows)), below)
+        assert self.data(rows, prior) == self.data(dp.utility, prior)
+
+    @settings(max_examples=80, deadline=None, phases=support.NO_SHRINK)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+    def test_duplicated_action(self, seed, n):
+        dp, prior, rng = self.drawn(seed, n)
+        rows = list(dp.utility)
+        a = rng.randrange(len(rows))
+        rows.insert(rng.randint(a + 1, len(rows)), rows[a])
+        assert self.data(rows, prior) == self.data(dp.utility, prior)
 
 
 class TestClosedFormWitnesses:
@@ -1019,6 +1160,13 @@ class TestForeignSubdivision:
         with pytest.raises(MalformedData):
             gen_utility_differences(dp, uniform_belief(2), subdivision=cut)
 
+    @pytest.mark.parametrize("n, other", [(3, 2), (2, 3)])
+    def test_subdivision_over_other_states_is_a_shape_mismatch(self, n, other):
+        problems = {2: support.two_peak_problem(), 3: support.guess_the_state_problem()}
+        sub = compute_subdivision(problems[other])
+        with pytest.raises(ShapeMismatch, match=f"^{n} coordinates where {other} are expected$"):
+            gen_utility_differences(problems[n], uniform_belief(n), subdivision=sub)
+
     def test_subdivision_of_another_problem_is_inconsistent(self):
         flat = make_problem([[0, 0], [-5, -5]])
         other = compute_subdivision(support.safe_or_bet_problem())
@@ -1042,6 +1190,15 @@ class TestForeignSubdivision:
         point = Polytope((), (uniform_belief(2),), 2)
         with pytest.raises(MalformedData):
             gen_affineness_equalities(Subdivision((Cell(0, point),), ()), uniform_belief(2))
+
+    def test_facet_over_other_states_is_a_shape_mismatch(self):
+        dp = support.safe_or_bet_problem()
+        sub = compute_subdivision(dp)
+        pair = sub.adjacency[0]
+        wide = Halfspace(pair.halfspace.normal + (0,), pair.halfspace.offset)
+        foreign = Subdivision(sub.cells, (AdjacentPair(pair.i, pair.j, pair.shared, wide),))
+        with pytest.raises(ShapeMismatch, match="^3 coordinates where 2 are expected$"):
+            gen_utility_differences(dp, uniform_belief(2), subdivision=foreign)
 
     def test_pair_not_across_its_facet_is_malformed(self):
         sub = compute_subdivision(support.safe_or_bet_problem())

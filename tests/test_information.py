@@ -645,11 +645,9 @@ class TestPackedGap:
         # digit fits one byte, so one packing serves every valuation
         built, pack = [], decision._pack
 
-        def counted(rows, most, held):
-            packing = pack(rows, most, held)
-            if packing is not held:
-                built.append(packing)
-            return packing
+        def counted(rows, most):
+            built.append(pack(rows, most))
+            return built[-1]
 
         monkeypatch.setattr(decision, "_pack", counted)
         rng = Random(7)

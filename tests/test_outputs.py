@@ -11,7 +11,7 @@ states than the problem's raises. The spectral outputs come from the
 likelihood-ratio encoding in tests/support.py (spectral_of, realize), the
 oracle of transport_problem's cells, so that digest pins the oracle. Only
 a change that declares an output change up front, such as
-small-denominator witnesses (ROADMAP item 5), may regenerate these
+small-denominator witnesses (ROADMAP item 13), may regenerate these
 digests, and it says so in CHANGES.md.
 """
 
